@@ -17,8 +17,9 @@ import sys
 import numpy as np
 
 from . import experiments, fileio
+from .core import DEFAULT_TOL
 from .coupling import birkhoff_decompose, prokhorov_distance
-from .entropy import find_isometric_embeddings, kl_divergence, relative_entropy
+from .entropy import relative_entropy_witness
 from .ghp import STRATEGIES, best_ghp_upper_bound, ghp_upper_bound
 from .matmetric import dm_distance, dpi_distance
 from .sampling import empirical_space, enumerate_matrix_ensemble
@@ -42,6 +43,12 @@ def _emit(obj) -> None:
     print(json.dumps(_jsonable(obj), indent=2, sort_keys=True))
 
 
+def _given(args, *names) -> dict:
+    """The named options the user gave; the others keep the defaults of the
+    library signature they are forwarded to."""
+    return {k: getattr(args, k) for k in names if k in args}
+
+
 def _cmd_dm(args) -> int:
     a = fileio.read_matrix(args.a)
     b = fileio.read_matrix(args.b)
@@ -53,8 +60,7 @@ def _cmd_dm(args) -> int:
 def _cmd_dpi(args) -> int:
     a = fileio.read_matrix(args.a)
     b = fileio.read_matrix(args.b)
-    mode = "heuristic" if args.heuristic else "exact"
-    w = dpi_distance(a, b, mode=mode, exact_limit=args.limit, tol=args.tol)
+    w = dpi_distance(a, b, tol=args.tol, **_given(args, "mode", "exact_limit"))
     _emit(
         {
             "value": w.value,
@@ -99,10 +105,11 @@ def _cmd_birkhoff(args) -> int:
 def _cmd_ghp(args) -> int:
     x = fileio.read_mms(args.x, tol=args.tol)
     y = fileio.read_mms(args.y, tol=args.tol)
+    limit = _given(args, "exact_limit")
     if args.strategy == "best":
-        bound = best_ghp_upper_bound(x, y, tol=args.tol, exact_limit=args.limit)
+        bound = best_ghp_upper_bound(x, y, tol=args.tol, **limit)
     else:
-        bound = ghp_upper_bound(x, y, args.strategy, tol=args.tol, exact_limit=args.limit)
+        bound = ghp_upper_bound(x, y, args.strategy, tol=args.tol, **limit)
     _emit(
         {
             "upper": bound.upper,
@@ -134,7 +141,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_ensemble(args) -> int:
     space = fileio.read_model_space(args.space, tol=args.tol)
-    ens = enumerate_matrix_ensemble(space, args.n, budget=args.budget)
+    ens = enumerate_matrix_ensemble(space, args.n, **_given(args, "budget"))
     _emit(
         {
             "n": ens.n,
@@ -149,66 +156,30 @@ def _cmd_ensemble(args) -> int:
 def _cmd_entropy(args) -> int:
     y = fileio.read_mms(args.y, tol=args.tol)
     x = fileio.read_mms(args.x, tol=args.tol)
-    emb = find_isometric_embeddings(y, x, tol=args.entropy_tol)
-    value = relative_entropy(y, x, tol=args.entropy_tol)
-    best = None
-    if emb.maps:
-        kls = [
-            sum(
-                float(ny) * math.log(ny / x.mass[i])
-                for ny, i in zip(y.mass, m)
-                if ny > 0 and x.mass[i] > 0
-            )
-            if all(x.mass[i] > 0 or ny <= 0 for ny, i in zip(y.mass, m))
-            else math.inf
-            for m in emb.maps
-        ]
-        best = list(emb.maps[int(np.argmin(kls))])
-    _emit({"value": value, "embedding": best, "embedding_count": emb.count})
+    value, embedding, count = relative_entropy_witness(y, x, tol=args.tol)
+    _emit({"value": value, "embedding": embedding, "embedding_count": count})
     return 0
 
 
+# check name -> (experiments function, the keyword options it takes)
+CHECKS = {
+    "finspc": ("check_finspc_sandwich", ("n", "trials", "seed")),
+    "hoelder": ("check_hoelder_small_n", ("epsilon", "n", "seed", "mc_trials", "budget")),
+    "sharp": ("check_sharp_exponent", ("c", "alpha", "epsilon", "n", "budget")),
+    "sampconv": ("check_sampling_convergence", ("space", "epsilon", "n", "trials", "seed")),
+    "gpaction": ("check_group_invariance", ("space1", "space2", "n", "budget")),
+}
+
+
 def _cmd_check(args) -> int:
-    if args.which == "finspc":
-        report = experiments.check_finspc_sandwich(
-            n=args.n or 5, trials=args.trials, seed=args.seed, tol=args.tol
-        )
-    elif args.which == "hoelder":
-        report = experiments.check_hoelder_small_n(
-            epsilon=args.eps or 0.1,
-            n=args.n or 4,
-            seed=args.seed,
-            mc_trials=args.mc_trials,
-            budget=args.budget,
-            tol=args.tol,
-        )
-    elif args.which == "sharp":
-        report = experiments.check_sharp_exponent(
-            c=args.c,
-            alpha=args.alpha,
-            epsilon=args.eps or 0.01,
-            n=args.n,
-            budget=args.budget,
-            tol=args.tol,
-        )
-    elif args.which == "sampconv":
-        space = fileio.read_model_space(args.space, tol=args.tol) if args.space else None
-        report = experiments.check_sampling_convergence(
-            space=space,
-            epsilon=args.eps or 0.1,
-            n=args.n or 1000,
-            trials=args.trials,
-            seed=args.seed,
-            tol=args.tol,
-        )
-    elif args.which == "gpaction":
-        s1 = fileio.read_model_space(args.space, tol=args.tol) if args.space else None
-        s2 = fileio.read_model_space(args.space2, tol=args.tol) if args.space2 else None
-        report = experiments.check_group_invariance(
-            space1=s1, space2=s2, n=args.n or 3, budget=args.budget, tol=args.tol
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(args.which)
+    name, options = CHECKS[args.which]
+    if args.which == "gpaction" and "space" in args:
+        args.space1 = args.space
+    opts = _given(args, *options)
+    for key in ("space", "space1", "space2"):
+        if key in opts:
+            opts[key] = fileio.read_model_space(opts[key], tol=args.tol)
+    report = getattr(experiments, name)(tol=args.tol, **opts)
     print(report.to_json())
     if args.out:
         experiments.write_report(report, args.out)
@@ -219,7 +190,7 @@ def _cmd_check(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mmsdist")
-    parser.add_argument("--tol", type=float, default=1e-9, help="comparison tolerance")
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL, help="comparison tolerance")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dm", help="matrix distance with exclusions")
@@ -227,13 +198,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b")
     p.set_defaults(fn=_cmd_dm)
 
-    p = sub.add_parser("dpi", help="matrix distance up to permutation")
+    # options left unset are not forwarded, so the library's defaults apply
+    unset = argparse.SUPPRESS
+
+    p = sub.add_parser("dpi", help="matrix distance up to permutation", argument_default=unset)
     p.add_argument("a")
     p.add_argument("b")
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--exact", action="store_true", default=True)
-    g.add_argument("--heuristic", action="store_true")
-    p.add_argument("--limit", type=int, default=8, help="exact-mode size limit")
+    p.add_argument("--heuristic", dest="mode", action="store_const", const="heuristic")
+    p.add_argument("--limit", dest="exact_limit", type=int, help="exact-mode size limit")
     p.set_defaults(fn=_cmd_dpi)
 
     p = sub.add_parser("prokhorov", help="optimal coupling distance")
@@ -247,11 +219,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("s")
     p.set_defaults(fn=_cmd_birkhoff)
 
-    p = sub.add_parser("ghp", help="space-distance bounds with witnesses")
+    p = sub.add_parser("ghp", help="space-distance bounds with witnesses", argument_default=unset)
     p.add_argument("x")
     p.add_argument("y")
     p.add_argument("--strategy", choices=STRATEGIES + ("best",), default="best")
-    p.add_argument("--limit", type=int, default=8)
+    p.add_argument("--limit", dest="exact_limit", type=int)
     p.set_defaults(fn=_cmd_ghp)
 
     p = sub.add_parser("sample", help="sample empirical distance matrices")
@@ -262,30 +234,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_sample)
 
-    p = sub.add_parser("ensemble", help="exact matrix ensemble of a finite space")
+    p = sub.add_parser(
+        "ensemble", help="exact matrix ensemble of a finite space", argument_default=unset
+    )
     p.add_argument("space")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument("--budget", type=int)
     p.set_defaults(fn=_cmd_ensemble)
 
     p = sub.add_parser("entropy", help="relative entropy of two spaces")
     p.add_argument("y")
     p.add_argument("x")
-    p.add_argument("--tol", dest="entropy_tol", type=float, default=1e-9)
     p.set_defaults(fn=_cmd_entropy)
 
-    p = sub.add_parser("check", help="run a verification experiment")
-    p.add_argument("which", choices=["finspc", "hoelder", "sharp", "sampconv", "gpaction"])
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=0.75)
-    p.add_argument("--budget", type=int, default=10**6)
-    p.add_argument("--mc-trials", type=int, default=0)
-    p.add_argument("--space", default=None)
-    p.add_argument("--space2", default=None)
+    p = sub.add_parser("check", help="run a verification experiment", argument_default=unset)
+    p.add_argument("which", choices=list(CHECKS))
+    p.add_argument("--n", type=int)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--eps", dest="epsilon", type=float)
+    p.add_argument("--c", type=float)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--budget", type=int)
+    p.add_argument("--mc-trials", type=int)
+    p.add_argument("--space")
+    p.add_argument("--space2")
     p.add_argument("--out", default=None)
     p.add_argument("--csv", default=None)
     p.set_defaults(fn=_cmd_check)

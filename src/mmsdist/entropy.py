@@ -13,6 +13,7 @@ __all__ = [
     "kl_divergence",
     "find_isometric_embeddings",
     "relative_entropy",
+    "relative_entropy_witness",
 ]
 
 
@@ -92,11 +93,20 @@ def _pushforward_kl(nu, iota, mu) -> float:
     return total
 
 
+def relative_entropy_witness(y: FiniteMMS, x: FiniteMMS, tol: float = DEFAULT_TOL) -> tuple:
+    """``(value, embedding, embedding_count)`` from one enumeration of the
+    isometric embeddings of y into x: the minimum divergence of the
+    pushed-forward measure against x's measure, the first embedding in
+    enumeration order attaining it, and the number of embeddings.  With no
+    embedding the value is infinity and the embedding None."""
+    maps = find_isometric_embeddings(y, x, tol).maps
+    if not maps:
+        return math.inf, None, 0
+    kls = [_pushforward_kl(y.mass, iota, x.mass) for iota in maps]
+    k = kls.index(min(kls))
+    return kls[k], maps[k], len(maps)
+
+
 def relative_entropy(y: FiniteMMS, x: FiniteMMS, tol: float = DEFAULT_TOL) -> float:
-    """Minimum over isometric embeddings of y into x of the divergence of
-    the pushed-forward measure against x's measure; infinity when no
-    embedding exists."""
-    embeddings = find_isometric_embeddings(y, x, tol)
-    if not embeddings.maps:
-        return math.inf
-    return min(_pushforward_kl(y.mass, iota, x.mass) for iota in embeddings.maps)
+    """The value of :func:`relative_entropy_witness`."""
+    return relative_entropy_witness(y, x, tol)[0]

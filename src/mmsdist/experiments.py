@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    BudgetError,
     DistanceMatrix,
     FiniteMMS,
     validate_distance_matrix,
@@ -136,21 +137,18 @@ def binomial_tail_above(n: int, p: float, m: float) -> float:
     return total
 
 
-def _ensemble_cross_grid(ens_x, ens_y, metric: str, tol: float, exact_limit: int = 8):
-    """Ground-distance grid between two ensembles' atoms."""
+def _ensemble_cross_grid(ens_x, ens_y, distance, tol: float, budget: int):
+    """Grid of ``distance`` (dm_distance or dpi_distance) between two
+    ensembles' atoms; raises :class:`BudgetError` before allocating when it
+    has more than ``budget`` cells."""
     ax = ens_x.matrices()
     ay = ens_y.matrices()
+    if len(ax) * len(ay) > budget:
+        raise BudgetError(f"{len(ax)} x {len(ay)} grid exceeds the budget of {budget}")
     grid = np.zeros((len(ax), len(ay)))
     for i, mi in enumerate(ax):
         for j, mj in enumerate(ay):
-            if metric == "dpi":
-                grid[i, j] = dpi_distance(
-                    mi.entries, mj.entries, mode="exact", exact_limit=exact_limit, tol=tol
-                ).value
-            elif metric == "dm":
-                grid[i, j] = dm_distance(mi.entries, mj.entries, tol=tol).value
-            else:
-                raise ValueError(f"unknown ground metric {metric!r}")
+            grid[i, j] = distance(mi.entries, mj.entries, tol=tol).value
     return grid
 
 
@@ -164,6 +162,8 @@ def check_finspc_sandwich(
     """Sandwich between the quotient matrix distance and the space distance
     on random Euclidean distance matrices: upper <= d_pi and d_pi <= 2*upper
     must hold on every trial."""
+    if n < 1:
+        raise ValueError("need at least one point per matrix")
     worst_upper_excess = -math.inf
     worst_sandwich_excess = -math.inf
     violations = 0
@@ -172,7 +172,7 @@ def check_finspc_sandwich(
         a = random_euclidean_dmatrix(rng, n)
         b = random_euclidean_dmatrix(rng, n)
         bounds = ghp_bounds_uniform(a, b, tol=tol, exact_limit=max(8, n))
-        dpi = dpi_distance(a.entries, b.entries, mode="exact", exact_limit=max(8, n), tol=tol).value
+        dpi = 2.0 * bounds.lower  # the lower bound is half the exact dpi
         worst_upper_excess = max(worst_upper_excess, bounds.upper - dpi)
         worst_sandwich_excess = max(worst_sandwich_excess, dpi - 2.0 * bounds.upper)
         if bounds.upper > dpi + tol or dpi > 2.0 * bounds.upper + tol:
@@ -194,13 +194,12 @@ def check_finspc_sandwich(
 
 
 def check_hoelder_small_n(
-    epsilon: float,
-    n: int,
+    epsilon: float = 0.1,
+    n: int = 4,
     seed: int = 0,
     mc_trials: int = 0,
     budget: int = 10**6,
     tol: float = DEFAULT_TOL,
-    exact_flow: bool = True,
 ) -> ExperimentReport:
     """Square-root bound for ensembles of the two-point pair at sample size
     n: the exact ensemble distance under the permutation-quotient ground
@@ -217,9 +216,9 @@ def check_hoelder_small_n(
     ghp = ghp_upper_bound(x, y, "identify", tol=tol)
     ens_x = enumerate_matrix_ensemble(ModelSpace.finite(x), n, budget)
     ens_y = enumerate_matrix_ensemble(ModelSpace.finite(y), n, budget)
-    grid = _ensemble_cross_grid(ens_x, ens_y, "dpi", tol)
+    grid = _ensemble_cross_grid(ens_x, ens_y, dpi_distance, tol, budget)
     dp = prokhorov_distance(
-        ens_x.probabilities(), ens_y.probabilities(), grid, tol=tol, exact=exact_flow
+        ens_x.probabilities(), ens_y.probabilities(), grid, tol=tol, exact=True
     ).value
     observed = {"dp_ensemble": dp, "ghp_upper": ghp.upper, "atoms_x": ens_x.size, "atoms_y": ens_y.size}
     bound = {"sqrt_eps": math.sqrt(epsilon), "sqrt_ghp_upper": math.sqrt(ghp.upper)}
@@ -242,7 +241,7 @@ def check_hoelder_small_n(
             mx = x.dist.entries[np.ix_(xi, xi)]
             my = y.dist.entries[np.ix_(yi, yi)]
             b_count = int((cross[xi, yi] >= epsilon).sum())
-            dpi = dpi_distance(mx, my, mode="exact", tol=tol).value
+            dpi = dpi_distance(mx, my, tol=tol).value
             cap = max(b_count / n, 2.0 * epsilon)
             worst_gap = max(worst_gap, dpi - cap)
             if dpi > cap + tol:
@@ -271,6 +270,8 @@ def check_hoelder_small_n(
 
 def sharp_window(c: float, alpha: float, epsilon: float):
     """Integer sample sizes N with 1/2 < N*C*eps^alpha < 1."""
+    if not (c > 0.0 and 0.0 < epsilon < 1.0):
+        raise ValueError("need C > 0 and 0 < eps < 1")
     unit = c * epsilon**alpha
     lo, hi = 0.5 / unit, 1.0 / unit
     n_min = math.floor(lo) + 1
@@ -294,7 +295,8 @@ def check_sharp_exponent(
     first sampled matrix is nonzero already exceeds C*eps^alpha, which
     certifies the same lower bound for the ensemble distance (below the
     threshold no row may be excluded, forcing both matrices to vanish).
-    The exact ensemble distance is compared too when 2^n fits the budget.
+    The exact ensemble distance is compared too when the 2^n sample tuples
+    and the atoms_x x atoms_y dpi grid both fit the budget; else a note says why.
     """
     if not 0.5 < alpha < 1.0:
         raise ValueError("alpha must lie in (1/2, 1)")
@@ -315,11 +317,16 @@ def check_sharp_exponent(
     }
     passed = {"marginal_exceeds_threshold": p_nonzero > threshold}
     notes = []
-    if 2**n <= budget:
+    try:
+        if 2**n > budget:
+            raise BudgetError(f"2^{n} exceeds the budget")
         x, y = sharp_pair(c, epsilon)
         ens_x = enumerate_matrix_ensemble(ModelSpace.finite(x), n, budget)
         ens_y = enumerate_matrix_ensemble(ModelSpace.finite(y), n, budget)
-        grid = _ensemble_cross_grid(ens_x, ens_y, "dpi", tol)
+        grid = _ensemble_cross_grid(ens_x, ens_y, dpi_distance, tol, budget)
+    except BudgetError as exc:
+        notes.append(f"{exc}; exact ensemble step skipped")
+    else:
         dp = prokhorov_distance(
             ens_x.probabilities(), ens_y.probabilities(), grid, tol=tol, exact=True
         ).value
@@ -329,8 +336,6 @@ def check_sharp_exponent(
             notes.append("boundary: exact distance meets the threshold within tol")
         else:
             passed["dp_exceeds_threshold"] = dp > threshold
-    else:
-        notes.append(f"2^{n} exceeds the budget; exact ensemble step skipped")
     return ExperimentReport(
         name="sharp_exponent",
         config={
@@ -364,6 +369,8 @@ def check_sampling_convergence(
     empirical mass vector and the model measure over the model's own
     distance grid, which dominates the space distance of the empirical
     space from the model."""
+    if n < 1:
+        raise ValueError("need at least one sample point")
     if space is None:
         space = ModelSpace.finite(four_point_square())
     base = space.atom_space()
@@ -415,8 +422,8 @@ def check_group_invariance(
     ens1 = enumerate_matrix_ensemble(space1, n, budget)
     ens2 = enumerate_matrix_ensemble(space2, n, budget)
     p1, p2 = ens1.probabilities(), ens2.probabilities()
-    grid_dm = _ensemble_cross_grid(ens1, ens2, "dm", tol)
-    grid_dpi = _ensemble_cross_grid(ens1, ens2, "dpi", tol)
+    grid_dm = _ensemble_cross_grid(ens1, ens2, dm_distance, tol, budget)
+    grid_dpi = _ensemble_cross_grid(ens1, ens2, dpi_distance, tol, budget)
     dp_dm = prokhorov_distance(p1, p2, grid_dm, tol=tol, exact=True).value
     dp_dpi = prokhorov_distance(p1, p2, grid_dpi, tol=tol, exact=True).value
     observed = {"dp_under_dm": dp_dm, "dp_under_dpi": dp_dpi, "gap": abs(dp_dm - dp_dpi)}
@@ -434,7 +441,7 @@ def check_group_invariance(
         name="group_invariance",
         config={"n": n, "budget": budget, "tol": tol},
         observed=observed,
-        bound={"tolerance": 1e-9},
-        passed={"dp_values_equal": abs(dp_dm - dp_dpi) <= 1e-9},
+        bound={"tolerance": tol},
+        passed={"dp_values_equal": abs(dp_dm - dp_dpi) <= tol},
         notes=tuple(notes),
     )

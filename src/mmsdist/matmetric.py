@@ -279,7 +279,7 @@ def _leaf_gaps(a_list, b_list, perm):
     ]
 
 
-def _dpi_exact(a, b, tol):
+def _dpi_exact(a, b):
     n = a.shape[0]
     a_list = a.tolist()
     b_list = b.tolist()
@@ -334,7 +334,7 @@ def _dpi_exact(a, b, tol):
     )
 
 
-def _dpi_heuristic(a, b, tol):
+def _dpi_heuristic(a, b):
     n = a.shape[0]
     a_list = a.tolist()
     b_list = b.tolist()
@@ -392,7 +392,7 @@ def dpi_distance(
             raise SizeLimitError(
                 f"exact permutation search limited to n <= {exact_limit}, got {n}"
             )
-        return _dpi_exact(a, b, tol)
+        return _dpi_exact(a, b)
     if mode == "heuristic":
-        return _dpi_heuristic(a, b, tol)
+        return _dpi_heuristic(a, b)
     raise ValueError(f"unknown mode {mode!r}: expected 'exact' or 'heuristic'")

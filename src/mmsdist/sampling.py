@@ -147,6 +147,8 @@ def enumerate_matrix_ensemble(
     ``budget``), accumulates the product probabilities and merges identical
     matrices.  Atom order is first occurrence in lexicographic tuple order.
     """
+    if n < 1:
+        raise ValueError("need at least one sample point")
     base = space.atom_space()
     support = [i for i in range(base.n) if base.mass[i] > 0.0]
     k = len(support)

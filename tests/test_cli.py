@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from mmsdist import experiments, fileio
 from mmsdist.cli import main
+from mmsdist.entropy import find_isometric_embeddings, kl_divergence
 
 
 def _write(path, text):
@@ -108,6 +110,68 @@ def test_entropy_command(files, capsys):
     # diameters clash: no embedding, infinite value
     code, out = _run(capsys, ["entropy", files["y"], files["x"]])
     assert json.loads(out)["value"] == "inf"
+
+
+def test_entropy_command_global_tol_and_argmin(files, capsys):
+    # Y's only distance is 1e-7 off every distance of X: it embeds only
+    # under the global --tol, and every injective map then embeds
+    x = _write(
+        files["dir"] / "X3.json",
+        '{"labels": ["a", "b", "c"], "dist": [[0, 1, 1], [1, 0, 1], [1, 1, 0]],'
+        ' "mass": [0.5, 0.3, 0.2]}',
+    )
+    y = _write(
+        files["dir"] / "Y2.json",
+        '{"labels": ["p", "q"], "dist": [[0, 1.0000001], [1.0000001, 0]], "mass": [0.3, 0.7]}',
+    )
+    code, out = _run(capsys, ["--tol", "1e-6", "entropy", y, x])
+    payload = json.loads(out)
+    assert code == 0
+    ys, xs = fileio.read_mms(y), fileio.read_mms(x)
+
+    def pushforward_kl(iota):
+        nu = np.zeros(xs.n)
+        nu[list(iota)] = ys.mass
+        return kl_divergence(nu, xs.mass)
+
+    maps = find_isometric_embeddings(ys, xs, tol=1e-6).maps
+    best = min(maps, key=pushforward_kl)
+    assert payload["embedding_count"] == len(maps) == 6
+    assert payload["embedding"] == list(best)
+    assert payload["value"] == pytest.approx(pushforward_kl(best))
+
+
+@pytest.mark.parametrize(
+    "argv, name, kwargs",
+    [
+        (["finspc", "--n", "3", "--trials", "2"], "check_finspc_sandwich", dict(n=3, trials=2)),
+        (["hoelder", "--eps", "0.1", "--n", "3"], "check_hoelder_small_n", dict(epsilon=0.1, n=3)),
+        (["sharp", "--eps", "0.05", "--n", "5"], "check_sharp_exponent", dict(epsilon=0.05, n=5)),
+        (["sampconv", "--n", "50", "--trials", "5"], "check_sampling_convergence", dict(n=50, trials=5)),
+        (["gpaction", "--n", "2"], "check_group_invariance", dict(n=2)),
+    ],
+)
+def test_check_cli_keeps_library_defaults(argv, name, kwargs, capsys):
+    # options the CLI leaves out must fall back to the library's defaults
+    _, out = _run(capsys, ["check", *argv])
+    report = getattr(experiments, name)(**kwargs)
+    assert json.loads(out)["config"] == json.loads(report.to_json())["config"]
+    assert out == report.to_json() + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["finspc", "--n", "0"],
+        ["hoelder", "--n", "0"],
+        ["sampconv", "--n", "0"],
+        ["gpaction", "--n", "0"],
+        ["sharp", "--eps", "0"],
+    ],
+)
+def test_check_rejects_explicit_zero(argv, capsys):
+    assert main(["check", *argv]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_check_command_exit_codes_and_reports(files, capsys):

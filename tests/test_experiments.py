@@ -68,6 +68,15 @@ def test_sharp_exact_branch():
     assert not any("boundary" in note for note in r.notes)
 
 
+def test_sharp_skips_exact_step_when_grid_exceeds_budget():
+    # 2^5 = 32 tuples fit the budget, but the 16 x 16 atom grid does not
+    n, eps, alpha = 5, 0.15, 0.75
+    r = check_sharp_exponent(c=0.65 / (n * eps**alpha), alpha=alpha, epsilon=eps, n=n, budget=40)
+    assert "dp_ensemble" not in r.observed
+    assert "dp_exceeds_threshold" not in r.passed
+    assert r.notes == ("16 x 16 grid exceeds the budget of 40; exact ensemble step skipped",)
+
+
 def test_sharp_rejects_bad_n():
     with pytest.raises(ValueError):
         check_sharp_exponent(1.0, 0.75, 0.01, n=100)

@@ -95,10 +95,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def as_prob_vector(x, tol: float = DEFAULT_TOL, what: str = "mass vector") -> np.ndarray:
-    """Validate and return a probability vector (nonnegative, sums to 1)."""
+    """Validate and return a probability vector (finite, nonnegative, sums
+    to 1)."""
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"{what} must be 1-dimensional")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{what} has a non-finite entry")
     if v.size and float(v.min()) < -tol:
         raise ValueError(f"{what} has a negative entry: {float(v.min())}")
     s = float(v.sum())

@@ -234,6 +234,8 @@ def prokhorov_distance(
             f"distance grid shape {d.shape} does not match marginals "
             f"({pv.size}, {qv.size})"
         )
+    if not np.isfinite(d).all():
+        raise ValueError("distance grid has a non-finite entry")
     if d.size and float(d.min()) < -tol:
         raise ValueError(f"negative distance {float(d.min())}")
 

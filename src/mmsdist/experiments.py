@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import math
 from dataclasses import asdict, dataclass
 
@@ -21,11 +22,12 @@ from .core import (
     BudgetError,
     DistanceMatrix,
     FiniteMMS,
+    SizeLimitError,
     validate_distance_matrix,
 )
 from .coupling import prokhorov_distance
 from .ghp import ghp_bounds_uniform, ghp_upper_bound
-from .matmetric import dm_distance, dpi_distance
+from .matmetric import DPI_EXACT_LIMIT, dm_distance, dpi_distance
 from .sampling import (
     ModelSpace,
     enumerate_matrix_ensemble,
@@ -48,6 +50,8 @@ __all__ = [
     "check_sampling_convergence",
     "check_group_invariance",
 ]
+
+log = logging.getLogger("mmsdist")
 
 
 @dataclass(frozen=True)
@@ -137,19 +141,65 @@ def binomial_tail_above(n: int, p: float, m: float) -> float:
     return total
 
 
+def _relabelling_classes(mats, tol: float):
+    """Partition distance matrices into classes of matrices equal up to
+    relabelling.
+
+    The matrices are bucketed by an invariant of simultaneous row/column
+    permutation (each row sorted, then each column of that; cheap but not
+    complete), and a matrix joins a class of its bucket only when its exact
+    dpi to the class representative is 0.0, which holds exactly when the two
+    are relabellings of each other.  Returns the class index of every
+    matrix, the representative (first member) of every class and the number
+    of dpi calls made.
+    """
+    buckets: dict = {}
+    labels = np.empty(len(mats), dtype=int)
+    reps: list = []
+    calls = 0
+    for i, m in enumerate(mats):
+        bucket = buckets.setdefault(np.sort(np.sort(m, axis=1), axis=0).tobytes(), [])
+        for k in bucket:
+            calls += 1
+            if dpi_distance(reps[k], m, tol=tol).value == 0.0:
+                labels[i] = k
+                break
+        else:
+            labels[i] = len(reps)
+            bucket.append(len(reps))
+            reps.append(m)
+    return labels, reps, calls
+
+
 def _ensemble_cross_grid(ens_x, ens_y, distance, tol: float, budget: int):
     """Grid of ``distance`` (dm_distance or dpi_distance) between two
     ensembles' atoms; raises :class:`BudgetError` before allocating when it
-    has more than ``budget`` cells."""
-    ax = ens_x.matrices()
-    ay = ens_y.matrices()
+    has more than ``budget`` cells.
+
+    dpi is invariant under relabelling either matrix, so its grid is built
+    on permutation classes (:func:`_relabelling_classes`): one exact dpi per
+    class pair, copied to every atom pair of the two classes.  The values
+    are bit-identical to a per-atom loop, because relabelling only permutes
+    the same float gaps.  dm is not relabelling-invariant and runs on every
+    atom pair.
+    """
+    ax = [m.entries for m in ens_x.matrices()]
+    ay = [m.entries for m in ens_y.matrices()]
     if len(ax) * len(ay) > budget:
         raise BudgetError(f"{len(ax)} x {len(ay)} grid exceeds the budget of {budget}")
-    grid = np.zeros((len(ax), len(ay)))
-    for i, mi in enumerate(ax):
-        for j, mj in enumerate(ay):
-            grid[i, j] = distance(mi.entries, mj.entries, tol=tol).value
-    return grid
+    if distance is dpi_distance:
+        label_x, reps_x, calls_x = _relabelling_classes(ax, tol)
+        label_y, reps_y, calls_y = _relabelling_classes(ay, tol)
+        log.debug(
+            "dpi grid: %d x %d atoms -> %d x %d classes, %d exact dpi calls",
+            len(ax), len(ay), len(reps_x), len(reps_y),
+            calls_x + calls_y + len(reps_x) * len(reps_y),
+        )
+        ax, ay = reps_x, reps_y
+    else:
+        label_x, label_y = np.arange(len(ax)), np.arange(len(ay))
+    small = np.array([[distance(a, b, tol=tol).value for b in ay] for a in ax])
+    return small[np.ix_(label_x, label_y)]
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +221,7 @@ def check_finspc_sandwich(
         rng = rng_stream(seed, t)
         a = random_euclidean_dmatrix(rng, n)
         b = random_euclidean_dmatrix(rng, n)
-        bounds = ghp_bounds_uniform(a, b, tol=tol, exact_limit=max(8, n))
+        bounds = ghp_bounds_uniform(a, b, tol=tol, exact_limit=max(DPI_EXACT_LIMIT, n))
         dpi = 2.0 * bounds.lower  # the lower bound is half the exact dpi
         worst_upper_excess = max(worst_upper_excess, bounds.upper - dpi)
         worst_sandwich_excess = max(worst_sandwich_excess, dpi - 2.0 * bounds.upper)
@@ -203,7 +253,9 @@ def check_hoelder_small_n(
 ) -> ExperimentReport:
     """Square-root bound for ensembles of the two-point pair at sample size
     n: the exact ensemble distance under the permutation-quotient ground
-    metric must not exceed sqrt(eps).
+    metric must not exceed sqrt(eps).  The dpi grid is built on permutation
+    classes of the atoms (a handful for these two-point ensembles) and
+    expanded to every atom pair before the rational Prokhorov step.
 
     With ``mc_trials`` > 0 additionally samples coupled pairs from the
     witness coupling and checks, per sample, that the quotient distance of
@@ -296,7 +348,9 @@ def check_sharp_exponent(
     certifies the same lower bound for the ensemble distance (below the
     threshold no row may be excluded, forcing both matrices to vanish).
     The exact ensemble distance is compared too when the 2^n sample tuples
-    and the atoms_x x atoms_y dpi grid both fit the budget; else a note says why.
+    and the atoms_x x atoms_y dpi grid both fit the budget and n is within
+    the exact dpi limit; else a note says why.  The budget and the limit are
+    checked before the ensembles are enumerated.
     """
     if not 0.5 < alpha < 1.0:
         raise ValueError("alpha must lie in (1/2, 1)")
@@ -320,11 +374,15 @@ def check_sharp_exponent(
     try:
         if 2**n > budget:
             raise BudgetError(f"2^{n} exceeds the budget")
+        if n > DPI_EXACT_LIMIT:
+            raise SizeLimitError(
+                f"exact permutation search limited to n <= {DPI_EXACT_LIMIT}, got {n}"
+            )
         x, y = sharp_pair(c, epsilon)
         ens_x = enumerate_matrix_ensemble(ModelSpace.finite(x), n, budget)
         ens_y = enumerate_matrix_ensemble(ModelSpace.finite(y), n, budget)
         grid = _ensemble_cross_grid(ens_x, ens_y, dpi_distance, tol, budget)
-    except BudgetError as exc:
+    except (BudgetError, SizeLimitError) as exc:
         notes.append(f"{exc}; exact ensemble step skipped")
     else:
         dp = prokhorov_distance(
@@ -412,6 +470,8 @@ def check_group_invariance(
     """Ensembles of i.i.d. samples are exchangeable, so their coupling
     distance is the same under the full matrix metric and its permutation
     quotient; computed exactly both ways (rational flows) and compared.
+    The dpi grid is built on permutation classes of the atoms; the dm grid,
+    which is not relabelling-invariant, is computed on every atom pair.
 
     Also reports, without asserting, the gap after artificially breaking
     the symmetry by deleting an ensemble atom."""

@@ -35,7 +35,7 @@ from .coupling import (
     epsilon_matching,
     prokhorov_distance,
 )
-from .matmetric import PiWitness, dpi_distance
+from .matmetric import DPI_EXACT_LIMIT, PiWitness, dpi_distance
 
 __all__ = [
     "GluedSpace",
@@ -273,7 +273,7 @@ def ghp_upper_bound(
     y: FiniteMMS,
     strategy: str = "permutation",
     tol: float = DEFAULT_TOL,
-    exact_limit: int = 8,
+    exact_limit: int = DPI_EXACT_LIMIT,
     cross=None,
 ) -> GhpBound:
     """Certified upper bound on the space distance via one strategy.
@@ -304,7 +304,7 @@ def best_ghp_upper_bound(
     y: FiniteMMS,
     strategies=STRATEGIES,
     tol: float = DEFAULT_TOL,
-    exact_limit: int = 8,
+    exact_limit: int = DPI_EXACT_LIMIT,
     cross=None,
 ) -> GhpBound:
     """Smallest upper bound over the applicable strategies."""
@@ -325,7 +325,7 @@ def ghp_bounds_uniform(
     a: DistanceMatrix,
     b: DistanceMatrix,
     tol: float = DEFAULT_TOL,
-    exact_limit: int = 8,
+    exact_limit: int = DPI_EXACT_LIMIT,
 ) -> GhpBound:
     """Two-sided bounds for the uniform spaces on two distance matrices.
 

@@ -28,12 +28,15 @@ import numpy as np
 from .core import DEFAULT_TOL, SizeLimitError
 
 __all__ = [
+    "DPI_EXACT_LIMIT",
     "DmWitness",
     "PiWitness",
     "dm_distance",
     "dpi_distance",
     "min_vertex_cover",
 ]
+
+DPI_EXACT_LIMIT = 8  # largest n that the exact permutation search accepts by default
 
 
 @dataclass(frozen=True)
@@ -181,6 +184,8 @@ def _check_symmetric_pair(a, b, tol):
     if b.shape != a.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     for name, m in (("first", a), ("second", b)):
+        if not np.isfinite(m).all():
+            raise ValueError(f"{name} matrix has a non-finite entry")
         if m.size and float(np.abs(m - m.T).max()) > tol:
             raise ValueError(f"{name} matrix is not symmetric within {tol}")
     return a, b
@@ -373,7 +378,7 @@ def dpi_distance(
     a,
     b,
     mode: str = "exact",
-    exact_limit: int = 8,
+    exact_limit: int = DPI_EXACT_LIMIT,
     tol: float = DEFAULT_TOL,
 ) -> PiWitness:
     """Distance up to simultaneous row/column permutation.

@@ -10,6 +10,7 @@ from mmsdist import (
     theta_map,
     validate_distance_matrix,
 )
+from mmsdist.core import as_prob_vector
 from mmsdist.fileio import read_matrix, read_mms, write_matrix
 from mmsdist.sampling import rng_stream
 
@@ -125,3 +126,13 @@ def test_mms_json_coords_and_dist(tmp_path):
     s = read_mms(path)
     assert s.labels == ("p0", "p1")
     assert s.mass.tolist() == [0.5, 0.5]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_prob_vector_rejects_non_finite(bad):
+    # NaN compares false against every bound, so only an explicit
+    # finiteness check stops it
+    with pytest.raises(ValueError, match="non-finite"):
+        as_prob_vector([bad, 1.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        FiniteMMS(labels=("a", "b"), dist=DistanceMatrix(np.array([[0.0, 1], [1, 0]])), mass=[bad, 1.0])

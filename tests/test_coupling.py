@@ -207,3 +207,19 @@ def test_overlap_dominates_prokhorov_on_shared_space():
         p = rng.dirichlet(np.ones(n))
         q = rng.dirichlet(np.ones(n))
         assert prokhorov_distance(p, q, d).value <= overlap_coupling_bound(p, q) + 1e-9
+
+
+def test_prokhorov_rejects_nan_masses():
+    # used to loop forever: NaN slipped through the sum-to-one check
+    with pytest.raises(ValueError, match="non-finite"):
+        prokhorov_distance([np.nan, np.nan], [0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        prokhorov_distance([0.5, 0.5], [np.nan, 1.0], [[0.0, 1.0], [1.0, 0.0]], exact=True)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("exact", [False, True])
+def test_prokhorov_rejects_non_finite_grid(bad, exact):
+    # a NaN ground distance used to give the value 0.0
+    with pytest.raises(ValueError, match="non-finite"):
+        prokhorov_distance([0.5, 0.5], [0.5, 0.5], [[0.0, bad], [1.0, 0.0]], exact=exact)

@@ -1,10 +1,12 @@
 import json
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from mmsdist import ModelSpace
+from mmsdist import DistanceMatrix, FiniteMMS, ModelSpace, dpi_distance
+from mmsdist import experiments
 from mmsdist.experiments import (
     binomial_tail_above,
     check_finspc_sandwich,
@@ -13,12 +15,14 @@ from mmsdist.experiments import (
     check_sampling_convergence,
     check_sharp_exponent,
     four_point_square,
+    sharp_pair,
     sharp_window,
     two_point_space,
     write_report,
     write_report_csv,
 )
-from mmsdist.sampling import rng_stream
+from mmsdist.matmetric import DPI_EXACT_LIMIT
+from mmsdist.sampling import enumerate_matrix_ensemble, rng_stream
 
 
 def test_finspc_sandwich_small():
@@ -154,3 +158,101 @@ def test_four_point_square_geometry():
     d = s.dist.entries
     assert d[0, 3] == pytest.approx(math.sqrt(2.0))
     assert np.all(s.mass == 0.25)
+
+
+def test_sharp_skips_exact_step_above_dpi_limit():
+    # 2^9 tuples and the 256 x 256 grid fit the budget, but exact dpi does not
+    n, eps, alpha = DPI_EXACT_LIMIT + 1, 0.1, 0.75
+    r = check_sharp_exponent(c=0.7 / (n * eps**alpha), alpha=alpha, epsilon=eps, n=n)
+    assert "dp_ensemble" not in r.observed
+    assert r.passed == {"marginal_exceeds_threshold": True}
+    assert r.notes == (
+        f"exact permutation search limited to n <= {DPI_EXACT_LIMIT}, got {n}; "
+        "exact ensemble step skipped",
+    )
+
+
+def test_sharp_defaults_skip_before_enumerating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ensembles enumerated although the exact step is skipped")
+
+    monkeypatch.setattr(experiments, "enumerate_matrix_ensemble", refuse)
+    r = check_sharp_exponent()
+    assert r.observed["window_n"] > DPI_EXACT_LIMIT
+    assert r.notes[0].endswith("exact ensemble step skipped")
+
+
+def _two_point_model(diameter, eps, label):
+    return ModelSpace.finite(two_point_space(diameter, eps, label))
+
+
+def _three_point_model(d01, d02, d12, mass):
+    d = np.array([[0.0, d01, d02], [d01, 0.0, d12], [d02, d12, 0.0]])
+    return ModelSpace.finite(FiniteMMS(labels=("a", "b", "c"), dist=DistanceMatrix(d), mass=np.array(mass)))
+
+
+@pytest.mark.parametrize(
+    "x, y, n",
+    [
+        (*(ModelSpace.finite(s) for s in sharp_pair(0.25, 0.1)), 5),  # hoelder
+        (_two_point_model(0.5, 0.1, "x"), _two_point_model(1.0, 0.1, "y"), 4),  # gpaction
+        (_three_point_model(1.0, 1.5, 2.0, [0.5, 0.3, 0.2]), _three_point_model(1.0, 1.0, 2.0, [0.2, 0.2, 0.6]), 3),
+    ],
+)
+def test_class_grid_equals_per_atom_dpi(x, y, n):
+    ens_x = enumerate_matrix_ensemble(x, n)
+    ens_y = enumerate_matrix_ensemble(y, n)
+    grid = experiments._ensemble_cross_grid(ens_x, ens_y, dpi_distance, 1e-9, 10**6)
+    per_atom = np.array(
+        [[dpi_distance(a.entries, b.entries).value for b in ens_y.matrices()] for a in ens_x.matrices()]
+    )
+    assert grid.shape == (ens_x.size, ens_y.size)
+    assert grid.tobytes() == per_atom.tobytes()
+
+
+def test_class_holds_atoms_of_different_multisets():
+    # the tuples (a, a, b) and (a, b, b) draw different multisets with
+    # different probabilities but give relabelled matrices
+    space = _three_point_model(1.0, 1.5, 2.0, [0.5, 0.3, 0.2]).space
+    d = space.dist.entries
+    mats = [d[np.ix_(t, t)] for t in ([0, 0, 1], [0, 1, 1], [0, 0, 2])]
+    labels, reps, calls = experiments._relabelling_classes(mats, 1e-9)
+    assert labels.tolist() == [0, 0, 1]
+    assert len(reps) == 2 and calls == 1
+
+
+def test_invariant_collision_stays_split():
+    # the 6-cycle and two disjoint triangles (edge 1, non-edge 2) share every
+    # sorted row, yet no relabelling maps one onto the other
+    def graph_metric(edges):
+        m = np.full((6, 6), 2.0)
+        np.fill_diagonal(m, 0.0)
+        for i, j in edges:
+            m[i, j] = m[j, i] = 1.0
+        return m
+
+    cycle = graph_metric([(k, (k + 1) % 6) for k in range(6)])
+    triangles = graph_metric([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    perm = [3, 0, 5, 1, 4, 2]
+    relabelled = cycle[np.ix_(perm, perm)]
+    assert np.array_equal(np.sort(cycle, axis=1), np.sort(triangles, axis=1))
+    assert dpi_distance(cycle, triangles).value > 0.0
+    labels, reps, calls = experiments._relabelling_classes([cycle, triangles, relabelled], 1e-9)
+    assert labels.tolist() == [0, 1, 0]
+    assert len(reps) == 2 and calls == 2
+
+
+def test_class_grid_logs_its_work(monkeypatch, caplog):
+    calls = []
+
+    def counting_dpi(*args, **kwargs):
+        calls.append(1)
+        return dpi_distance(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "dpi_distance", counting_dpi)
+    with caplog.at_level(logging.DEBUG, logger="mmsdist"):
+        r = check_hoelder_small_n(0.1, 5)
+    lines = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("dpi grid")]
+    atoms = r.observed["atoms_x"], r.observed["atoms_y"]
+    assert lines == [f"dpi grid: {atoms[0]} x {atoms[1]} atoms -> 3 x 3 classes, {len(calls)} exact dpi calls"]
+    assert len(calls) < atoms[0] * atoms[1]

@@ -191,3 +191,16 @@ def test_min_vertex_cover_against_bruteforce():
         assert len(cover) == mvc_bruteforce(n, edges)
         cap = mvc_bruteforce(n, edges)
         assert min_vertex_cover(n, edges, max_size=cap - 1) is None or cap == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dm_and_dpi_reject_non_finite(bad):
+    # a NaN entry used to give dm = 0.0 with an empty exclusion set
+    good = np.array([[0.0, 1.0], [1.0, 0.0]])
+    broken = np.array([[0.0, bad], [bad, 0.0]])
+    for first, second in ((good, broken), (broken, good)):
+        with pytest.raises(ValueError, match="non-finite"):
+            dm_distance(first, second)
+        for mode in ("exact", "heuristic"):
+            with pytest.raises(ValueError, match="non-finite"):
+                dpi_distance(first, second, mode=mode)

@@ -48,7 +48,7 @@ __all__ = [
 class Violation:
     """One violated structural constraint, with the offending indices."""
 
-    kind: str  # "non_square" | "negative" | "asymmetric" | "diagonal" | "triangle"
+    kind: str  # "non_square" | "non_finite" | "negative" | "asymmetric" | "diagonal" | "triangle"
     indices: tuple
     detail: str
 
@@ -153,15 +153,22 @@ class DistanceMatrix:
 def check_distance_matrix(entries, tol: float = DEFAULT_TOL) -> list[Violation]:
     """List every structural violation of the distance-matrix axioms.
 
-    Checks, in order: squareness, nonnegativity, symmetry, zero diagonal,
-    and the triangle inequality at tolerance ``tol``.  An empty list means
-    the grid is a valid (pseudo-)distance matrix.
+    Checks, in order: squareness, finiteness, nonnegativity, symmetry, zero
+    diagonal, and the triangle inequality at tolerance ``tol``.  A grid
+    with NaN or inf entries reports only those, since comparisons with them
+    say nothing about the other axioms.  An empty list means the grid is a
+    valid (pseudo-)distance matrix.
     """
     a = np.asarray(entries, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return [Violation("non_square", tuple(a.shape), "input grid is not square")]
     n = a.shape[0]
-    out: list[Violation] = []
+    out: list[Violation] = [
+        Violation("non_finite", (int(i), int(j)), f"entry {a[i, j]} is not finite")
+        for i, j in zip(*np.where(~np.isfinite(a)))
+    ]
+    if out:
+        return out
     for i, j in zip(*np.where(a < -tol)):
         out.append(Violation("negative", (int(i), int(j)), f"entry {a[i, j]} < 0"))
     asym = np.abs(a - a.T)

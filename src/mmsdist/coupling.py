@@ -10,12 +10,14 @@
 * maximum bipartite matching under a distance cap (augmenting paths),
 * the same-support overlap bound 1 - sum_i min(p_i, q_i).
 
-Flows run on floats by default; ``exact=True`` switches the Prokhorov
-computation to exact rational arithmetic for oracle-grade runs.
+Flows run on floats by default.  With ``exact=True`` the Prokhorov flow
+runs on Python ints instead: the masses scaled by one power-of-two
+denominator, so no flow arithmetic rounds and results are oracle-grade.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,6 +35,8 @@ __all__ = [
     "epsilon_matching",
     "overlap_coupling_bound",
 ]
+
+log = logging.getLogger("mmsdist")
 
 _FLOW_EPS = 1e-14  # float residual capacity below this is saturated
 
@@ -121,15 +125,15 @@ def delta_of_coupling(c: Coupling, tol: float = DEFAULT_TOL) -> float:
 
 
 # ---------------------------------------------------------------------------
-# max-flow machinery (generic over float / Fraction)
+# max-flow machinery (one routine for float and integer capacities)
 
 
 def _augment_max_flow(cap, flow, m, eps):
     """Push flow from node 0 to node m-1 until no augmenting path remains.
 
-    Edmonds-Karp on an adjacency-matrix residual graph; works for float or
-    Fraction capacities (eps = 0 for exact arithmetic).  Returns the value
-    added.
+    Edmonds-Karp on an adjacency-matrix residual graph.  Capacities are
+    floats, or Python ints with eps = 0 for exact runs (masses scaled by
+    one power-of-two denominator).  Returns the value added.
     """
     added = cap[0][0] * 0  # zero of the right numeric type
     while True:
@@ -175,11 +179,13 @@ def _flow_network(p, q, zero):
     return cap, m
 
 
-def _max_mass_within(p, q, dgrid, level, zero, eps):
-    """Maximum coupling mass placeable on pairs with distance <= level."""
+def _max_mass_within(p, q, dgrid, level, one, eps):
+    """Maximum coupling mass placeable on pairs with distance <= level, in
+    units where ``one`` is the total mass."""
     r, c = len(p), len(q)
+    zero = one * 0
     cap, m = _flow_network(p, q, zero)
-    two = zero + 2  # any capacity >= total mass works for pair edges
+    two = one * 2  # any capacity >= total mass works for pair edges
     for i in range(r):
         di = dgrid[i]
         ci = cap[1 + i]
@@ -224,7 +230,11 @@ def prokhorov_distance(
     coupling extends the optimal flow by northwest-corner filling of the
     leftover mass (which provably lands on pairs beyond the optimal level).
 
-    With ``exact=True`` all flow arithmetic runs on rationals.
+    With ``exact=True`` no flow arithmetic rounds: every float mass is a
+    dyadic rational, so scaled by the largest mass denominator (one power
+    of two) the masses are Python ints and the flow runs on them.  Level
+    values max(v, 1 - flow) are compared as exact rationals, and the
+    witness masses are the correctly rounded quotients flow / denominator.
     """
     pv = as_prob_vector(p, tol, "first marginal")
     qv = as_prob_vector(q, tol, "second marginal")
@@ -239,51 +249,54 @@ def prokhorov_distance(
     if d.size and float(d.min()) < -tol:
         raise ValueError(f"negative distance {float(d.min())}")
 
+    P, Q, D = pv.tolist(), qv.tolist(), d.tolist()
     if exact:
-        P = [Fraction(float(x)) for x in pv]
-        Q = [Fraction(float(x)) for x in qv]
-        D = [[Fraction(float(x)) for x in row] for row in d]
-        zero = Fraction(0)
-        one = Fraction(1)
-        eps = Fraction(0)
+        one = max(x.as_integer_ratio()[1] for x in P + Q)
+        P = [a * (one // b) for a, b in map(float.as_integer_ratio, P)]
+        Q = [a * (one // b) for a, b in map(float.as_integer_ratio, Q)]
+        num, eps = Fraction, 0
     else:
-        P = [float(x) for x in pv]
-        Q = [float(x) for x in qv]
-        D = [[float(x) for x in row] for row in d]
-        zero = 0.0
-        one = 1.0
-        eps = _FLOW_EPS
+        one, num, eps = 1.0, float, _FLOW_EPS
 
     levels = sorted({x for row in D for x in row})
-    if not levels or levels[0] > zero:
-        levels.insert(0, zero)
+    if not levels or levels[0] > 0.0:
+        levels.insert(0, 0.0)
 
-    best_val = None
-    best_level = None
-    for v in levels:
+    # level values are Fractions when exact (one - fval is the mass left
+    # unplaced, in units of 1/one), floats otherwise; levels stay floats
+    # for the grid comparisons, since Fraction(float) keeps float order
+    best_val = best_v = best_level = None
+    probed = 0
+    for level in levels:
+        v = num(level)
         if best_val is not None and v >= best_val:
             break
-        fval, _ = _max_mass_within(P, Q, D, v, zero, eps)
-        val = max(v, one - fval)
+        fval, _ = _max_mass_within(P, Q, D, level, one, eps)
+        probed += 1
+        val = max(v, num(one - fval) / one)
         if best_val is None or val < best_val:
-            best_val = val
-            best_level = v
+            best_val, best_v, best_level = val, v, level
 
     # witness coupling at the optimal level
-    fval, flow = _max_mass_within(P, Q, D, best_level, zero, eps)
+    fval, flow = _max_mass_within(P, Q, D, best_level, one, eps)
     r, c = len(P), len(Q)
+    zero = one * 0
     mass = [[max(flow[1 + i][1 + r + j], zero) for j in range(c)] for i in range(r)]
     rres = [max(P[i] - sum(mass[i]), zero) for i in range(r)]
     cres = [max(Q[j] - sum(mass[i][j] for i in range(r)), zero) for j in range(c)]
     _northwest_fill(rres, cres, mass, eps)
+    log.debug(
+        "prokhorov: %d x %d atoms, %d levels probed, %d max-flow calls, exact=%s",
+        r, c, probed, probed + 1, exact,
+    )
     coupling = Coupling(
-        mass=np.array([[float(x) for x in row] for row in mass]),
+        mass=np.array([[x / one for x in row] for row in mass]),
         ground_dist=d,
     )
     return ProkhorovResult(
         value=max(0.0, float(best_val)),
         coupling=coupling,
-        breakpoint=float(best_level),
+        breakpoint=float(best_v),
     )
 
 

@@ -238,14 +238,14 @@ def _scan_pairs(pairs, denom, want_witness=False, good_enough=None):
             cover = min_vertex_cover(nverts, edges, max_size=ms)
             if cover is None:
                 break  # covers only grow as t shrinks
-        c = len(cover)
-        val = max(t, c / denom)
+        share = len(cover) / denom if cover else 0.0  # n = 0: no pairs, no cover
+        val = max(t, share)
         if val < inc:
             inc = val
             best_cover = cover
             if good_enough is not None and inc < good_enough:
                 return inc  # caller only probes against the bar
-        if c / denom >= inc:
+        if share >= inc:
             break
     if not want_witness:
         return inc

@@ -136,3 +136,14 @@ def test_prob_vector_rejects_non_finite(bad):
         as_prob_vector([bad, 1.0])
     with pytest.raises(ValueError, match="non-finite"):
         FiniteMMS(labels=("a", "b"), dist=DistanceMatrix(np.array([[0.0, 1], [1, 0]])), mass=[bad, 1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_matrix_entries_rejected(bad):
+    # NaN passed every other axiom check, since it compares false
+    with pytest.raises(ValidationError) as info:
+        validate_distance_matrix([[0, bad], [bad, 0]])
+    assert [(v.kind, v.indices) for v in info.value.violations] == [
+        ("non_finite", (0, 1)),
+        ("non_finite", (1, 0)),
+    ]

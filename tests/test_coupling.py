@@ -1,5 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmsdist import (
     Coupling,
@@ -10,6 +14,8 @@ from mmsdist import (
     overlap_coupling_bound,
     prokhorov_distance,
 )
+from mmsdist import coupling as coupling_mod
+from mmsdist.core import DEFAULT_TOL
 from mmsdist.sampling import rng_stream
 
 from oracles import matching_bruteforce, prokhorov_lp_oracle
@@ -223,3 +229,102 @@ def test_prokhorov_rejects_non_finite_grid(bad, exact):
     # a NaN ground distance used to give the value 0.0
     with pytest.raises(ValueError, match="non-finite"):
         prokhorov_distance([0.5, 0.5], [0.5, 0.5], [[0.0, bad], [1.0, 0.0]], exact=exact)
+
+
+# ---------------------------------------------------------------------------
+# the exact path: integer flows over one power-of-two denominator
+
+
+@pytest.mark.parametrize("tiny", [1e-300, 5e-324])
+def test_prokhorov_exact_masses_across_binary_exponents(tiny):
+    # the common denominator is about 2^1049 (1e-300) or 2^1074 (the
+    # smallest subnormal); at level 0.5 the flow 2 * tiny makes
+    # 1 - flow < 1 exactly, so the exact scan moves the breakpoint off 0
+    p, q = [1.0, tiny], [tiny, 1.0]
+    d = [[0.5, 1.0], [1.0, 0.5]]
+    r = prokhorov_distance(p, q, d, exact=True)
+    assert (r.value, r.breakpoint) == (1.0, 0.5)
+    assert r.coupling.mass.tolist() == [[tiny, 1.0], [0.0, tiny]]
+
+
+def test_prokhorov_exact_zero_and_negative_masses():
+    # a zero-mass atom gets no mass; level 0 places 0.75, level 0.5 all but 0.25
+    d = [[0.0, 1.0], [0.0, 0.0], [1.0, 0.5]]
+    r = prokhorov_distance([0.5, 0.0, 0.5], [0.25, 0.75], d, exact=True)
+    assert (r.value, r.breakpoint) == (0.5, 0.5)
+    assert r.coupling.mass.tolist() == [[0.25, 0.25], [0.0, 0.0], [0.0, 0.5]]
+    # a mass negative within tol carries no flow and no leftover
+    tiny = 2.0**-40
+    d = [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]]
+    r = prokhorov_distance([0.5 + tiny, -tiny, 0.5], [0.5, 0.5], d, exact=True)
+    assert (r.value, r.breakpoint) == (0.0, 0.0)
+    assert r.coupling.mass.tolist() == [[0.5, 0.0], [0.0, 0.0], [0.0, 0.5]]
+
+
+def test_prokhorov_exact_ties_at_the_breakpoint():
+    p, q = [0.75, 0.25], [0.5, 0.5]
+    # levels 0 and 0.25 both give 0.25: the first one is kept and the
+    # scan stops at the second without a flow
+    r = prokhorov_distance(p, q, [[0.0, 0.25], [1.0, 0.0]], exact=True)
+    assert (r.value, r.breakpoint) == (0.25, 0.0)
+    assert r.coupling.mass.tolist() == [[0.5, 0.25], [0.0, 0.25]]
+    # at level 0.25 the level equals 1 - flow
+    r = prokhorov_distance(p, q, [[0.0, 1.0], [1.0, 0.25]], exact=True)
+    assert (r.value, r.breakpoint) == (0.25, 0.25)
+    assert r.coupling.mass.tolist() == [[0.5, 0.25], [0.0, 0.25]]
+
+
+_weights = st.lists(st.integers(0, 4), min_size=1, max_size=4).filter(any)
+_level = st.one_of(st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 1.0]), st.floats(0.0, 2.0))
+
+
+@st.composite
+def _instances(draw):
+    """Small measures with zero masses and grids with many tied levels."""
+    p = np.array(draw(_weights), float)
+    q = np.array(draw(_weights), float)
+    cells = draw(st.lists(_level, min_size=p.size * q.size, max_size=p.size * q.size))
+    return p / p.sum(), q / q.sum(), np.array(cells).reshape(p.size, q.size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_instances())
+def test_prokhorov_exact_is_exactly_symmetric(inst):
+    p, q, d = inst
+    r = prokhorov_distance(p, q, d, exact=True)
+    t = prokhorov_distance(q, p, d.T, exact=True)
+    assert (r.value, r.breakpoint) == (t.value, t.breakpoint)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_instances())
+def test_prokhorov_exact_matches_oracle_and_witness(inst):
+    p, q, d = inst
+    r = prokhorov_distance(p, q, d, exact=True)
+    assert r.value == pytest.approx(prokhorov_lp_oracle(p, q, d), abs=DEFAULT_TOL)
+    r.coupling.check_marginals(p, q, tol=DEFAULT_TOL)
+    assert delta_of_coupling(r.coupling) == pytest.approx(r.value, abs=DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("exact, number", [(False, float), (True, int)])
+def test_prokhorov_logs_its_flows(monkeypatch, caplog, exact, number):
+    calls = []
+    types = set()
+
+    def counting_flow(cap, flow, m, eps):
+        calls.append(1)
+        types.update(type(x) for row in cap for x in row)
+        return augment(cap, flow, m, eps)
+
+    augment = coupling_mod._augment_max_flow
+    monkeypatch.setattr(coupling_mod, "_augment_max_flow", counting_flow)
+    rng = rng_stream(39)
+    p, q, d = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(3)), rng.random((4, 3))
+    with caplog.at_level(logging.DEBUG, logger="mmsdist"):
+        prokhorov_distance(p, q, d, exact=exact)
+    lines = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("prokhorov")]
+    assert lines == [
+        f"prokhorov: 4 x 3 atoms, {len(calls) - 1} levels probed, "
+        f"{len(calls)} max-flow calls, exact={exact}"
+    ]
+    assert types == {number}  # the exact path runs on ints, never Fractions

@@ -3,6 +3,7 @@ import pytest
 
 from mmsdist import (
     DistanceMatrix,
+    DmWitness,
     SizeLimitError,
     dm_distance,
     dpi_distance,
@@ -204,3 +205,22 @@ def test_dm_and_dpi_reject_non_finite(bad):
         for mode in ("exact", "heuristic"):
             with pytest.raises(ValueError, match="non-finite"):
                 dpi_distance(first, second, mode=mode)
+
+
+def test_dm_and_dpi_on_empty_grids():
+    # the cover share |lambda|/n used to divide by n = 0
+    empty = np.zeros((0, 0))
+    assert dm_distance(empty, empty) == DmWitness(0.0, (), 0.0)
+    for mode in ("exact", "heuristic"):
+        w = dpi_distance(empty, empty, mode=mode)
+        assert (w.value, w.permutation, w.inner) == (0.0, (), DmWitness(0.0, (), 0.0))
+
+
+@pytest.mark.parametrize("b", [0.0, 0.5, 2.0])
+def test_dm_and_dpi_on_one_point(b):
+    # n = 1 grids may carry a diagonal entry; excluding the point costs 1
+    w = dm_distance([[0.0]], [[b]])
+    assert w.value == min(b, 1.0) == dm_bruteforce([[0.0]], [[b]])
+    assert w.excluded == (() if b < 1.0 else (0,))
+    p = dpi_distance([[0.0]], [[b]])
+    assert (p.value, p.permutation, p.inner) == (w.value, (0,), w)

@@ -77,7 +77,7 @@ def _cmd_prokhorov(args) -> int:
     p = fileio.read_mass_vector(args.p)
     q = fileio.read_mass_vector(args.q)
     d = fileio.read_matrix(args.d)
-    res = prokhorov_distance(p, q, d, tol=args.tol, exact=args.exact_rational)
+    res = prokhorov_distance(p, q, d, tol=args.tol)
     _emit(
         {
             "value": res.value,
@@ -212,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("p")
     p.add_argument("q")
     p.add_argument("d")
-    p.add_argument("--exact-rational", action="store_true")
     p.set_defaults(fn=_cmd_prokhorov)
 
     p = sub.add_parser("birkhoff", help="decompose a doubly stochastic matrix")

@@ -5,14 +5,14 @@
   the definition it implements),
 * the Levy-Prokhorov distance between two discrete measures, computed
   exactly by scanning distance breakpoints with a max-flow feasibility
-  subproblem per breakpoint,
+  subproblem per breakpoint (the Hall/Strassen coupling value),
 * Birkhoff decomposition of doubly stochastic grids,
 * maximum bipartite matching under a distance cap (augmenting paths),
 * the same-support overlap bound 1 - sum_i min(p_i, q_i).
 
-Flows run on floats by default.  With ``exact=True`` the Prokhorov flow
-runs on Python ints instead: the masses scaled by one power-of-two
-denominator, so no flow arithmetic rounds and results are oracle-grade.
+The Prokhorov flow runs on Python ints: the masses scaled by one
+power-of-two denominator, so no flow arithmetic rounds and every value is
+exact.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ __all__ = [
 ]
 
 log = logging.getLogger("mmsdist")
-
-_FLOW_EPS = 1e-14  # float residual capacity below this is saturated
 
 
 @dataclass(frozen=True)
@@ -105,37 +103,31 @@ def delta_of_coupling(c: Coupling, tol: float = DEFAULT_TOL) -> float:
     if abs(total - 1.0) > tol:
         raise ValueError(f"coupling mass totals {total}, expected 1")
     dist = c.ground_dist.ravel()
+    if np.isnan(dist).any():
+        raise ValueError("coupling has a NaN ground distance")
     order = np.argsort(dist, kind="stable")
     d_sorted = dist[order]
     cum = np.cumsum(mass[order])
-    best = 1.0  # the virtual level r = 0 with no mass below it
-    k = 0
-    m = d_sorted.size
-    while k < m:
-        j = k
-        while j + 1 < m and d_sorted[j + 1] == d_sorted[k]:
-            j += 1
-        val = max(float(d_sorted[k]), 1.0 - float(cum[j]))
-        if val < best:
-            best = val
-        if d_sorted[k] >= best:
-            break
-        k = j + 1
-    return float(best)
+    last = np.flatnonzero(np.append(d_sorted[1:] != d_sorted[:-1], True))
+    level = d_sorted[np.append(0, last[:-1] + 1)]  # first entry of each tie group
+    rest = 1.0 - cum[last]
+    # np.where keeps max(level, rest)'s choice between -0.0 and 0.0; the
+    # virtual level r = 0 with no mass below it costs 1
+    return min(1.0, float(np.where(rest > level, rest, level).min()))
 
 
 # ---------------------------------------------------------------------------
-# max-flow machinery (one routine for float and integer capacities)
+# max-flow machinery
 
 
-def _augment_max_flow(cap, flow, m, eps):
+def _augment_max_flow(cap, flow, m):
     """Push flow from node 0 to node m-1 until no augmenting path remains.
 
     Edmonds-Karp on an adjacency-matrix residual graph.  Capacities are
-    floats, or Python ints with eps = 0 for exact runs (masses scaled by
-    one power-of-two denominator).  Returns the value added.
+    Python ints (masses scaled by one power-of-two denominator), so no
+    step rounds.  Returns the value added.
     """
-    added = cap[0][0] * 0  # zero of the right numeric type
+    added = 0
     while True:
         prev = [-1] * m
         prev[0] = 0
@@ -146,7 +138,7 @@ def _augment_max_flow(cap, flow, m, eps):
                 cu = cap[u]
                 fu = flow[u]
                 for v in range(m):
-                    if prev[v] == -1 and cu[v] - fu[v] > eps:
+                    if prev[v] == -1 and cu[v] > fu[v]:
                         prev[v] = u
                         nxt.append(v)
                         if v == m - 1:
@@ -168,33 +160,24 @@ def _augment_max_flow(cap, flow, m, eps):
         added += bottleneck
 
 
-def _flow_network(p, q, zero):
+def _max_mass_within(p, q, dgrid, level, big):
+    """Maximum coupling mass placeable on pairs with distance <= level, and
+    the flow placing it.  Pair edges get capacity ``big``, which must be at
+    least the total mass."""
     r, c = len(p), len(q)
     m = r + c + 2
-    cap = [[zero] * m for _ in range(m)]
-    for i in range(r):
-        cap[0][1 + i] = p[i]
+    cap = [[0] * m for _ in range(m)]
+    cap[0][1 : 1 + r] = p
     for j in range(c):
         cap[1 + r + j][m - 1] = q[j]
-    return cap, m
-
-
-def _max_mass_within(p, q, dgrid, level, one, eps):
-    """Maximum coupling mass placeable on pairs with distance <= level, in
-    units where ``one`` is the total mass."""
-    r, c = len(p), len(q)
-    zero = one * 0
-    cap, m = _flow_network(p, q, zero)
-    two = one * 2  # any capacity >= total mass works for pair edges
     for i in range(r):
         di = dgrid[i]
         ci = cap[1 + i]
         for j in range(c):
             if di[j] <= level:
-                ci[1 + r + j] = two
-    flow = [[zero] * m for _ in range(m)]
-    value = _augment_max_flow(cap, flow, m, eps)
-    return value, flow
+                ci[1 + r + j] = big
+    flow = [[0] * m for _ in range(m)]
+    return _augment_max_flow(cap, flow, m), flow
 
 
 def _northwest_fill(rres, cres, mass, eps):
@@ -226,15 +209,19 @@ def prokhorov_distance(
 
     Scans the sorted distinct distance values; at level v a max-flow gives
     the largest coupling mass placeable on pairs within v, and the minimum
-    over levels of max(v, 1 - flow(v)) is the distance.  The witness
-    coupling extends the optimal flow by northwest-corner filling of the
-    leftover mass (which provably lands on pairs beyond the optimal level).
+    over levels of max(v, unplaced mass) is the distance.  The scan stops
+    at the first level v no smaller than the best value so far.  The
+    witness coupling extends the best level's flow by northwest-corner
+    filling of the leftover mass (which provably lands on pairs beyond
+    that level).
 
-    With ``exact=True`` no flow arithmetic rounds: every float mass is a
-    dyadic rational, so scaled by the largest mass denominator (one power
-    of two) the masses are Python ints and the flow runs on them.  Level
-    values max(v, 1 - flow) are compared as exact rationals, and the
-    witness masses are the correctly rounded quotients flow / denominator.
+    No arithmetic rounds: every float mass is a dyadic rational, so scaled
+    by the largest mass denominator (one power of two) the masses are
+    Python ints and the flow runs on them.  The unplaced mass is taken as a
+    share of max(sum p, sum q), so identical measures give exactly 0;
+    level values are compared as exact rationals, and the witness masses
+    are the correctly rounded quotients flow / denominator.  ``exact`` is
+    accepted for compatibility and ignored: every call is exact.
     """
     pv = as_prob_vector(p, tol, "first marginal")
     qv = as_prob_vector(q, tol, "second marginal")
@@ -250,54 +237,44 @@ def prokhorov_distance(
         raise ValueError(f"negative distance {float(d.min())}")
 
     P, Q, D = pv.tolist(), qv.tolist(), d.tolist()
-    if exact:
-        one = max(x.as_integer_ratio()[1] for x in P + Q)
-        P = [a * (one // b) for a, b in map(float.as_integer_ratio, P)]
-        Q = [a * (one // b) for a, b in map(float.as_integer_ratio, Q)]
-        num, eps = Fraction, 0
-    else:
-        one, num, eps = 1.0, float, _FLOW_EPS
+    one = max(x.as_integer_ratio()[1] for x in P + Q)
+    P = [a * (one // b) for a, b in map(float.as_integer_ratio, P)]
+    Q = [a * (one // b) for a, b in map(float.as_integer_ratio, Q)]
+    total = max(sum(P), sum(Q))
 
     levels = sorted({x for row in D for x in row})
     if not levels or levels[0] > 0.0:
         levels.insert(0, 0.0)
 
-    # level values are Fractions when exact (one - fval is the mass left
-    # unplaced, in units of 1/one), floats otherwise; levels stay floats
-    # for the grid comparisons, since Fraction(float) keeps float order
-    best_val = best_v = best_level = None
+    # levels stay floats for the grid comparisons, since Fraction(float)
+    # keeps float order; level values are Fractions
+    best = None  # (value, level, flow)
     probed = 0
     for level in levels:
-        v = num(level)
-        if best_val is not None and v >= best_val:
+        v = Fraction(level)
+        if best is not None and v >= best[0]:
             break
-        fval, _ = _max_mass_within(P, Q, D, level, one, eps)
+        placed, flow = _max_mass_within(P, Q, D, level, 2 * one)
         probed += 1
-        val = max(v, num(one - fval) / one)
-        if best_val is None or val < best_val:
-            best_val, best_v, best_level = val, v, level
+        val = max(v, Fraction(total - placed, total))
+        if best is None or val < best[0]:
+            best = val, v, flow
 
-    # witness coupling at the optimal level
-    fval, flow = _max_mass_within(P, Q, D, best_level, one, eps)
+    # witness coupling from the best level's flow
+    val, v, flow = best
     r, c = len(P), len(Q)
-    zero = one * 0
-    mass = [[max(flow[1 + i][1 + r + j], zero) for j in range(c)] for i in range(r)]
-    rres = [max(P[i] - sum(mass[i]), zero) for i in range(r)]
-    cres = [max(Q[j] - sum(mass[i][j] for i in range(r)), zero) for j in range(c)]
-    _northwest_fill(rres, cres, mass, eps)
+    mass = [flow[1 + i][1 + r : 1 + r + c] for i in range(r)]
+    rres = [max(P[i] - sum(mass[i]), 0) for i in range(r)]
+    cres = [max(Q[j] - sum(row[j] for row in mass), 0) for j in range(c)]
+    _northwest_fill(rres, cres, mass, 0)
     log.debug(
-        "prokhorov: %d x %d atoms, %d levels probed, %d max-flow calls, exact=%s",
-        r, c, probed, probed + 1, exact,
+        "prokhorov: %d x %d atoms, %d levels probed, one max-flow each", r, c, probed
     )
     coupling = Coupling(
         mass=np.array([[x / one for x in row] for row in mass]),
         ground_dist=d,
     )
-    return ProkhorovResult(
-        value=max(0.0, float(best_val)),
-        coupling=coupling,
-        breakpoint=float(best_v),
-    )
+    return ProkhorovResult(value=max(0.0, float(val)), coupling=coupling, breakpoint=float(v))
 
 
 # ---------------------------------------------------------------------------
@@ -309,28 +286,42 @@ def _max_matching(allowed: np.ndarray):
 
     Scans vertices in index order, preferring free columns before
     augmenting through occupied ones, so identical supports match along
-    the diagonal.
+    the diagonal.  The augmenting search keeps its own stack, so path
+    length is not bounded by the interpreter's recursion limit.
     """
     n_l, n_r = allowed.shape
+    rows = allowed.tolist()
     match_r = [-1] * n_r  # right -> left
 
-    def try_assign(u, seen):
-        for v in range(n_r):
-            if allowed[u, v] and match_r[v] == -1 and not seen[v]:
-                seen[v] = True
-                match_r[v] = u
-                return True
-        for v in range(n_r):
-            if allowed[u, v] and not seen[v]:
-                seen[v] = True
-                if try_assign(match_r[v], seen):
-                    match_r[v] = u
-                    return True
+    def augment(root):
+        seen = [False] * n_r
+        # frames: [left vertex, column that reached it, next column to try]
+        stack = [[root, -1, 0]]
+        while stack:
+            frame = stack[-1]
+            u, _, start = frame
+            row = rows[u]
+            if start == 0:  # first visit: take a free column if there is one
+                for v in range(n_r):
+                    if row[v] and match_r[v] == -1 and not seen[v]:
+                        seen[v] = True
+                        match_r[v] = u
+                        for k in range(len(stack) - 1, 0, -1):
+                            match_r[stack[k][1]] = stack[k - 1][0]
+                        return True
+            for v in range(start, n_r):
+                if row[v] and not seen[v]:
+                    seen[v] = True
+                    frame[2] = v + 1
+                    stack.append([match_r[v], v, 0])
+                    break
+            else:
+                stack.pop()
         return False
 
     count = 0
     for u in range(n_l):
-        if try_assign(u, [False] * n_r):
+        if augment(u):
             count += 1
     match_l = [-1] * n_l
     for v, u in enumerate(match_r):

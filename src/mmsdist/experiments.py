@@ -255,7 +255,7 @@ def check_hoelder_small_n(
     n: the exact ensemble distance under the permutation-quotient ground
     metric must not exceed sqrt(eps).  The dpi grid is built on permutation
     classes of the atoms (a handful for these two-point ensembles) and
-    expanded to every atom pair before the rational Prokhorov step.
+    expanded to every atom pair before the Prokhorov step.
 
     With ``mc_trials`` > 0 additionally samples coupled pairs from the
     witness coupling and checks, per sample, that the quotient distance of
@@ -269,9 +269,7 @@ def check_hoelder_small_n(
     ens_x = enumerate_matrix_ensemble(ModelSpace.finite(x), n, budget)
     ens_y = enumerate_matrix_ensemble(ModelSpace.finite(y), n, budget)
     grid = _ensemble_cross_grid(ens_x, ens_y, dpi_distance, tol, budget)
-    dp = prokhorov_distance(
-        ens_x.probabilities(), ens_y.probabilities(), grid, tol=tol, exact=True
-    ).value
+    dp = prokhorov_distance(ens_x.probabilities(), ens_y.probabilities(), grid, tol=tol).value
     observed = {"dp_ensemble": dp, "ghp_upper": ghp.upper, "atoms_x": ens_x.size, "atoms_y": ens_y.size}
     bound = {"sqrt_eps": math.sqrt(epsilon), "sqrt_ghp_upper": math.sqrt(ghp.upper)}
     passed = {
@@ -385,9 +383,7 @@ def check_sharp_exponent(
     except (BudgetError, SizeLimitError) as exc:
         notes.append(f"{exc}; exact ensemble step skipped")
     else:
-        dp = prokhorov_distance(
-            ens_x.probabilities(), ens_y.probabilities(), grid, tol=tol, exact=True
-        ).value
+        dp = prokhorov_distance(ens_x.probabilities(), ens_y.probabilities(), grid, tol=tol).value
         observed["dp_ensemble"] = dp
         if abs(dp - threshold) <= tol:
             passed["dp_exceeds_threshold"] = True
@@ -469,7 +465,7 @@ def check_group_invariance(
 ) -> ExperimentReport:
     """Ensembles of i.i.d. samples are exchangeable, so their coupling
     distance is the same under the full matrix metric and its permutation
-    quotient; computed exactly both ways (rational flows) and compared.
+    quotient; computed exactly both ways and compared.
     The dpi grid is built on permutation classes of the atoms; the dm grid,
     which is not relabelling-invariant, is computed on every atom pair.
 
@@ -484,8 +480,8 @@ def check_group_invariance(
     p1, p2 = ens1.probabilities(), ens2.probabilities()
     grid_dm = _ensemble_cross_grid(ens1, ens2, dm_distance, tol, budget)
     grid_dpi = _ensemble_cross_grid(ens1, ens2, dpi_distance, tol, budget)
-    dp_dm = prokhorov_distance(p1, p2, grid_dm, tol=tol, exact=True).value
-    dp_dpi = prokhorov_distance(p1, p2, grid_dpi, tol=tol, exact=True).value
+    dp_dm = prokhorov_distance(p1, p2, grid_dm, tol=tol).value
+    dp_dpi = prokhorov_distance(p1, p2, grid_dpi, tol=tol).value
     observed = {"dp_under_dm": dp_dm, "dp_under_dpi": dp_dpi, "gap": abs(dp_dm - dp_dpi)}
     notes = []
     if ens1.size > 1:

@@ -30,6 +30,40 @@ def test_delta_examples():
     assert delta_of_coupling(atom) == 0.4
     split = Coupling(mass=[[0.9, 0.1]], ground_dist=[[0.0, 1.0]])
     assert delta_of_coupling(split) == pytest.approx(0.1)
+    # tied distances count together: level 0.25 holds 0.625 of the mass
+    tied = Coupling(mass=[[0.25, 0.25], [0.125, 0.375]], ground_dist=[[0.25, 0.25], [0.0, 0.9]])
+    assert delta_of_coupling(tied) == 0.375
+    far = Coupling(mass=[[0.5, 0.5]], ground_dist=[[2.0, 3.0]])
+    assert delta_of_coupling(far) == 1.0  # only the virtual level 0 is below 1
+
+
+def _delta_scan(mass, dist):
+    """The level-by-level scan that the vectorised minimum replaced."""
+    mass, dist = np.ravel(mass), np.ravel(dist)
+    order = np.argsort(dist, kind="stable")
+    d_sorted, cum = dist[order], np.cumsum(mass[order])
+    best, k = 1.0, 0
+    while k < d_sorted.size:
+        j = k
+        while j + 1 < d_sorted.size and d_sorted[j + 1] == d_sorted[k]:
+            j += 1
+        best = min(best, max(float(d_sorted[k]), 1.0 - float(cum[j])))
+        if d_sorted[k] >= best:
+            break
+        k = j + 1
+    return best
+
+
+def test_delta_equals_the_level_scan():
+    rng = rng_stream(40)
+    for _ in range(500):
+        r, c = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        mass = rng.random((r, c)) * (rng.random((r, c)) < 0.7)
+        mass[0, 0] += 0.1
+        mass /= mass.sum()
+        dist = rng.choice([-0.0, 0.0, 0.125, 0.5, 0.9, 2.0, float(rng.random())], size=(r, c))
+        got = delta_of_coupling(Coupling(mass=mass, ground_dist=dist))
+        assert repr(got) == repr(_delta_scan(mass, dist))
 
 
 def test_delta_rejects_bad_mass():
@@ -37,6 +71,8 @@ def test_delta_rejects_bad_mass():
         delta_of_coupling(Coupling(mass=[[0.5]], ground_dist=[[0.0]]))
     with pytest.raises(ValueError):
         delta_of_coupling(Coupling(mass=[[1.5, -0.5]], ground_dist=[[0.0, 1.0]]))
+    with pytest.raises(ValueError, match="NaN"):
+        delta_of_coupling(Coupling(mass=[[0.5, 0.5]], ground_dist=[[0.0, np.nan]]))
 
 
 def test_prokhorov_identical_measures():
@@ -44,6 +80,26 @@ def test_prokhorov_identical_measures():
     r = prokhorov_distance(p, p, np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert r.value == 0.0
     assert np.allclose(np.diag(r.coupling.mass), p)
+
+
+@pytest.mark.parametrize("p", [[1 / 3] * 3, [0.1] * 10])
+def test_prokhorov_identical_measures_give_exactly_zero(p):
+    # the float sums of thirds and tenths miss 1; the unplaced mass is
+    # measured against the mass total, so nothing is left over
+    d = 1.0 - np.eye(len(p))
+    r = prokhorov_distance(p, p, d)
+    assert (r.value, r.breakpoint) == (0.0, 0.0)
+    assert r.coupling.mass.tolist() == np.diag(p).tolist()
+
+
+def test_prokhorov_keeps_masses_far_below_one():
+    # a float flow that treated residuals below 1e-14 as saturated dropped
+    # both 1e-15 masses here and returned 1.0 at breakpoint 0
+    r = prokhorov_distance([1.0, 1e-15], [1e-15, 1.0], [[0.5, 1.0], [1.0, 0.5]])
+    assert (r.value, r.breakpoint) == (0.999999999999998, 0.5)
+    assert r.coupling.mass.tolist() == [[1e-15, 0.999999999999999], [0.0, 1e-15]]
+    assert r.coupling.mass.sum(axis=1)[1] == 1e-15
+    assert r.coupling.mass.sum(axis=0)[0] == 1e-15
 
 
 def test_prokhorov_two_point_example():
@@ -104,14 +160,16 @@ def test_prokhorov_matches_lp_oracle_quick():
 
 
 def test_prokhorov_exact_rational_agrees_with_float():
+    # every call is exact; the keyword is kept for callers and changes nothing
     rng = rng_stream(34)
     for _ in range(10):
         p = rng.dirichlet(np.ones(3))
         q = rng.dirichlet(np.ones(4))
         d = rng.random((3, 4))
-        f = prokhorov_distance(p, q, d, exact=False).value
-        e = prokhorov_distance(p, q, d, exact=True).value
-        assert f == pytest.approx(e, abs=1e-12)
+        f = prokhorov_distance(p, q, d, exact=False)
+        e = prokhorov_distance(p, q, d, exact=True)
+        assert (repr(f.value), repr(f.breakpoint)) == (repr(e.value), repr(e.breakpoint))
+        assert f.coupling.mass.tobytes() == e.coupling.mass.tobytes()
 
 
 def test_prokhorov_triangle_on_fixed_ground_space():
@@ -194,6 +252,54 @@ def test_epsilon_matching_maximum_cardinality():
         assert len(m.pairs) == matching_bruteforce(d < eps)
         assert all(d[i, j] < eps for i, j in m.pairs)
         assert len({j for _, j in m.pairs}) == len(m.pairs)  # injective
+
+
+def _kuhn_recursive(allowed):
+    """The recursive augmenting search that the iterative one replaced."""
+    n_l, n_r = allowed.shape
+    match_r = [-1] * n_r
+
+    def try_assign(u, seen):
+        for v in range(n_r):
+            if allowed[u, v] and match_r[v] == -1 and not seen[v]:
+                seen[v] = True
+                match_r[v] = u
+                return True
+        for v in range(n_r):
+            if allowed[u, v] and not seen[v]:
+                seen[v] = True
+                if try_assign(match_r[v], seen):
+                    match_r[v] = u
+                    return True
+        return False
+
+    for u in range(n_l):
+        try_assign(u, [False] * n_r)
+    return match_r
+
+
+def test_matching_pairs_follow_the_recursive_search():
+    rng = rng_stream(41)
+    for _ in range(300):
+        r, c = int(rng.integers(1, 10)), int(rng.integers(1, 10))
+        d = rng.random((r, c))
+        eps = float(rng.random()) + 0.01
+        match_r = _kuhn_recursive(d < eps)
+        want = tuple(sorted((u, v) for v, u in enumerate(match_r) if u != -1))
+        assert epsilon_matching(d, eps).pairs == want
+
+
+def test_epsilon_matching_long_augmenting_path():
+    # row i allows columns i and i + 1 and the last row only column 0, so
+    # the last row augments along a path through every row; a recursive
+    # search hit the interpreter's recursion limit here
+    n = 1201
+    d = np.ones((n, n))
+    d[np.arange(n - 1), np.arange(n - 1)] = 0.0
+    d[np.arange(n - 1), np.arange(1, n)] = 0.0
+    d[n - 1, 0] = 0.0
+    m = epsilon_matching(d, 0.5)
+    assert m.pairs == tuple((i, i + 1) for i in range(n - 1)) + ((n - 1, 0),)
 
 
 def test_overlap_bound_examples():
@@ -306,15 +412,15 @@ def test_prokhorov_exact_matches_oracle_and_witness(inst):
     assert delta_of_coupling(r.coupling) == pytest.approx(r.value, abs=DEFAULT_TOL)
 
 
-@pytest.mark.parametrize("exact, number", [(False, float), (True, int)])
-def test_prokhorov_logs_its_flows(monkeypatch, caplog, exact, number):
+@pytest.mark.parametrize("exact", [False, True])
+def test_prokhorov_logs_its_flows(monkeypatch, caplog, exact):
     calls = []
     types = set()
 
-    def counting_flow(cap, flow, m, eps):
+    def counting_flow(cap, flow, m):
         calls.append(1)
         types.update(type(x) for row in cap for x in row)
-        return augment(cap, flow, m, eps)
+        return augment(cap, flow, m)
 
     augment = coupling_mod._augment_max_flow
     monkeypatch.setattr(coupling_mod, "_augment_max_flow", counting_flow)
@@ -323,8 +429,7 @@ def test_prokhorov_logs_its_flows(monkeypatch, caplog, exact, number):
     with caplog.at_level(logging.DEBUG, logger="mmsdist"):
         prokhorov_distance(p, q, d, exact=exact)
     lines = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("prokhorov")]
-    assert lines == [
-        f"prokhorov: 4 x 3 atoms, {len(calls) - 1} levels probed, "
-        f"{len(calls)} max-flow calls, exact={exact}"
-    ]
-    assert types == {number}  # the exact path runs on ints, never Fractions
+    # one max-flow per level probed: the best level's flow is the witness
+    assert lines == [f"prokhorov: 4 x 3 atoms, {len(calls)} levels probed, one max-flow each"]
+    assert len(calls) > 1
+    assert types == {int}  # float masses become scaled ints whatever the keyword

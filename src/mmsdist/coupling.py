@@ -5,14 +5,15 @@
   the definition it implements),
 * the Levy-Prokhorov distance between two discrete measures, computed
   exactly by scanning distance breakpoints with a max-flow feasibility
-  subproblem per breakpoint (the Hall/Strassen coupling value),
+  subproblem per breakpoint (the Hall/Strassen coupling value), solved by
+  Edmonds-Karp on the bipartite network source -> rows -> columns -> sink,
 * Birkhoff decomposition of doubly stochastic grids,
 * maximum bipartite matching under a distance cap (augmenting paths),
 * the same-support overlap bound 1 - sum_i min(p_i, q_i).
 
-The Prokhorov flow runs on Python ints: the masses scaled by one
-power-of-two denominator, so no flow arithmetic rounds and every value is
-exact.
+The Prokhorov flow and the greedy net coupling of `ghp` run on Python
+ints: the masses scaled by one power-of-two denominator, so no flow or
+filling arithmetic rounds and every value is exact.
 """
 
 from __future__ import annotations
@@ -120,75 +121,79 @@ def delta_of_coupling(c: Coupling, tol: float = DEFAULT_TOL) -> float:
 # max-flow machinery
 
 
-def _augment_max_flow(cap, flow, m):
-    """Push flow from node 0 to node m-1 until no augmenting path remains.
+def _scaled_masses(p, q):
+    """Both mass vectors as exact Python ints over one power-of-two
+    denominator: (P, Q, denominator)."""
+    P, Q = (np.asarray(x, dtype=float).tolist() for x in (p, q))
+    one = max(x.as_integer_ratio()[1] for x in P + Q)
+    P, Q = ([a * (one // b) for a, b in map(float.as_integer_ratio, xs)] for xs in (P, Q))
+    return P, Q, one
 
-    Edmonds-Karp on an adjacency-matrix residual graph.  Capacities are
-    Python ints (masses scaled by one power-of-two denominator), so no
-    step rounds.  Returns the value added.
+
+def _max_mass_within(P, Q, D, level):
+    """Maximum coupling mass placeable on pairs with distance <= level.
+
+    Edmonds-Karp on source -> rows -> columns -> sink: capacity P[i] into
+    row i, Q[j] out of column j, pairs within ``level`` unbounded, all
+    Python ints.  The BFS takes rows, near columns and flow-carrying rows
+    in index order, a column's rows before the sink.  Returns the placed
+    mass, the r x c flow and the residuals P - flow and Q - flow.
     """
-    added = 0
+    r, c = len(P), len(Q)
+    near = [[j for j, x in enumerate(row) if x <= level] for row in D]
+    flow = [[0] * c for _ in range(r)]
+    rres, cres = list(P), list(Q)
+    placed = 0
     while True:
-        prev = [-1] * m
-        prev[0] = 0
-        fringe = [0]
-        while fringe and prev[m - 1] == -1:
-            nxt = []
-            for u in fringe:
-                cu = cap[u]
-                fu = flow[u]
-                for v in range(m):
-                    if prev[v] == -1 and cu[v] > fu[v]:
-                        prev[v] = u
-                        nxt.append(v)
-                        if v == m - 1:
-                            break
-            fringe = nxt
-        if prev[m - 1] == -1:
-            return added
-        # bottleneck and update along the path
-        path = []
-        v = m - 1
-        while v != 0:
-            u = prev[v]
-            path.append((u, v))
-            v = u
-        bottleneck = min(cap[u][v] - flow[u][v] for u, v in path)
-        for u, v in path:
-            flow[u][v] += bottleneck
-            flow[v][u] -= bottleneck
-        added += bottleneck
+        # reached[i]: None unreached, -1 from the source, else the column
+        reached = [-1 if x > 0 else None for x in rres]
+        fringe = [i for i, x in enumerate(reached) if x == -1]
+        via = [-1] * c  # the row that reached each column
+        end = -1
+        while fringe and end < 0:
+            cols = []
+            for i in fringe:
+                for j in near[i]:
+                    if via[j] < 0:
+                        via[j] = i
+                        cols.append(j)
+            fringe = []
+            for j in cols:
+                if cres[j] > 0:
+                    end = j
+                    break
+                for i in range(r):
+                    if reached[i] is None and flow[i][j] > 0:
+                        reached[i] = j
+                        fringe.append(i)
+        if end < 0:
+            return placed, flow, rres, cres
+        # back from the sink: (row, its forward column, cancelled column or -1)
+        path, j = [], end
+        while j >= 0:
+            i = via[j]
+            path.append((i, j, reached[i]))
+            j = reached[i]
+        start = path[-1][0]
+        bottleneck = min(cres[end], rres[start], *(flow[i][k] for i, _, k in path[:-1]))
+        cres[end] -= bottleneck
+        rres[start] -= bottleneck
+        for i, j, k in path:
+            flow[i][j] += bottleneck
+            if k >= 0:
+                flow[i][k] -= bottleneck
+        placed += bottleneck
 
 
-def _max_mass_within(p, q, dgrid, level, big):
-    """Maximum coupling mass placeable on pairs with distance <= level, and
-    the flow placing it.  Pair edges get capacity ``big``, which must be at
-    least the total mass."""
-    r, c = len(p), len(q)
-    m = r + c + 2
-    cap = [[0] * m for _ in range(m)]
-    cap[0][1 : 1 + r] = p
-    for j in range(c):
-        cap[1 + r + j][m - 1] = q[j]
-    for i in range(r):
-        di = dgrid[i]
-        ci = cap[1 + i]
-        for j in range(c):
-            if di[j] <= level:
-                ci[1 + r + j] = big
-    flow = [[0] * m for _ in range(m)]
-    return _augment_max_flow(cap, flow, m), flow
-
-
-def _northwest_fill(rres, cres, mass, eps):
+def _northwest_fill(rres, cres, mass):
     """Deterministically spread residual marginals into `mass` (in place)."""
     i = j = 0
     r, c = len(rres), len(cres)
     while i < r and j < c:
-        if rres[i] <= eps:
+        if rres[i] <= 0:
             i += 1
             continue
-        if cres[j] <= eps:
+        if cres[j] <= 0:
             j += 1
             continue
         take = min(rres[i], cres[j])
@@ -211,9 +216,9 @@ def prokhorov_distance(
     the largest coupling mass placeable on pairs within v, and the minimum
     over levels of max(v, unplaced mass) is the distance.  The scan stops
     at the first level v no smaller than the best value so far.  The
-    witness coupling extends the best level's flow by northwest-corner
-    filling of the leftover mass (which provably lands on pairs beyond
-    that level).
+    witness coupling is the best level's r x c flow, with its row and
+    column residuals spread by northwest-corner filling (that leftover
+    mass provably lands on pairs beyond the level).
 
     No arithmetic rounds: every float mass is a dyadic rational, so scaled
     by the largest mass denominator (one power of two) the masses are
@@ -236,10 +241,8 @@ def prokhorov_distance(
     if d.size and float(d.min()) < -tol:
         raise ValueError(f"negative distance {float(d.min())}")
 
-    P, Q, D = pv.tolist(), qv.tolist(), d.tolist()
-    one = max(x.as_integer_ratio()[1] for x in P + Q)
-    P = [a * (one // b) for a, b in map(float.as_integer_ratio, P)]
-    Q = [a * (one // b) for a, b in map(float.as_integer_ratio, Q)]
+    P, Q, one = _scaled_masses(pv, qv)
+    D = d.tolist()
     total = max(sum(P), sum(Q))
 
     levels = sorted({x for row in D for x in row})
@@ -248,27 +251,24 @@ def prokhorov_distance(
 
     # levels stay floats for the grid comparisons, since Fraction(float)
     # keeps float order; level values are Fractions
-    best = None  # (value, level, flow)
+    best = None  # (value, level, (flow, row residuals, column residuals))
     probed = 0
     for level in levels:
         v = Fraction(level)
         if best is not None and v >= best[0]:
             break
-        placed, flow = _max_mass_within(P, Q, D, level, 2 * one)
+        placed, *witness = _max_mass_within(P, Q, D, level)
         probed += 1
         val = max(v, Fraction(total - placed, total))
         if best is None or val < best[0]:
-            best = val, v, flow
+            best = val, v, witness
 
-    # witness coupling from the best level's flow
-    val, v, flow = best
-    r, c = len(P), len(Q)
-    mass = [flow[1 + i][1 + r : 1 + r + c] for i in range(r)]
-    rres = [max(P[i] - sum(mass[i]), 0) for i in range(r)]
-    cres = [max(Q[j] - sum(row[j] for row in mass), 0) for j in range(c)]
-    _northwest_fill(rres, cres, mass, 0)
+    # witness coupling: the best level's flow plus its residuals
+    val, v, (mass, rres, cres) = best
+    _northwest_fill(rres, cres, mass)
     log.debug(
-        "prokhorov: %d x %d atoms, %d levels probed, one max-flow each", r, c, probed
+        "prokhorov: %d x %d atoms, %d levels probed, one max-flow each",
+        len(P), len(Q), probed,
     )
     coupling = Coupling(
         mass=np.array([[x / one for x in row] for row in mass]),

@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-from .core import DistanceMatrix, FiniteMMS, validate_distance_matrix
+from .core import DEFAULT_TOL, DistanceMatrix, FiniteMMS, validate_distance_matrix
 
 __all__ = [
     "read_matrix",
@@ -63,7 +63,7 @@ def _mms_from_dict(obj: dict, tol: float) -> FiniteMMS:
     return FiniteMMS(labels=tuple(labels), dist=dist, mass=np.asarray(mass, float), coords=coords)
 
 
-def read_mms(path, tol: float = 1e-9) -> FiniteMMS:
+def read_mms(path, tol: float = DEFAULT_TOL) -> FiniteMMS:
     with open(path) as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):
@@ -80,7 +80,7 @@ def read_mass_vector(path) -> np.ndarray:
     return np.asarray(obj, dtype=float)
 
 
-def read_model_space(path, tol: float = 1e-9):
+def read_model_space(path, tol: float = DEFAULT_TOL):
     """Read a model-space JSON file ({"kind": ...} plus kind-specific fields)."""
     from .sampling import ModelSpace
 

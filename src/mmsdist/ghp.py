@@ -31,6 +31,7 @@ from .core import (
 from .coupling import (
     ProkhorovResult,
     _northwest_fill,
+    _scaled_masses,
     delta_of_coupling,
     epsilon_matching,
     prokhorov_distance,
@@ -220,17 +221,16 @@ def _identify_bound(x: FiniteMMS, y: FiniteMMS, tol: float) -> GhpBound:
 
 
 def _greedy_coupling_on_pairs(p, q, pairs, shape):
-    mass = [[0.0] * shape[1] for _ in range(shape[0])]
-    rres = list(map(float, p))
-    cres = list(map(float, q))
+    rres, cres, one = _scaled_masses(p, q)
+    mass = [[0] * shape[1] for _ in range(shape[0])]
     for i, j in pairs:
         take = min(rres[i], cres[j])
         if take > 0:
             mass[i][j] += take
             rres[i] -= take
             cres[j] -= take
-    _northwest_fill(rres, cres, mass, 1e-14)
-    return np.array(mass)
+    _northwest_fill(rres, cres, mass)
+    return np.array([[x / one for x in row] for row in mass])
 
 
 def _net_bound(x: FiniteMMS, y: FiniteMMS, tol: float, cross=None) -> GhpBound:

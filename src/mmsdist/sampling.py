@@ -117,9 +117,7 @@ def empirical_space(space: ModelSpace, n: int, seed: int, stream: int = 0) -> Fi
         d = base.dist.entries[np.ix_(idx, idx)]
     elif space.kind == "euclideanPoints":
         idx = sample_indices(space.weights, n, rng)
-        pts = space.coords[idx]
-        diff = pts[:, None, :] - pts[None, :, :]
-        d = np.sqrt((diff * diff).sum(axis=-1))
+        d = DistanceMatrix.from_points(space.coords[idx]).entries
     elif space.kind == "circle":
         c = space.circumference
         pts = rng.random(n) * c

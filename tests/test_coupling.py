@@ -417,13 +417,13 @@ def test_prokhorov_logs_its_flows(monkeypatch, caplog, exact):
     calls = []
     types = set()
 
-    def counting_flow(cap, flow, m):
+    def counting_flow(P, Q, D, level):
         calls.append(1)
-        types.update(type(x) for row in cap for x in row)
-        return augment(cap, flow, m)
+        types.update(type(x) for x in P + Q)
+        return flow(P, Q, D, level)
 
-    augment = coupling_mod._augment_max_flow
-    monkeypatch.setattr(coupling_mod, "_augment_max_flow", counting_flow)
+    flow = coupling_mod._max_mass_within
+    monkeypatch.setattr(coupling_mod, "_max_mass_within", counting_flow)
     rng = rng_stream(39)
     p, q, d = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(3)), rng.random((4, 3))
     with caplog.at_level(logging.DEBUG, logger="mmsdist"):
@@ -433,3 +433,109 @@ def test_prokhorov_logs_its_flows(monkeypatch, caplog, exact):
     assert lines == [f"prokhorov: 4 x 3 atoms, {len(calls)} levels probed, one max-flow each"]
     assert len(calls) > 1
     assert types == {int}  # float masses become scaled ints whatever the keyword
+
+
+def _augment_max_flow(cap, flow, m):
+    """Edmonds-Karp from node 0 to node m-1 on a dense residual matrix: the
+    generic network the bipartite flow replaced."""
+    added = 0
+    while True:
+        prev = [-1] * m
+        prev[0] = 0
+        fringe = [0]
+        while fringe and prev[m - 1] == -1:
+            nxt = []
+            for u in fringe:
+                for v in range(m):
+                    if prev[v] == -1 and cap[u][v] > flow[u][v]:
+                        prev[v] = u
+                        nxt.append(v)
+                        if v == m - 1:
+                            break
+            fringe = nxt
+        if prev[m - 1] == -1:
+            return added
+        path = []
+        v = m - 1
+        while v != 0:
+            path.append((prev[v], v))
+            v = prev[v]
+        bottleneck = min(cap[u][v] - flow[u][v] for u, v in path)
+        for u, v in path:
+            flow[u][v] += bottleneck
+            flow[v][u] -= bottleneck
+        added += bottleneck
+
+
+def _dense_max_mass_within(P, Q, D, level):
+    """The same max-flow on nodes source, rows, columns, sink, with pair
+    capacity twice the larger mass total; returns what `_max_mass_within`
+    returns."""
+    r, c = len(P), len(Q)
+    m = r + c + 2
+    big = 2 * max(sum(P), sum(Q))
+    cap = [[0] * m for _ in range(m)]
+    cap[0][1 : 1 + r] = P
+    for j in range(c):
+        cap[1 + r + j][m - 1] = Q[j]
+    for i in range(r):
+        for j in range(c):
+            if D[i][j] <= level:
+                cap[1 + i][1 + r + j] = big
+    flow = [[0] * m for _ in range(m)]
+    placed = _augment_max_flow(cap, flow, m)
+    mass = [flow[1 + i][1 + r : 1 + r + c] for i in range(r)]
+    rres = [max(P[i] - sum(mass[i]), 0) for i in range(r)]
+    cres = [max(Q[j] - sum(row[j] for row in mass), 0) for j in range(c)]
+    return placed, mass, rres, cres
+
+
+def _flow_instances():
+    """Seeded small instances: Dirichlet, uniform and integer-weight masses
+    with zeros, masses negative within tol, 1e-300 and 5e-324 masses,
+    continuous and tied levels."""
+    rng = rng_stream(41)
+    for t in range(300):
+        r, c = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+        ms = []
+        for k in (r, c):
+            kind = int(rng.integers(3))
+            if kind == 0:
+                w = rng.dirichlet(np.ones(k))
+            elif kind == 1:
+                w = np.full(k, 1.0 / k)
+            else:
+                w = rng.integers(0, 4, k).astype(float)
+                w[0] += 1.0
+                w /= w.sum()
+            ms.append(w)
+        p, q = ms
+        if r > 1 and t % 10 == 0:
+            tiny = [2.0**-40, 1e-300, 5e-324][t // 10 % 3]
+            moved = -tiny if tiny == 2.0**-40 else tiny
+            p[0] += p[1] - moved
+            p[1] = moved
+        if t % 2:
+            d = rng.random((r, c))
+        else:
+            d = rng.integers(0, 5, (r, c)) / 4.0
+        yield p, q, d
+
+
+def test_bipartite_flow_equals_the_dense_network(monkeypatch):
+    results = []
+    for p, q, d in _flow_instances():
+        r = prokhorov_distance(p, q, d)
+        P, Q, _ = coupling_mod._scaled_masses(p, q)
+        for level in sorted(set(d.ravel())):
+            placed, mass, rres, cres = coupling_mod._max_mass_within(P, Q, d.tolist(), level)
+            want = _dense_max_mass_within(P, Q, d.tolist(), level)
+            assert (placed, mass) == want[:2]
+            assert [max(x, 0) for x in rres] == want[2]
+            assert [max(x, 0) for x in cres] == want[3]
+        results.append((p, q, d, r))
+    monkeypatch.setattr(coupling_mod, "_max_mass_within", _dense_max_mass_within)
+    for p, q, d, r in results:
+        ref = prokhorov_distance(p, q, d)
+        assert (repr(r.value), repr(r.breakpoint)) == (repr(ref.value), repr(ref.breakpoint))
+        assert r.coupling.mass.tobytes() == ref.coupling.mass.tobytes()

@@ -17,6 +17,7 @@ from mmsdist import (
     validate_distance_matrix,
 )
 from mmsdist.experiments import sharp_pair
+from mmsdist.ghp import _greedy_coupling_on_pairs
 from mmsdist.sampling import rng_stream
 
 A_LINE = validate_distance_matrix([[0.0, 1, 3], [1, 0, 2], [3, 2, 0]])
@@ -110,6 +111,15 @@ def test_net_strategy_needs_and_uses_coords():
     # an explicit cross grid substitutes for coordinates
     b2 = ghp_upper_bound(plain, plain, "net", cross=np.array([[0.01, 1.0], [1.0, 0.01]]))
     assert b2.upper <= 0.02
+
+
+def test_greedy_net_coupling_keeps_tiny_masses():
+    # the net strategy's coupling runs on the exact scaled masses, so a
+    # 1e-15 atom reaches the coupling instead of being cut as rounding noise
+    mass = _greedy_coupling_on_pairs([1 - 1e-15, 1e-15], [1e-15, 1 - 1e-15], [(0, 0)], (2, 2))
+    assert mass.tolist() == [[1e-15, 1 - 2e-15], [0.0, 1e-15]]
+    assert mass.sum(axis=1).tolist() == [1 - 1e-15, 1e-15]
+    assert mass.sum(axis=0).tolist() == [1e-15, 1 - 1e-15]
 
 
 def test_bounds_uniform_identical():

@@ -67,6 +67,14 @@ def test_empirical_determinism_bitwise():
     assert a.dist.entries.tobytes() == b.dist.entries.tobytes()
     c = empirical_space(sp, 10, seed=123, stream=5)
     assert a.dist.entries.tobytes() != c.dist.entries.tobytes()
+    # a point cloud's sample distances are from_points of the same draws
+    coords = rng_stream(7).random((6, 2))
+    pts = ModelSpace.euclidean_points(coords, [0.1, 0.3, 0.1, 0.2, 0.2, 0.1])
+    e = empirical_space(pts, 10, seed=123, stream=4)
+    idx = sample_indices(pts.weights, 10, rng_stream(123, 4))
+    want = DistanceMatrix.from_points(coords[idx]).entries
+    assert e.dist.entries.tobytes() == want.tobytes()
+    assert empirical_space(pts, 10, seed=123, stream=4).dist.entries.tobytes() == want.tobytes()
 
 
 def test_empirical_rejects_empty():

@@ -362,14 +362,9 @@ class MatrixEnsemble:
         if not atoms:
             raise ValueError("ensemble needs at least one atom")
         n = atoms[0][0].n
-        for m, p in atoms:
-            if m.n != n:
-                raise ValueError("ensemble atoms must share one dimension")
-            if p < -DEFAULT_TOL:
-                raise ValueError(f"negative atom probability {p}")
-        s = sum(p for _, p in atoms)
-        if abs(s - 1.0) > DEFAULT_TOL:
-            raise ValueError(f"atom probabilities sum to {s}, expected 1")
+        if any(m.n != n for m, _ in atoms):
+            raise ValueError("ensemble atoms must share one dimension")
+        as_prob_vector([p for _, p in atoms], what="atom probability vector")
 
     @property
     def n(self) -> int:

@@ -27,7 +27,7 @@ from .core import (
 )
 from .coupling import prokhorov_distance
 from .ghp import ghp_bounds_uniform, ghp_upper_bound
-from .matmetric import DPI_EXACT_LIMIT, dm_distance, dpi_distance
+from .matmetric import DPI_EXACT_LIMIT, _check_symmetric_pair, _dpi_exact, dm_distance, dpi_distance
 from .sampling import (
     ModelSpace,
     enumerate_matrix_ensemble,
@@ -149,9 +149,12 @@ def _relabelling_classes(mats, tol: float):
     permutation (each row sorted, then each column of that; cheap but not
     complete), and a matrix joins a class of its bucket only when its exact
     dpi to the class representative is 0.0, which holds exactly when the two
-    are relabellings of each other.  Returns the class index of every
-    matrix, the representative (first member) of every class and the number
-    of dpi calls made.
+    are relabellings of each other.  That test is the exact dpi search
+    started with an incumbent of math.ulp(0.0), the smallest positive
+    float: only a zero-gap alignment can beat it, so the search drops every
+    prefix with a nonzero gap instead of hunting for the optimum.  Returns
+    the class index of every matrix, the representative (first member) of
+    every class and the number of relabelling tests made.
     """
     buckets: dict = {}
     labels = np.empty(len(mats), dtype=int)
@@ -161,7 +164,8 @@ def _relabelling_classes(mats, tol: float):
         bucket = buckets.setdefault(np.sort(np.sort(m, axis=1), axis=0).tobytes(), [])
         for k in bucket:
             calls += 1
-            if dpi_distance(reps[k], m, tol=tol).value == 0.0:
+            a, b = _check_symmetric_pair(reps[k], m, tol)
+            if _dpi_exact(a, b, below=math.ulp(0.0)).value == 0.0:
                 labels[i] = k
                 break
         else:
@@ -191,9 +195,10 @@ def _ensemble_cross_grid(ens_x, ens_y, distance, tol: float, budget: int):
         label_x, reps_x, calls_x = _relabelling_classes(ax, tol)
         label_y, reps_y, calls_y = _relabelling_classes(ay, tol)
         log.debug(
-            "dpi grid: %d x %d atoms -> %d x %d classes, %d exact dpi calls",
+            "dpi grid: %d x %d atoms -> %d x %d classes, "
+            "%d relabelling tests, %d class-pair dpi calls",
             len(ax), len(ay), len(reps_x), len(reps_y),
-            calls_x + calls_y + len(reps_x) * len(reps_y),
+            calls_x + calls_y, len(reps_x) * len(reps_y),
         )
         ax, ay = reps_x, reps_y
     else:

@@ -15,7 +15,9 @@ strictly above it.
 The permutation quotient minimises over simultaneous row/column
 permutations of B, exactly (depth-first search with prefix pruning) up to a
 configurable size limit, or heuristically (greedy profile assignment plus
-2-swap local search) above it.
+2-swap local search) above it.  The exact search tries one row per class of
+twins of B (rows whose swap leaves B unchanged, as repeated sample points
+do), which cuts the search without changing the value or the witness.
 """
 
 from __future__ import annotations
@@ -284,13 +286,46 @@ def _leaf_gaps(a_list, b_list, perm):
     ]
 
 
-def _dpi_exact(a, b):
+def _twin_prev(b_list):
+    """For each row j of B, the largest i < j whose transposition with j
+    fixes B (relabelling B by it gives B back), or -1.
+
+    Fixing B is an equivalence (a conjugate of a fixing transposition fixes
+    B too), so twins form classes and ``prev`` chains each class upwards.
+    """
+    n = len(b_list)
+    prev = [-1] * n
+    for j in range(n):
+        bj = b_list[j]
+        for i in range(j - 1, -1, -1):
+            bi = b_list[i]
+            if (
+                bi[i] == bj[j]
+                and bi[j] == bj[i]
+                and all(
+                    bi[x] == bj[x] and b_list[x][i] == b_list[x][j]
+                    for x in range(n)
+                    if x != i and x != j
+                )
+            ):
+                prev[j] = i
+                break
+    return prev
+
+
+def _dpi_exact(a, b, below=math.inf):
+    """Exact permutation search; only alignments with value < ``below``
+    count, so with ``below`` = math.ulp(0.0) it decides whether B is a
+    relabelling of A (the value then reads ``below`` when it is not)."""
     n = a.shape[0]
     a_list = a.tolist()
     b_list = b.tolist()
     perm = [-1] * n
     used = [False] * n
-    best = {"value": math.inf, "perm": None, "witness": None}
+    # twins give equal gaps, and the lex-smallest optimum places each twin
+    # class in increasing order, so only the lowest unused twin is tried
+    prev = _twin_prev(b_list)
+    best = {"value": below, "perm": None, "witness": None}
     prefix: list = []  # stack of gap-pair lists, one chunk per depth
     # prefix pairs come in a fixed order per depth, so the gap tuple alone
     # keys the bound; structured matrices repeat patterns across branches
@@ -315,7 +350,7 @@ def _dpi_exact(a, b):
             return
         ar = a_list[k]
         for j in range(n):
-            if used[j]:
+            if used[j] or (prev[j] >= 0 and not used[prev[j]]):
                 continue
             perm[k] = j
             bt = b_list[j]
@@ -386,9 +421,11 @@ def dpi_distance(
     Exact mode runs a depth-first search over permutations with prefix
     pruning (a partial alignment is abandoned once its forced gaps already
     match the incumbent even after maximal allowed exclusion) and is limited
-    to ``exact_limit`` points.  Heuristic mode returns an upper bound and is
-    flagged ``exact=False``.  Ties are broken toward the lexicographically
-    smallest permutation.
+    to ``exact_limit`` points.  It also prunes twins (rows of B whose swap
+    leaves B unchanged): each depth tries only the lowest unused row of a
+    twin class, so twins are aligned in one order only.  Heuristic mode
+    returns an upper bound and is flagged ``exact=False``.  Ties are broken
+    toward the lexicographically smallest permutation.
     """
     a, b = _check_symmetric_pair(a, b, tol)
     n = a.shape[0]

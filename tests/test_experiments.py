@@ -243,16 +243,25 @@ def test_invariant_collision_stays_split():
 
 
 def test_class_grid_logs_its_work(monkeypatch, caplog):
-    calls = []
+    tests, calls = [], []
+    search = experiments._dpi_exact
+
+    def counting_test(*args, **kwargs):
+        tests.append(1)
+        return search(*args, **kwargs)
 
     def counting_dpi(*args, **kwargs):
         calls.append(1)
         return dpi_distance(*args, **kwargs)
 
+    monkeypatch.setattr(experiments, "_dpi_exact", counting_test)
     monkeypatch.setattr(experiments, "dpi_distance", counting_dpi)
     with caplog.at_level(logging.DEBUG, logger="mmsdist"):
         r = check_hoelder_small_n(0.1, 5)
     lines = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("dpi grid")]
     atoms = r.observed["atoms_x"], r.observed["atoms_y"]
-    assert lines == [f"dpi grid: {atoms[0]} x {atoms[1]} atoms -> 3 x 3 classes, {len(calls)} exact dpi calls"]
-    assert len(calls) < atoms[0] * atoms[1]
+    assert lines == [
+        f"dpi grid: {atoms[0]} x {atoms[1]} atoms -> 3 x 3 classes, "
+        f"{len(tests)} relabelling tests, {len(calls)} class-pair dpi calls"
+    ]
+    assert len(tests) + len(calls) < atoms[0] * atoms[1]

@@ -1,15 +1,23 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmsdist import (
     DistanceMatrix,
     DmWitness,
+    FiniteMMS,
+    ModelSpace,
     SizeLimitError,
     dm_distance,
     dpi_distance,
     min_vertex_cover,
 )
-from mmsdist.sampling import rng_stream
+from mmsdist import experiments
+from mmsdist.matmetric import PiWitness, _dpi_exact, _scan_pairs
+from mmsdist.sampling import enumerate_matrix_ensemble, rng_stream
 
 from oracles import dm_bruteforce, dpi_bruteforce, mvc_bruteforce
 
@@ -224,3 +232,178 @@ def test_dm_and_dpi_on_one_point(b):
     assert w.excluded == (() if b < 1.0 else (0,))
     p = dpi_distance([[0.0]], [[b]])
     assert (p.value, p.permutation, p.inner) == (w.value, (0,), w)
+
+
+# ---------------------------------------------------------------------------
+# twin pruning
+
+
+def _dpi_exact_unpruned(a, b):
+    """The exact search before twin pruning, kept as the reference: every
+    unused row of B is tried at every depth."""
+    n = a.shape[0]
+    a_list = a.tolist()
+    b_list = b.tolist()
+    perm = [-1] * n
+    used = [False] * n
+    best = {"value": math.inf, "perm": None, "witness": None}
+    prefix: list = []
+    memo: dict = {}
+
+    def prefix_value(pairs) -> float:
+        key = tuple(g for _, _, g in pairs)
+        val = memo.get(key)
+        if val is None:
+            val = _scan_pairs(pairs, n)
+            memo[key] = val
+        return val
+
+    def dfs(k: int) -> None:
+        if k == n:
+            pairs = [p for chunk in prefix for p in chunk]
+            val, cover, resid = _scan_pairs(pairs, n, want_witness=True)
+            if val < best["value"]:
+                best["value"] = val
+                best["perm"] = tuple(perm)
+                best["witness"] = DmWitness(float(val), tuple(cover), float(resid))
+            return
+        ar = a_list[k]
+        for j in range(n):
+            if used[j]:
+                continue
+            perm[k] = j
+            bt = b_list[j]
+            chunk = [(t, k, abs(ar[t] - bt[perm[t]])) for t in range(k)]
+            chunk.append((k, k, abs(ar[k] - bt[j])))
+            prefix.append(chunk)
+            lb = prefix_value([p for ch in prefix for p in ch])
+            if lb < best["value"]:
+                used[j] = True
+                dfs(k + 1)
+                used[j] = False
+            prefix.pop()
+        perm[k] = -1
+
+    dfs(0)
+    return PiWitness(float(best["value"]), best["perm"], best["witness"], True)
+
+
+EQUILATERAL = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+
+
+def _ground(rng, kind):
+    """Distance matrix of a small ground space; sampling it repeats points."""
+    k = int(rng.integers(1, 5))
+    if kind == "equilateral":
+        return EQUILATERAL
+    if kind == "zero":
+        return np.zeros((k, k))
+    if kind == "lattice":
+        pts = rng.integers(0, 4, size=(k, 2)) * 0.5
+    else:
+        pts = rng.random((k, 2))
+    return DistanceMatrix.from_points(pts).entries
+
+
+def _sampled(rng, kind, n):
+    d = _ground(rng, kind)
+    idx = rng.integers(0, d.shape[0], size=n)
+    return d[np.ix_(idx, idx)]
+
+
+def test_twin_pruned_search_equals_the_unpruned_search():
+    # samples of 1-4 points repeat rows; the lex-smallest optimum places
+    # twins in increasing order, so pruning must not move any witness
+    rng = rng_stream(30)
+    kinds = ["random", "lattice", "equilateral", "zero"]
+    for t in range(1040):
+        n = t % 8 if t < 160 else int(rng.integers(2, 7))
+        a = _sampled(rng, kinds[t % 4], n)
+        b = _sampled(rng, kinds[(t // 4) % 4], n)
+        assert repr(dpi_distance(a, b)) == repr(_dpi_exact_unpruned(a, b))
+
+
+def test_twin_pruning_on_grids_asymmetric_within_tol():
+    # a transposition fixes B only when rows and columns both match, so an
+    # asymmetry below tol splits a twin pair instead of moving the witness
+    rng = rng_stream(31)
+    for t in range(200):
+        n = int(rng.integers(2, 7))
+        a = _sampled(rng, "lattice", n)
+        b = _sampled(rng, "lattice", n)
+        i, j = rng.integers(0, n, size=2)
+        b[i, j] += 1e-12 * (t % 3 - 1)
+        assert repr(dpi_distance(a, b)) == repr(_dpi_exact_unpruned(a, b))
+
+
+def test_zero_bar_decides_relabelling():
+    rng = rng_stream(32)
+    for t in range(300):
+        n = int(rng.integers(0, 7))
+        a = _sampled(rng, ("lattice", "equilateral", "zero")[t % 3], n)
+        p = rng.permutation(n)
+        b = a[np.ix_(p, p)] if t % 2 else _sampled(rng, "lattice", n)
+        bar = _dpi_exact(a, b, below=math.ulp(0.0)).value
+        assert (bar == 0.0) == (_dpi_exact_unpruned(a, b).value == 0.0)
+        assert bar in (0.0, math.ulp(0.0))
+
+
+def _reference_labels(mats):
+    """Class of each matrix: the first earlier class whose representative
+    it matches at unpruned dpi 0.0."""
+    reps: list = []
+    labels = []
+    for m in mats:
+        for k, r in enumerate(reps):
+            if _dpi_exact_unpruned(r, m).value == 0.0:
+                labels.append(k)
+                break
+        else:
+            labels.append(len(reps))
+            reps.append(m)
+    return labels
+
+
+def _three_point_space(d01, d02, d12):
+    d = np.array([[0.0, d01, d02], [d01, 0.0, d12], [d02, d12, 0.0]])
+    space = FiniteMMS(labels=("a", "b", "c"), dist=DistanceMatrix(d), mass=np.full(3, 1 / 3))
+    return ModelSpace.finite(space)
+
+
+@pytest.mark.parametrize("sides, n", [((1.0, 1.5, 2.0), 4), ((1.0, 1.0, 2.0), 4), ((1.0, 1.0, 1.0), 5)])
+def test_relabelling_classes_match_the_unpruned_search(sides, n):
+    mats = [m.entries for m in enumerate_matrix_ensemble(_three_point_space(*sides), n).matrices()]
+    labels = experiments._relabelling_classes(mats, 1e-9)[0]
+    assert labels.tolist() == _reference_labels(mats)
+
+
+@st.composite
+def _twin_rich_pair(draw, min_n=0):
+    """Two samples of min_n <= n <= 6 points from 1-3-point spaces on a
+    half-step lattice, plus a relabelling of each."""
+    n = draw(st.integers(min_n, 6))
+    mats = []
+    for _ in range(2):
+        k = draw(st.integers(1, 3))
+        halves = draw(st.lists(st.integers(0, 3), min_size=2 * k, max_size=2 * k))
+        pts = np.array(halves, float).reshape(k, 2) / 2
+        idx = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+        mats.append(DistanceMatrix.from_points(pts).entries[np.ix_(idx, idx)])
+    perms = [np.array(draw(st.permutations(range(n))), dtype=int) for _ in range(2)]
+    return mats[0], mats[1], perms
+
+
+@settings(max_examples=80, deadline=None)
+@given(_twin_rich_pair(min_n=1))  # the oracle enumerates no permutation at n = 0
+def test_dpi_on_twin_rich_samples_matches_bruteforce(inst):
+    a, b, _ = inst
+    assert dpi_distance(a, b).value == dpi_bruteforce(a, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_twin_rich_pair())
+def test_dpi_on_twin_rich_samples_ignores_relabelling(inst):
+    a, b, (p, q) = inst
+    value = dpi_distance(a, b).value
+    assert dpi_distance(a[np.ix_(p, p)], b).value == value
+    assert dpi_distance(a, b[np.ix_(q, q)]).value == value

@@ -119,6 +119,16 @@ def test_ensemble_constructor_invariants():
         MatrixEnsemble(atoms=((one, 1.5), (one, -0.5)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_ensemble_rejects_non_finite_probabilities(bad):
+    # NaN passed both the sign and the sum check, since every NaN comparison is false
+    from mmsdist import MatrixEnsemble
+
+    m = DistanceMatrix(np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="non-finite"):
+        MatrixEnsemble(atoms=((m, bad), (m, 1.0)))
+
+
 def test_ensemble_matches_monte_carlo_chisquare():
     # two-point space, two draws: the matrix is zero or the far matrix
     eps = 0.1

@@ -97,12 +97,7 @@ def delta_of_coupling(c: Coupling, tol: float = DEFAULT_TOL) -> float:
     of max(d_k, 1 - C_k), with C_k the cumulative mass at d_k (plus the
     virtual level 0 when no pair sits at distance 0).
     """
-    mass = c.mass.ravel()
-    if float(mass.min(initial=0.0)) < -tol:
-        raise ValueError("coupling has negative mass")
-    total = float(mass.sum())
-    if abs(total - 1.0) > tol:
-        raise ValueError(f"coupling mass totals {total}, expected 1")
+    mass = as_prob_vector(c.mass.ravel(), tol, "coupling mass")
     dist = c.ground_dist.ravel()
     if np.isnan(dist).any():
         raise ValueError("coupling has a NaN ground distance")

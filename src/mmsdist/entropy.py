@@ -39,8 +39,13 @@ def kl_divergence(nu, mu, tol: float = DEFAULT_TOL) -> float:
     mv = as_prob_vector(mu, tol, "mu")
     if nv.size != mv.size:
         raise ValueError(f"length mismatch: {nv.size} vs {mv.size}")
+    return _kl(zip(nv, mv))
+
+
+def _kl(pairs) -> float:
+    """Sum of a*log(a/b) over the (nu_i, mu_i) pairs, unvalidated."""
     total = 0.0
-    for a, b in zip(nv, mv):
+    for a, b in pairs:
         if a <= 0.0:
             continue
         if b <= 0.0:
@@ -81,18 +86,6 @@ def find_isometric_embeddings(y: FiniteMMS, x: FiniteMMS, tol: float = DEFAULT_T
     return EmbeddingSet(maps=tuple(found))
 
 
-def _pushforward_kl(nu, iota, mu) -> float:
-    total = 0.0
-    for j, a in enumerate(nu):
-        if a <= 0.0:
-            continue
-        b = mu[iota[j]]
-        if b <= 0.0:
-            return math.inf
-        total += a * math.log(a / b)
-    return total
-
-
 def relative_entropy_witness(y: FiniteMMS, x: FiniteMMS, tol: float = DEFAULT_TOL) -> tuple:
     """``(value, embedding, embedding_count)`` from one enumeration of the
     isometric embeddings of y into x: the minimum divergence of the
@@ -102,7 +95,7 @@ def relative_entropy_witness(y: FiniteMMS, x: FiniteMMS, tol: float = DEFAULT_TO
     maps = find_isometric_embeddings(y, x, tol).maps
     if not maps:
         return math.inf, None, 0
-    kls = [_pushforward_kl(y.mass, iota, x.mass) for iota in maps]
+    kls = [_kl(zip(y.mass, x.mass[list(iota)])) for iota in maps]
     k = kls.index(min(kls))
     return kls[k], maps[k], len(maps)
 

@@ -27,7 +27,14 @@ from .core import (
 )
 from .coupling import prokhorov_distance
 from .ghp import ghp_bounds_uniform, ghp_upper_bound
-from .matmetric import DPI_EXACT_LIMIT, _check_symmetric_pair, _dpi_exact, dm_distance, dpi_distance
+from .matmetric import (
+    DPI_EXACT_LIMIT,
+    _check_exact_limit,
+    _check_symmetric_pair,
+    _dpi_exact,
+    dm_distance,
+    dpi_distance,
+)
 from .sampling import (
     ModelSpace,
     enumerate_matrix_ensemble,
@@ -178,7 +185,8 @@ def _relabelling_classes(mats, tol: float):
 def _ensemble_cross_grid(ens_x, ens_y, distance, tol: float, budget: int):
     """Grid of ``distance`` (dm_distance or dpi_distance) between two
     ensembles' atoms; raises :class:`BudgetError` before allocating when it
-    has more than ``budget`` cells.
+    has more than ``budget`` cells, and :class:`SizeLimitError` before
+    classifying any atom when a dpi grid's matrices exceed the exact limit.
 
     dpi is invariant under relabelling either matrix, so its grid is built
     on permutation classes (:func:`_relabelling_classes`): one exact dpi per
@@ -192,6 +200,7 @@ def _ensemble_cross_grid(ens_x, ens_y, distance, tol: float, budget: int):
     if len(ax) * len(ay) > budget:
         raise BudgetError(f"{len(ax)} x {len(ay)} grid exceeds the budget of {budget}")
     if distance is dpi_distance:
+        _check_exact_limit(max(ens_x.n, ens_y.n))
         label_x, reps_x, calls_x = _relabelling_classes(ax, tol)
         label_y, reps_y, calls_y = _relabelling_classes(ay, tol)
         log.debug(
@@ -377,10 +386,7 @@ def check_sharp_exponent(
     try:
         if 2**n > budget:
             raise BudgetError(f"2^{n} exceeds the budget")
-        if n > DPI_EXACT_LIMIT:
-            raise SizeLimitError(
-                f"exact permutation search limited to n <= {DPI_EXACT_LIMIT}, got {n}"
-            )
+        _check_exact_limit(n)
         x, y = sharp_pair(c, epsilon)
         ens_x = enumerate_matrix_ensemble(ModelSpace.finite(x), n, budget)
         ens_y = enumerate_matrix_ensemble(ModelSpace.finite(y), n, budget)

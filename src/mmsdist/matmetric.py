@@ -12,6 +12,11 @@ problem per candidate gap threshold.  The value returned is the infimum
 itself; the feasibility certificate (lambda, residual) holds for every rho
 strictly above it.
 
+dm, the exact search and the heuristic read every gap by one rule: the
+pair {t, k} with t <= k has gap |a_kt - b_kt| (the lower triangle, the
+diagonal included).  On grids symmetric only within tol, this choice moves
+dm by at most tol.
+
 The permutation quotient minimises over simultaneous row/column
 permutations of B, exactly (depth-first search with prefix pruning) up to a
 configurable size limit, or heuristically (greedy profile assignment plus
@@ -46,8 +51,8 @@ class DmWitness:
     """Certified result of the exclusion-tolerant distance.
 
     ``excluded`` is the optimal index set lambda (0-based); ``max_residual``
-    is the largest entry gap outside it.  Both |excluded| <= n*value and
-    max_residual <= value hold by construction.
+    is the largest gap |a_kt - b_kt| (t <= k) outside it.  Both
+    |excluded| <= n*value and max_residual <= value hold by construction.
     """
 
     value: float
@@ -60,8 +65,10 @@ class PiWitness:
     """Result of the permutation-quotient distance.
 
     ``permutation[i]`` is the B-index aligned with A-index i, i.e. the value
-    equals dm_distance(A, B[perm][:, perm]).  ``exact`` is False when the
-    value is only a heuristic upper bound.
+    equals dm_distance(A, B[perm][:, perm]) and ``inner`` is that DmWitness;
+    both read the gaps by the same rule, so this holds on grids asymmetric
+    within tol too.  ``exact`` is False when the value is only a heuristic
+    upper bound.
     """
 
     value: float
@@ -193,22 +200,26 @@ def _check_symmetric_pair(a, b, tol):
     return a, b
 
 
-def _gap_pairs(a, b):
-    """All pairs (i, j, |a_ij - b_ij|) with i <= j, diagonal included."""
-    n = a.shape[0]
-    g = np.abs(a - b)
-    g = np.maximum(g, g.T)  # bitwise-symmetric gaps
-    return [(i, j, float(g[i, j])) for i in range(n) for j in range(i, n)]
+def _row_gaps(ar, b_list, perm, k):
+    """Row k of A against the rows t <= k before it, aligned by ``perm``:
+    the pairs (t, k, |a_kt - b_perm[k]perm[t]|).  This is the one gap rule;
+    on a grid asymmetric within tol it reads the lower triangle."""
+    bk = b_list[perm[k]]
+    return [(t, k, abs(ar[t] - bk[perm[t]])) for t in range(k + 1)]
 
 
-def _scan_pairs(pairs, denom, want_witness=False, good_enough=None):
+def _gaps(a_list, b_list, perm):
+    """Every gap pair of A against B aligned by ``perm``, row by row."""
+    return [p for k, ar in enumerate(a_list) for p in _row_gaps(ar, b_list, perm, k)]
+
+
+def _scan_pairs(pairs, denom):
     """Minimise max(threshold, cover_size/denom) over gap thresholds.
 
-    ``pairs`` lists (i, j, gap) for i <= j.  Thresholds run over the
-    distinct positive gaps in decreasing order plus 0; at threshold t the
-    pairs with gap > t must be covered.  With ``good_enough`` set, returns
-    as soon as the incumbent drops below it (the caller only needs to know
-    whether the exact value clears that bar).
+    ``pairs`` lists (t, k, gap) for t <= k, as :func:`_row_gaps` builds
+    them.  Thresholds run over the distinct positive gaps in decreasing
+    order plus 0; at threshold t the pairs with gap > t must be covered.
+    Returns the minimum and an optimal cover.
     """
     nverts = 0
     for i, j, _ in pairs:
@@ -245,18 +256,20 @@ def _scan_pairs(pairs, denom, want_witness=False, good_enough=None):
         if val < inc:
             inc = val
             best_cover = cover
-            if good_enough is not None and inc < good_enough:
-                return inc  # caller only probes against the bar
         if share >= inc:
             break
-    if not want_witness:
-        return inc
-    ex = set(best_cover)
+    return inc, best_cover
+
+
+def _witness(pairs, value, cover) -> DmWitness:
+    """The scan's result as a DmWitness, with the largest gap outside the
+    cover as residual."""
+    ex = set(cover)
     resid = 0.0
     for i, j, g in pairs:
         if i not in ex and j not in ex and g > resid:
             resid = g
-    return inc, best_cover, resid
+    return DmWitness(float(value), tuple(cover), float(resid))
 
 
 def dm_distance(a, b, tol: float = DEFAULT_TOL) -> DmWitness:
@@ -267,23 +280,12 @@ def dm_distance(a, b, tol: float = DEFAULT_TOL) -> DmWitness:
     symmetric grids of equal size is accepted.
     """
     a, b = _check_symmetric_pair(a, b, tol)
-    n = a.shape[0]
-    pairs = _gap_pairs(a, b)
-    value, cover, resid = _scan_pairs(pairs, n, want_witness=True)
-    return DmWitness(value=float(value), excluded=tuple(cover), max_residual=float(resid))
+    pairs = _gaps(a.tolist(), b.tolist(), range(a.shape[0]))
+    return _witness(pairs, *_scan_pairs(pairs, a.shape[0]))
 
 
 # ---------------------------------------------------------------------------
 # permutation quotient
-
-
-def _leaf_gaps(a_list, b_list, perm):
-    n = len(perm)
-    return [
-        (i, j, abs(a_list[i][j] - b_list[perm[i]][perm[j]]))
-        for i in range(n)
-        for j in range(i, n)
-    ]
 
 
 def _twin_prev(b_list):
@@ -313,6 +315,12 @@ def _twin_prev(b_list):
     return prev
 
 
+def _check_exact_limit(n: int, limit: int = DPI_EXACT_LIMIT) -> None:
+    """Raise :class:`SizeLimitError` when n exceeds the exact search's limit."""
+    if n > limit:
+        raise SizeLimitError(f"exact permutation search limited to n <= {limit}, got {n}")
+
+
 def _dpi_exact(a, b, below=math.inf):
     """Exact permutation search; only alignments with value < ``below``
     count, so with ``below`` = math.ulp(0.0) it decides whether B is a
@@ -335,28 +343,25 @@ def _dpi_exact(a, b, below=math.inf):
         key = tuple(g for _, _, g in pairs)
         val = memo.get(key)
         if val is None:
-            val = _scan_pairs(pairs, n)
+            val = _scan_pairs(pairs, n)[0]
             memo[key] = val
         return val
 
     def dfs(k: int) -> None:
         if k == n:
             pairs = [p for chunk in prefix for p in chunk]
-            val, cover, resid = _scan_pairs(pairs, n, want_witness=True)
+            val, cover = _scan_pairs(pairs, n)
             if val < best["value"]:
                 best["value"] = val
                 best["perm"] = tuple(perm)
-                best["witness"] = DmWitness(float(val), tuple(cover), float(resid))
+                best["witness"] = _witness(pairs, val, cover)
             return
         ar = a_list[k]
         for j in range(n):
             if used[j] or (prev[j] >= 0 and not used[prev[j]]):
                 continue
             perm[k] = j
-            bt = b_list[j]
-            chunk = [(t, k, abs(ar[t] - bt[perm[t]])) for t in range(k)]
-            chunk.append((k, k, abs(ar[k] - bt[j])))
-            prefix.append(chunk)
+            prefix.append(_row_gaps(ar, b_list, perm, k))
             lb = prefix_value([p for ch in prefix for p in ch])
             if lb < best["value"]:
                 used[j] = True
@@ -384,29 +389,25 @@ def _dpi_heuristic(a, b):
     for ra, rb in zip(order_a, order_b):
         perm[int(ra)] = int(rb)
 
-    def value_of(p, bar=None):
-        return _scan_pairs(_leaf_gaps(a_list, b_list, p), n, good_enough=bar)
+    def scan(p):  # (pairs, value, cover) of the alignment p
+        pairs = _gaps(a_list, b_list, p)
+        return (pairs, *_scan_pairs(pairs, n))
 
-    cur = value_of(perm)
+    cur = scan(perm)
     improved = True
     while improved:
         improved = False
         for i in range(n):
             for j in range(i + 1, n):
                 perm[i], perm[j] = perm[j], perm[i]
-                trial = value_of(perm, bar=cur)
-                if trial < cur:
-                    cur = value_of(perm)  # exact value after an early-exit probe
+                trial = scan(perm)
+                if trial[1] < cur[1]:
+                    cur = trial
                     improved = True
                 else:
                     perm[i], perm[j] = perm[j], perm[i]
-    val, cover, resid = _scan_pairs(_leaf_gaps(a_list, b_list, perm), n, want_witness=True)
-    return PiWitness(
-        value=float(val),
-        permutation=tuple(perm),
-        inner=DmWitness(float(val), tuple(cover), float(resid)),
-        exact=False,
-    )
+    inner = _witness(*cur)
+    return PiWitness(value=inner.value, permutation=tuple(perm), inner=inner, exact=False)
 
 
 def dpi_distance(
@@ -430,10 +431,7 @@ def dpi_distance(
     a, b = _check_symmetric_pair(a, b, tol)
     n = a.shape[0]
     if mode == "exact":
-        if n > exact_limit:
-            raise SizeLimitError(
-                f"exact permutation search limited to n <= {exact_limit}, got {n}"
-            )
+        _check_exact_limit(n, exact_limit)
         return _dpi_exact(a, b)
     if mode == "heuristic":
         return _dpi_heuristic(a, b)

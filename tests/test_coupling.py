@@ -73,6 +73,10 @@ def test_delta_rejects_bad_mass():
         delta_of_coupling(Coupling(mass=[[1.5, -0.5]], ground_dist=[[0.0, 1.0]]))
     with pytest.raises(ValueError, match="NaN"):
         delta_of_coupling(Coupling(mass=[[0.5, 0.5]], ground_dist=[[0.0, np.nan]]))
+    # a NaN mass used to pass both the sign and the total check and give 0.0
+    for bad in ([[np.nan, 1.0]], [[np.inf, 1.0]], [[-np.inf, 1.0]]):
+        with pytest.raises(ValueError, match="non-finite"):
+            delta_of_coupling(Coupling(mass=bad, ground_dist=[[0.0, 1.0]]))
 
 
 def test_prokhorov_identical_measures():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mmsdist import DistanceMatrix, FiniteMMS, ModelSpace, dpi_distance
+from mmsdist import DistanceMatrix, FiniteMMS, ModelSpace, SizeLimitError, dpi_distance
 from mmsdist import experiments
 from mmsdist.experiments import (
     binomial_tail_above,
@@ -180,6 +180,15 @@ def test_sharp_defaults_skip_before_enumerating(monkeypatch):
     r = check_sharp_exponent()
     assert r.observed["window_n"] > DPI_EXACT_LIMIT
     assert r.notes[0].endswith("exact ensemble step skipped")
+
+
+def test_hoelder_above_dpi_limit_raises_before_classifying(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("atoms classified although the dpi grid is over the limit")
+
+    monkeypatch.setattr(experiments, "_dpi_exact", refuse)
+    with pytest.raises(SizeLimitError, match=f"limited to n <= {DPI_EXACT_LIMIT}, got 9"):
+        check_hoelder_small_n(0.1, 9)
 
 
 def _two_point_model(diameter, eps, label):

@@ -235,6 +235,59 @@ def test_dm_and_dpi_on_one_point(b):
 
 
 # ---------------------------------------------------------------------------
+# one gap rule: the dpi witness is the dm witness of the aligned grid
+
+
+def _aligned(b, perm):
+    p = np.asarray(perm, dtype=int)
+    return b[np.ix_(p, p)]
+
+
+@pytest.mark.parametrize("mode", ["exact", "heuristic"])
+def test_dpi_witness_is_dm_of_the_aligned_grid_within_tol(mode):
+    # both triangles moved apart by 5e-10 < tol: dm, the exact search and
+    # the heuristic read every gap by the same rule, so the promise holds
+    rng = rng_stream(33)
+    for _ in range(150):
+        n = int(rng.integers(2, 7))
+        a, b = (_random_symmetric(rng, n) for _ in range(2))
+        upper = np.triu_indices(n, 1)
+        for m in (a, b):
+            m[upper] += rng.choice([-5e-10, 5e-10], size=upper[0].size)
+        w = dpi_distance(a, b, mode=mode)
+        inner = dm_distance(a, _aligned(b, w.permutation))
+        assert w.value == inner.value and w.inner == inner
+
+
+@st.composite
+def _symmetric_pair(draw):
+    """Two exactly symmetric grids of 0 <= n <= 6 points, diagonal included."""
+    n = draw(st.integers(0, 6))
+    mats = []
+    for _ in range(2):
+        m = np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=n * n, max_size=n * n)))
+        m = m.reshape(n, n)
+        mats.append(np.triu(m) + np.triu(m, 1).T)
+    return mats
+
+
+@settings(max_examples=80, deadline=None)
+@given(_symmetric_pair())
+def test_exact_dpi_at_most_dm(pair):
+    a, b = pair
+    assert dpi_distance(a, b).value <= dm_distance(a, b).value
+
+
+@settings(max_examples=80, deadline=None)
+@given(_symmetric_pair(), st.sampled_from(["exact", "heuristic"]))
+def test_dpi_witness_is_dm_of_the_aligned_grid(pair, mode):
+    a, b = pair
+    w = dpi_distance(a, b, mode=mode)
+    inner = dm_distance(a, _aligned(b, w.permutation))
+    assert w.value == inner.value and w.inner == inner
+
+
+# ---------------------------------------------------------------------------
 # twin pruning
 
 
@@ -254,14 +307,15 @@ def _dpi_exact_unpruned(a, b):
         key = tuple(g for _, _, g in pairs)
         val = memo.get(key)
         if val is None:
-            val = _scan_pairs(pairs, n)
+            val = _scan_pairs(pairs, n)[0]
             memo[key] = val
         return val
 
     def dfs(k: int) -> None:
         if k == n:
             pairs = [p for chunk in prefix for p in chunk]
-            val, cover, resid = _scan_pairs(pairs, n, want_witness=True)
+            val, cover = _scan_pairs(pairs, n)
+            resid = max((g for i, j, g in pairs if i not in cover and j not in cover), default=0.0)
             if val < best["value"]:
                 best["value"] = val
                 best["perm"] = tuple(perm)

@@ -4,9 +4,10 @@
   >= 1 - r sits on pairs within distance r (non-strict on both sides, per
   the definition it implements),
 * the Levy-Prokhorov distance between two discrete measures, computed
-  exactly by scanning distance breakpoints with a max-flow feasibility
-  subproblem per breakpoint (the Hall/Strassen coupling value), solved by
-  Edmonds-Karp on the bipartite network source -> rows -> columns -> sink,
+  exactly by a galloping search over the distance levels with a max-flow
+  feasibility subproblem at each level probed (the Hall/Strassen coupling
+  value), solved by Edmonds-Karp on the bipartite network source -> rows
+  -> columns -> sink,
 * Birkhoff decomposition of doubly stochastic grids,
 * maximum bipartite matching under a distance cap (augmenting paths),
 * the same-support overlap bound 1 - sum_i min(p_i, q_i).
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -197,6 +197,31 @@ def _northwest_fill(rres, cres, mass):
         cres[j] -= take
 
 
+def _first_true(pred, lo: int, hi: int) -> int:
+    """Least k in [lo, hi) with pred(k), else hi, for a pred that is false
+    up to some index and true from there on.
+
+    Galloping search (Bentley & Yao, Inf. Process. Lett. 5, 1976): probes
+    lo, lo + 1, lo + 3, lo + 7, ... (the last capped at hi - 1) until one is
+    true, then bisects the gap behind it, so an answer lo + k costs about
+    2 log2(k + 1) + 1 probes.
+    """
+    start, off = lo, 0
+    while lo < hi:
+        k = min(start + off, hi - 1)
+        if pred(k):
+            hi = k
+            break
+        lo, off = k + 1, 2 * off + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def prokhorov_distance(
     p,
     q,
@@ -207,21 +232,28 @@ def prokhorov_distance(
     """Exact Levy-Prokhorov distance between two discrete measures over an
     explicit cross-distance grid.
 
-    Scans the sorted distinct distance values; at level v a max-flow gives
-    the largest coupling mass placeable on pairs within v, and the minimum
-    over levels of max(v, unplaced mass) is the distance.  The scan stops
-    at the first level v no smaller than the best value so far.  The
-    witness coupling is the best level's r x c flow, with its row and
-    column residuals spread by northwest-corner filling (that leftover
-    mass provably lands on pairs beyond the level).
+    At level v a max-flow gives the largest coupling mass placeable on
+    pairs within v, and the minimum over the sorted distinct levels v_k of
+    max(v_k, unplaced share u_k) is the distance; the first level that
+    attains it is the breakpoint.  Since v_k increases and u_k does not,
+    the levels with u_k <= v_k form a suffix starting at k*, and the
+    minimum sits at k* or at the first level whose unplaced mass equals
+    that of level k* - 1.  Both are found by galloping search, so a call
+    solves O(log N) of its N level flows; a level at or above a value
+    already probed needs no flow.  The witness coupling is the breakpoint's
+    r x c flow, with its row and column residuals spread by
+    northwest-corner filling (that leftover mass provably lands on pairs
+    beyond the level).
 
     No arithmetic rounds: every float mass is a dyadic rational, so scaled
     by the largest mass denominator (one power of two) the masses are
     Python ints and the flow runs on them.  The unplaced mass is taken as a
     share of max(sum p, sum q), so identical measures give exactly 0;
-    level values are compared as exact rationals, and the witness masses
-    are the correctly rounded quotients flow / denominator.  ``exact`` is
-    accepted for compatibility and ignored: every call is exact.
+    levels and shares are compared as exact integer cross products, the
+    value is the correctly rounded share or the level itself, and the
+    witness masses are the correctly rounded quotients flow / denominator.
+    ``exact`` is accepted for compatibility and ignored: every call is
+    exact.
     """
     pv = as_prob_vector(p, tol, "first marginal")
     qv = as_prob_vector(q, tol, "second marginal")
@@ -243,33 +275,57 @@ def prokhorov_distance(
     levels = sorted({x for row in D for x in row})
     if not levels or levels[0] > 0.0:
         levels.insert(0, 0.0)
+    n_levels = len(levels)
 
-    # levels stay floats for the grid comparisons, since Fraction(float)
-    # keeps float order; level values are Fractions
-    best = None  # (value, level, (flow, row residuals, column residuals))
-    probed = 0
-    for level in levels:
-        v = Fraction(level)
-        if best is not None and v >= best[0]:
-            break
-        placed, *witness = _max_mass_within(P, Q, D, level)
-        probed += 1
-        val = max(v, Fraction(total - placed, total))
-        if best is None or val < best[0]:
-            best = val, v, witness
+    flows = {}  # level index -> (unplaced mass, [flow, row and column residuals])
 
-    # witness coupling: the best level's flow plus its residuals
-    val, v, (mass, rres, cres) = best
+    def unplaced(k):
+        if k not in flows:
+            placed, *witness = _max_mass_within(P, Q, D, levels[k])
+            flows[k] = total - placed, witness
+        return flows[k][0]
+
+    def at_most(u, k):  # u / total <= levels[k], exactly
+        num, den = levels[k].as_integer_ratio()
+        return u * den <= num * total
+
+    def settled(k):
+        # u_k / total <= v_k; u_k is at most the unplaced mass of any probed
+        # level below k, so one of those may settle it without a flow
+        below = [i for i in flows if i <= k]
+        if below and at_most(flows[max(below)][0], k):
+            return True
+        return at_most(unplaced(k), k)
+
+    pick = kstar = _first_true(settled, 0, n_levels)
+    # before k* the value is the unplaced share, which does not increase:
+    # its minimum is the share a of level k* - 1 (probed, as the search
+    # found it unsettled), first reached at a level j found by search, and
+    # the first minimum overall when a / total <= v_k*
+    if kstar:
+        a = unplaced(kstar - 1)
+        if kstar == n_levels or at_most(a, kstar):
+            lo = 1 + max((k for k in flows if flows[k][0] > a), default=-1)
+            hi = min(k for k in flows if flows[k][0] <= a)
+            pick = _first_true(lambda k: unplaced(k) <= a, lo, hi)
+    u = unplaced(pick)  # probed already: no level is solved twice
+    value = u / total if pick < kstar else levels[pick]
+
+    # witness coupling: the breakpoint's flow plus its residuals
+    mass, rres, cres = flows[pick][1]
     _northwest_fill(rres, cres, mass)
     log.debug(
-        "prokhorov: %d x %d atoms, %d levels probed, one max-flow each",
-        len(P), len(Q), probed,
+        "prokhorov: %d x %d atoms, %d of %d levels probed, one max-flow each",
+        len(P), len(Q), len(flows), n_levels,
     )
     coupling = Coupling(
         mass=np.array([[x / one for x in row] for row in mass]),
         ground_dist=d,
     )
-    return ProkhorovResult(value=max(0.0, float(val)), coupling=coupling, breakpoint=float(v))
+    # + 0.0 maps a -0.0 level to 0.0, as max(0.0, .) does for the value
+    return ProkhorovResult(
+        value=max(0.0, value), coupling=coupling, breakpoint=levels[pick] + 0.0
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +383,11 @@ def _max_matching(allowed: np.ndarray):
 
 def epsilon_matching(dist_grid, epsilon: float) -> EpsMatching:
     """Maximum-cardinality matching among pairs at distance < epsilon."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not epsilon > 0:  # NaN fails this too
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     d = np.asarray(dist_grid, dtype=float)
+    if not np.isfinite(d).all():
+        raise ValueError("distance grid has a non-finite entry")
     allowed = d < epsilon
     _, match_l = _max_matching(allowed)
     pairs = tuple((i, j) for i, j in enumerate(match_l) if j != -1)
@@ -351,6 +409,8 @@ def birkhoff_decompose(s, tol: float = DEFAULT_TOL) -> BirkhoffDecomposition:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square grid, got shape {a.shape}")
     n = a.shape[0]
+    if not np.isfinite(a).all():
+        raise ValueError("grid has a non-finite entry")
     if float(a.min()) < -tol:
         raise ValueError(f"negative entry {float(a.min())}")
     rows = a.sum(axis=1)

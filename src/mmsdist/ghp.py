@@ -15,6 +15,7 @@ bilinear problem, and the sandwich above is all the downstream checks need.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,6 @@ from .core import (
     DistanceMatrix,
     FiniteMMS,
     GluingError,
-    SizeLimitError,
     theta_map,
 )
 from .coupling import (
@@ -50,6 +50,8 @@ __all__ = [
 ]
 
 STRATEGIES = ("permutation", "identify", "net")
+
+log = logging.getLogger("mmsdist")
 
 
 class StrategyError(ValueError):
@@ -249,16 +251,21 @@ def _net_bound(x: FiniteMMS, y: FiniteMMS, tol: float, cross=None) -> GhpBound:
     candidates = np.unique(cross)
     candidates = candidates[candidates > 0]
     best = None
+    # equal pairs give equal bridges, gluing and value, and the strict <
+    # keeps the first, so each distinct matching is glued once
+    seen = set()
     for eps in candidates:
         matching = epsilon_matching(cross, float(eps))
-        if not matching.pairs:
+        if not matching.pairs or matching.pairs in seen:
             continue
+        seen.add(matching.pairs)
         bridges = [(i, j, float(cross[i, j])) for i, j in matching.pairs]
         glued = _glue(x, y, bridges, tol)
         mass = _greedy_coupling_on_pairs(x.mass, y.mass, matching.pairs, (x.n, y.n))
         val = delta_of_coupling(Coupling(mass=mass, ground_dist=glued.cross), tol)
         if best is None or val < best[0]:
             best = (val, glued)
+    log.debug("net: %d eps levels, %d distinct matchings glued", len(candidates), len(seen))
     if best is None:
         raise StrategyError("no epsilon level yields a nonempty matching")
     _, glued = best
@@ -335,10 +342,6 @@ def ghp_bounds_uniform(
     """
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    if a.n > exact_limit:
-        raise SizeLimitError(
-            f"uniform bounds need the exact permutation search (n <= {exact_limit})"
-        )
     x, y = theta_map(a), theta_map(b)
     pi = dpi_distance(a.entries, b.entries, mode="exact", exact_limit=exact_limit, tol=tol)
     best = _permutation_bound(x, y, tol, exact_limit, pi=pi)

@@ -1,4 +1,6 @@
 import logging
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -433,8 +435,8 @@ def test_prokhorov_logs_its_flows(monkeypatch, caplog, exact):
     with caplog.at_level(logging.DEBUG, logger="mmsdist"):
         prokhorov_distance(p, q, d, exact=exact)
     lines = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("prokhorov")]
-    # one max-flow per level probed: the best level's flow is the witness
-    assert lines == [f"prokhorov: 4 x 3 atoms, {len(calls)} levels probed, one max-flow each"]
+    # one max-flow per level probed: the breakpoint's flow is the witness
+    assert lines == [f"prokhorov: 4 x 3 atoms, {len(calls)} of 13 levels probed, one max-flow each"]
     assert len(calls) > 1
     assert types == {int}  # float masses become scaled ints whatever the keyword
 
@@ -543,3 +545,105 @@ def test_bipartite_flow_equals_the_dense_network(monkeypatch):
         ref = prokhorov_distance(p, q, d)
         assert (repr(r.value), repr(r.breakpoint)) == (repr(ref.value), repr(ref.breakpoint))
         assert r.coupling.mass.tobytes() == ref.coupling.mass.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the galloping search against the level-by-level scan it replaced
+
+
+def _prokhorov_scan(p, q, d):
+    """One max-flow per sorted level until a level reaches the best value
+    so far, in exact rationals: (value, breakpoint, coupling mass)."""
+    P, Q, one = coupling_mod._scaled_masses(p, q)
+    D = np.asarray(d, dtype=float).tolist()
+    total = max(sum(P), sum(Q))
+    levels = sorted({x for row in D for x in row})
+    if not levels or levels[0] > 0.0:
+        levels.insert(0, 0.0)
+    best = None
+    for level in levels:
+        v = Fraction(level)
+        if best is not None and v >= best[0]:
+            break
+        placed, *witness = coupling_mod._max_mass_within(P, Q, D, level)
+        val = max(v, Fraction(total - placed, total))
+        if best is None or val < best[0]:
+            best = val, v, witness
+    val, v, (mass, rres, cres) = best
+    coupling_mod._northwest_fill(rres, cres, mass)
+    return max(0.0, float(val)), float(v), np.array([[x / one for x in row] for row in mass])
+
+
+def _assert_search_equals_scan(monkeypatch, p, q, d):
+    calls = []
+    flow = coupling_mod._max_mass_within
+
+    def counting_flow(*args):
+        calls.append(1)
+        return flow(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(coupling_mod, "_max_mass_within", counting_flow)
+        r = prokhorov_distance(p, q, d)
+    value, breakpoint, mass = _prokhorov_scan(p, q, d)
+    assert (repr(r.value), repr(r.breakpoint)) == (repr(value), repr(breakpoint))
+    assert r.coupling.mass.tobytes() == mass.tobytes()
+    n_levels = len({float(x) for x in np.ravel(d)} | {0.0})
+    assert len(calls) <= 4 * math.ceil(math.log2(n_levels)) + 4
+
+
+def test_galloping_search_equals_the_level_scan(monkeypatch):
+    # the flow instances, again with their zero levels written as -0.0,
+    # then 1 x 1 grids and larger continuous grids with hundreds of levels
+    for p, q, d in _flow_instances():
+        _assert_search_equals_scan(monkeypatch, p, q, d)
+        if (d == 0).any():
+            _assert_search_equals_scan(monkeypatch, p, q, np.where(d == 0, -0.0, d))
+    for level in (0.0, -0.0, 0.5, 2.0):
+        _assert_search_equals_scan(monkeypatch, [1.0], [1.0], [[level]])
+    rng = rng_stream(42)
+    for n in (12, 16, 20, 24):
+        p, q = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+        _assert_search_equals_scan(monkeypatch, p, q, rng.random((n, n)))
+
+
+@st.composite
+def _search_instances(draw):
+    """Integer weights with zeros, the last mass moved to 5e-324 or to
+    -2^-40 (negative within tol), and levels with ties, -0.0 and 0.0."""
+    ms = []
+    for _ in range(2):
+        w = np.array(draw(st.lists(st.integers(0, 4), min_size=1, max_size=6).filter(any)), float)
+        w /= w.sum()
+        if w.size > 1:
+            tiny = draw(st.sampled_from([0.0, 5e-324, -(2.0**-40)]))
+            w[0] += w[-1] - tiny
+            w[-1] = tiny
+        ms.append(w)
+    p, q = ms
+    level = st.one_of(st.sampled_from([-0.0, 0.0, 0.25, 1 / 3, 0.5, 1.0]), st.floats(0.0, 2.0))
+    cells = draw(st.lists(level, min_size=p.size * q.size, max_size=p.size * q.size))
+    return p, q, np.array(cells).reshape(p.size, q.size)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_search_instances())
+def test_galloping_search_equals_the_level_scan_property(inst):
+    with pytest.MonkeyPatch.context() as mp:
+        _assert_search_equals_scan(mp, *inst)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_birkhoff_and_matching_reject_non_finite_grids(bad):
+    # a NaN failed every comparison: birkhoff_decompose([[nan, 0], [0, 1]])
+    # returned one term and epsilon_matching treated it as "not close"
+    with pytest.raises(ValueError, match="non-finite"):
+        birkhoff_decompose([[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        epsilon_matching([[bad, 0.0], [0.0, 1.0]], 0.5)
+
+
+def test_epsilon_matching_rejects_nan_epsilon():
+    # used to return an empty matching
+    with pytest.raises(ValueError, match="positive"):
+        epsilon_matching([[0.0]], np.nan)

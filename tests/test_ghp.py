@@ -1,23 +1,30 @@
+import logging
+
 import numpy as np
 import pytest
 
 from mmsdist import (
+    Coupling,
     DistanceMatrix,
     FiniteMMS,
     GluingError,
+    SizeLimitError,
     StrategyError,
     best_ghp_upper_bound,
     check_distance_matrix,
     delta_of_coupling,
     dpi_distance,
+    epsilon_matching,
     ghp_bounds_uniform,
     ghp_upper_bound,
     glue_by_relation,
+    prokhorov_distance,
     theta_map,
     validate_distance_matrix,
 )
 from mmsdist.experiments import sharp_pair
-from mmsdist.ghp import _greedy_coupling_on_pairs
+from mmsdist.ghp import _glue, _greedy_coupling_on_pairs, _net_bound
+from mmsdist.matmetric import DPI_EXACT_LIMIT
 from mmsdist.sampling import rng_stream
 
 A_LINE = validate_distance_matrix([[0.0, 1, 3], [1, 0, 2], [3, 2, 0]])
@@ -120,6 +127,58 @@ def test_greedy_net_coupling_keeps_tiny_masses():
     assert mass.tolist() == [[1e-15, 1 - 2e-15], [0.0, 1e-15]]
     assert mass.sum(axis=1).tolist() == [1 - 1e-15, 1e-15]
     assert mass.sum(axis=0).tolist() == [1e-15, 1 - 1e-15]
+
+
+def test_bounds_uniform_above_the_exact_limit_raises_the_shared_error():
+    a = DistanceMatrix.from_points(np.arange(DPI_EXACT_LIMIT + 1.0)[:, None])
+    want = f"exact permutation search limited to n <= {DPI_EXACT_LIMIT}, got {DPI_EXACT_LIMIT + 1}"
+    with pytest.raises(SizeLimitError, match=want):
+        ghp_bounds_uniform(a, a)
+
+
+def _coords_cross(x, y):
+    diff = x.coords[:, None, :] - y.coords[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=-1))
+
+
+def _net_bound_every_level(x, y, tol):
+    """The net strategy gluing and scoring the matching of every eps level,
+    repeats included; returns (value, gluing) of the best level."""
+    cross = _coords_cross(x, y)
+    best = None
+    for eps in np.unique(cross[cross > 0]):
+        pairs = epsilon_matching(cross, float(eps)).pairs
+        if not pairs:
+            continue
+        glued = _glue(x, y, [(i, j, float(cross[i, j])) for i, j in pairs], tol)
+        mass = _greedy_coupling_on_pairs(x.mass, y.mass, pairs, (x.n, y.n))
+        val = delta_of_coupling(Coupling(mass=mass, ground_dist=glued.cross), tol)
+        if best is None or val < best[0]:
+            best = (val, glued)
+    return best
+
+
+def test_net_bound_equals_gluing_every_level(caplog):
+    # half-step lattices tie many cross distances, so most eps levels
+    # repeat a matching; skipping the repeats must keep the same gluing
+    rng = rng_stream(45)
+    for t in range(60):
+        pts = [np.unique(rng.integers(0, 5, (int(rng.integers(2, 8)), 2)) / 2.0, axis=0) for _ in "xy"]
+        x, y = (_space(range(len(q)), q, rng.dirichlet(np.ones(len(q))) if t % 2 else None) for q in pts)
+        _, want = _net_bound_every_level(x, y, 1e-9)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="mmsdist"):
+            got = _net_bound(x, y, 1e-9)
+        assert got.glued.bridges == want.bridges
+        assert got.glued.cross.tobytes() == want.cross.tobytes()
+        ref = prokhorov_distance(x.mass, y.mass, want.cross)
+        assert repr(got.upper) == repr(ref.value)
+        assert got.coupling.mass.tobytes() == ref.coupling.mass.tobytes()
+        [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("net")]
+        cross = _coords_cross(x, y)
+        levels = np.unique(cross[cross > 0])
+        distinct = {epsilon_matching(cross, float(e)).pairs for e in levels} - {()}
+        assert line == f"net: {levels.size} eps levels, {len(distinct)} distinct matchings glued"
 
 
 def test_bounds_uniform_identical():

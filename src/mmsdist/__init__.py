@@ -3,116 +3,21 @@ matrix metrics with exclusions, optimal couplings, gluing-based space
 bounds, sampling, relative entropy, and an experiment harness.
 """
 
-from .core import (
-    DEFAULT_TOL,
-    BudgetError,
-    Coupling,
-    DegenerateSupportError,
-    DistanceMatrix,
-    FiniteMMS,
-    GluingError,
-    MatrixEnsemble,
-    SizeLimitError,
-    ValidationError,
-    Violation,
-    check_distance_matrix,
-    quotient_zero_distances,
-    theta_map,
-    validate_distance_matrix,
-)
-from .coupling import (
-    BirkhoffDecomposition,
-    EpsMatching,
-    ProkhorovResult,
-    birkhoff_decompose,
-    delta_of_coupling,
-    epsilon_matching,
-    overlap_coupling_bound,
-    prokhorov_distance,
-)
-from .entropy import (
-    EmbeddingSet,
-    find_isometric_embeddings,
-    kl_divergence,
-    relative_entropy,
-    relative_entropy_witness,
-)
-from .ghp import (
-    GhpBound,
-    GluedSpace,
-    StrategyError,
-    best_ghp_upper_bound,
-    ghp_bounds_uniform,
-    ghp_upper_bound,
-    glue_by_relation,
-)
-from .matmetric import (
-    DmWitness,
-    PiWitness,
-    dm_distance,
-    dpi_distance,
-    min_vertex_cover,
-)
-from .sampling import (
-    ModelSpace,
-    NetPartition,
-    empirical_space,
-    enumerate_matrix_ensemble,
-    epsilon_net_partition,
-    hat_space,
-    rng_stream,
-    sample_indices,
-)
+from . import core, coupling, entropy, ghp, matmetric, sampling
+from .core import *
+from .coupling import *
+from .entropy import *
+from .ghp import *
+from .matmetric import *
+from .sampling import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_TOL",
-    "BudgetError",
-    "Coupling",
-    "DegenerateSupportError",
-    "DistanceMatrix",
-    "FiniteMMS",
-    "GluingError",
-    "MatrixEnsemble",
-    "SizeLimitError",
-    "ValidationError",
-    "Violation",
-    "check_distance_matrix",
-    "quotient_zero_distances",
-    "theta_map",
-    "validate_distance_matrix",
-    "BirkhoffDecomposition",
-    "EpsMatching",
-    "ProkhorovResult",
-    "birkhoff_decompose",
-    "delta_of_coupling",
-    "epsilon_matching",
-    "overlap_coupling_bound",
-    "prokhorov_distance",
-    "EmbeddingSet",
-    "find_isometric_embeddings",
-    "kl_divergence",
-    "relative_entropy",
-    "relative_entropy_witness",
-    "GhpBound",
-    "GluedSpace",
-    "StrategyError",
-    "best_ghp_upper_bound",
-    "ghp_bounds_uniform",
-    "ghp_upper_bound",
-    "glue_by_relation",
-    "DmWitness",
-    "PiWitness",
-    "dm_distance",
-    "dpi_distance",
-    "min_vertex_cover",
-    "ModelSpace",
-    "NetPartition",
-    "empirical_space",
-    "enumerate_matrix_ensemble",
-    "epsilon_net_partition",
-    "hat_space",
-    "rng_stream",
-    "sample_indices",
+    *core.__all__,
+    *coupling.__all__,
+    *entropy.__all__,
+    *ghp.__all__,
+    *matmetric.__all__,
+    *sampling.__all__,
 ]

@@ -29,9 +29,12 @@ from .coupling import prokhorov_distance
 from .ghp import ghp_bounds_uniform, ghp_upper_bound
 from .matmetric import (
     DPI_EXACT_LIMIT,
+    _aligned_scan,
     _check_exact_limit,
-    _check_symmetric_pair,
+    _check_finite_symmetric,
     _dpi_exact,
+    _is_relabelling,
+    _twin_prev,
     dm_distance,
     dpi_distance,
 )
@@ -148,72 +151,92 @@ def binomial_tail_above(n: int, p: float, m: float) -> float:
     return total
 
 
+def _atom_rows(mats, tol: float):
+    """The matrices as nested lists, each checked finite and symmetric
+    within tol once."""
+    stack = np.array(mats, dtype=float)
+    _check_finite_symmetric(stack, "ensemble atom", tol)
+    return stack.tolist()
+
+
 def _relabelling_classes(mats, tol: float):
     """Partition distance matrices into classes of matrices equal up to
     relabelling.
 
-    The matrices are bucketed by an invariant of simultaneous row/column
-    permutation (each row sorted, then each column of that; cheap but not
-    complete), and a matrix joins a class of its bucket only when its exact
-    dpi to the class representative is 0.0, which holds exactly when the two
-    are relabellings of each other.  That test is the exact dpi search
-    started with an incumbent of math.ulp(0.0), the smallest positive
-    float: only a zero-gap alignment can beat it, so the search drops every
-    prefix with a nonzero gap instead of hunting for the optimum.  Returns
-    the class index of every matrix, the representative (first member) of
-    every class and the number of relabelling tests made.
+    Each matrix is checked and converted to lists once.  The matrices are
+    bucketed by an invariant of simultaneous row/column permutation (the
+    sorted multiset of sorted rows; cheap but not complete), and a matrix
+    joins a class of its bucket only when :func:`matmetric._is_relabelling`
+    places its rows on the class representative's with ``==`` alone, which
+    holds exactly when their exact dpi is 0.0.  The invariant reads full
+    rows, so on a grid asymmetric within tol it may only split a class.
+    Returns the class index of every matrix, the representative (first
+    member, as nested lists) of every class and the number of relabelling
+    tests made.
     """
     buckets: dict = {}
     labels = np.empty(len(mats), dtype=int)
     reps: list = []
+    sorted_reps: list = []
     calls = 0
-    for i, m in enumerate(mats):
-        bucket = buckets.setdefault(np.sort(np.sort(m, axis=1), axis=0).tobytes(), [])
+    for i, rows in enumerate(_atom_rows(mats, tol)):
+        srt = [tuple(sorted(r)) for r in rows]
+        bucket = buckets.setdefault(tuple(sorted(srt)), [])
+        prev = _twin_prev(rows) if bucket else None
         for k in bucket:
             calls += 1
-            a, b = _check_symmetric_pair(reps[k], m, tol)
-            if _dpi_exact(a, b, below=math.ulp(0.0)).value == 0.0:
+            if _is_relabelling(reps[k], sorted_reps[k], rows, srt, prev):
                 labels[i] = k
                 break
         else:
             labels[i] = len(reps)
             bucket.append(len(reps))
-            reps.append(m)
+            reps.append(rows)
+            sorted_reps.append(srt)
     return labels, reps, calls
 
 
 def _ensemble_cross_grid(ens_x, ens_y, distance, tol: float, budget: int):
     """Grid of ``distance`` (dm_distance or dpi_distance) between two
     ensembles' atoms; raises :class:`BudgetError` before allocating when it
-    has more than ``budget`` cells, and :class:`SizeLimitError` before
-    classifying any atom when a dpi grid's matrices exceed the exact limit.
+    has more than ``budget`` cells, ValueError when the ensembles differ in
+    size, :class:`SizeLimitError` before classifying any atom when a dpi
+    grid's matrices exceed the exact limit, and ValueError before any
+    distance when an atom is non-finite or asymmetric beyond tol.
 
-    dpi is invariant under relabelling either matrix, so its grid is built
-    on permutation classes (:func:`_relabelling_classes`): one exact dpi per
-    class pair, copied to every atom pair of the two classes.  The values
-    are bit-identical to a per-atom loop, because relabelling only permutes
-    the same float gaps.  dm is not relabelling-invariant and runs on every
+    Each atom is checked and converted to lists once, and the cells run the
+    same private paths as :func:`dm_distance` and :func:`dpi_distance`
+    without repeating those checks or building witnesses.  dpi is invariant
+    under relabelling either matrix, so its grid is built on permutation
+    classes (:func:`_relabelling_classes`): one exact dpi per class pair,
+    copied to every atom pair of the two classes.  The values are
+    bit-identical to a per-atom loop, because relabelling only permutes the
+    same float gaps.  dm is not relabelling-invariant and runs on every
     atom pair.
     """
     ax = [m.entries for m in ens_x.matrices()]
     ay = [m.entries for m in ens_y.matrices()]
     if len(ax) * len(ay) > budget:
         raise BudgetError(f"{len(ax)} x {len(ay)} grid exceeds the budget of {budget}")
+    if ens_x.n != ens_y.n:
+        raise ValueError(f"dimension mismatch: {ens_x.n} vs {ens_y.n}")
     if distance is dpi_distance:
-        _check_exact_limit(max(ens_x.n, ens_y.n))
-        label_x, reps_x, calls_x = _relabelling_classes(ax, tol)
-        label_y, reps_y, calls_y = _relabelling_classes(ay, tol)
+        _check_exact_limit(ens_x.n)
+        label_x, rows_x, calls_x = _relabelling_classes(ax, tol)
+        label_y, rows_y, calls_y = _relabelling_classes(ay, tol)
         log.debug(
             "dpi grid: %d x %d atoms -> %d x %d classes, "
             "%d relabelling tests, %d class-pair dpi calls",
-            len(ax), len(ay), len(reps_x), len(reps_y),
-            calls_x + calls_y, len(reps_x) * len(reps_y),
+            len(ax), len(ay), len(rows_x), len(rows_y),
+            calls_x + calls_y, len(rows_x) * len(rows_y),
         )
-        ax, ay = reps_x, reps_y
+        small = [[_dpi_exact(a, b).value for b in rows_y] for a in rows_x]
     else:
         label_x, label_y = np.arange(len(ax)), np.arange(len(ay))
-    small = np.array([[distance(a, b, tol=tol).value for b in ay] for a in ax])
-    return small[np.ix_(label_x, label_y)]
+        rows_x, rows_y = _atom_rows(ax, tol), _atom_rows(ay, tol)
+        ident = range(ens_x.n)
+        small = [[_aligned_scan(a, b, ident)[1] for b in rows_y] for a in rows_x]
+    return np.array(small)[np.ix_(label_x, label_y)]
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,16 @@ def min_vertex_cover(n: int, edges, max_size: int | None = None):
 # the exclusion-tolerant distance
 
 
+def _check_finite_symmetric(m, what, tol):
+    """Raise ValueError unless every entry of ``m`` (one grid, or a stack of
+    grids along the first axis) is finite and each grid is symmetric within
+    tol."""
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} has a non-finite entry")
+    if m.size and float(np.abs(m - np.swapaxes(m, -1, -2)).max()) > tol:
+        raise ValueError(f"{what} is not symmetric within {tol}")
+
+
 def _check_symmetric_pair(a, b, tol):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -192,11 +202,8 @@ def _check_symmetric_pair(a, b, tol):
         raise ValueError(f"first matrix is not square: shape {a.shape}")
     if b.shape != a.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    for name, m in (("first", a), ("second", b)):
-        if not np.isfinite(m).all():
-            raise ValueError(f"{name} matrix has a non-finite entry")
-        if m.size and float(np.abs(m - m.T).max()) > tol:
-            raise ValueError(f"{name} matrix is not symmetric within {tol}")
+    _check_finite_symmetric(a, "first matrix", tol)
+    _check_finite_symmetric(b, "second matrix", tol)
     return a, b
 
 
@@ -208,9 +215,11 @@ def _row_gaps(ar, b_list, perm, k):
     return [(t, k, abs(ar[t] - bk[perm[t]])) for t in range(k + 1)]
 
 
-def _gaps(a_list, b_list, perm):
-    """Every gap pair of A against B aligned by ``perm``, row by row."""
-    return [p for k, ar in enumerate(a_list) for p in _row_gaps(ar, b_list, perm, k)]
+def _aligned_scan(a_list, b_list, perm):
+    """Every gap pair of A against B aligned by ``perm``, row by row, with
+    the value and cover :func:`_scan_pairs` finds for them."""
+    pairs = [p for k, ar in enumerate(a_list) for p in _row_gaps(ar, b_list, perm, k)]
+    return (pairs, *_scan_pairs(pairs, len(a_list)))
 
 
 def _scan_pairs(pairs, denom):
@@ -280,8 +289,7 @@ def dm_distance(a, b, tol: float = DEFAULT_TOL) -> DmWitness:
     symmetric grids of equal size is accepted.
     """
     a, b = _check_symmetric_pair(a, b, tol)
-    pairs = _gaps(a.tolist(), b.tolist(), range(a.shape[0]))
-    return _witness(pairs, *_scan_pairs(pairs, a.shape[0]))
+    return _witness(*_aligned_scan(a.tolist(), b.tolist(), range(a.shape[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -315,25 +323,55 @@ def _twin_prev(b_list):
     return prev
 
 
+def _is_relabelling(a_rows, a_sorted, b_rows, b_sorted, b_prev) -> bool:
+    """Whether B aligned by some permutation equals A entry for entry under
+    the gap rule (a_kt == the aligned B entry for t <= k), that is, whether
+    the exact dpi of A and B is 0.0.
+
+    The rows of A are placed in order.  Row j of B is tried for row k only
+    when its sorted row ``b_sorted[j]`` equals ``a_sorted[k]`` (necessary on
+    symmetric grids) and it is the lowest unused row of its twin class
+    (``b_prev`` from :func:`_twin_prev`), so a failing test stays small.
+    """
+    n = len(a_rows)
+    perm = [-1] * n
+    used = [False] * n
+
+    def place(k: int) -> bool:
+        if k == n:
+            return True
+        ar = a_rows[k]
+        for j in range(n):
+            if used[j] or (b_prev[j] >= 0 and not used[b_prev[j]]) or b_sorted[j] != a_sorted[k]:
+                continue
+            bj = b_rows[j]
+            if ar[k] == bj[j] and all(ar[t] == bj[perm[t]] for t in range(k)):
+                perm[k] = j
+                used[j] = True
+                if place(k + 1):
+                    return True
+                used[j] = False
+        return False
+
+    return place(0)
+
+
 def _check_exact_limit(n: int, limit: int = DPI_EXACT_LIMIT) -> None:
     """Raise :class:`SizeLimitError` when n exceeds the exact search's limit."""
     if n > limit:
         raise SizeLimitError(f"exact permutation search limited to n <= {limit}, got {n}")
 
 
-def _dpi_exact(a, b, below=math.inf):
-    """Exact permutation search; only alignments with value < ``below``
-    count, so with ``below`` = math.ulp(0.0) it decides whether B is a
-    relabelling of A (the value then reads ``below`` when it is not)."""
-    n = a.shape[0]
-    a_list = a.tolist()
-    b_list = b.tolist()
+def _dpi_exact(a_list, b_list):
+    """Exact permutation search over grids given as nested lists, which the
+    caller has checked finite and symmetric within tol."""
+    n = len(a_list)
     perm = [-1] * n
     used = [False] * n
     # twins give equal gaps, and the lex-smallest optimum places each twin
     # class in increasing order, so only the lowest unused twin is tried
     prev = _twin_prev(b_list)
-    best = {"value": below, "perm": None, "witness": None}
+    best = {"value": math.inf, "perm": None, "witness": None}
     prefix: list = []  # stack of gap-pair lists, one chunk per depth
     # prefix pairs come in a fixed order per depth, so the gap tuple alone
     # keys the bound; structured matrices repeat patterns across branches
@@ -389,18 +427,14 @@ def _dpi_heuristic(a, b):
     for ra, rb in zip(order_a, order_b):
         perm[int(ra)] = int(rb)
 
-    def scan(p):  # (pairs, value, cover) of the alignment p
-        pairs = _gaps(a_list, b_list, p)
-        return (pairs, *_scan_pairs(pairs, n))
-
-    cur = scan(perm)
+    cur = _aligned_scan(a_list, b_list, perm)
     improved = True
     while improved:
         improved = False
         for i in range(n):
             for j in range(i + 1, n):
                 perm[i], perm[j] = perm[j], perm[i]
-                trial = scan(perm)
+                trial = _aligned_scan(a_list, b_list, perm)
                 if trial[1] < cur[1]:
                     cur = trial
                     improved = True
@@ -432,7 +466,7 @@ def dpi_distance(
     n = a.shape[0]
     if mode == "exact":
         _check_exact_limit(n, exact_limit)
-        return _dpi_exact(a, b)
+        return _dpi_exact(a.tolist(), b.tolist())
     if mode == "heuristic":
         return _dpi_heuristic(a, b)
     raise ValueError(f"unknown mode {mode!r}: expected 'exact' or 'heuristic'")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mmsdist
 from mmsdist import (
     DistanceMatrix,
     FiniteMMS,
@@ -147,3 +148,29 @@ def test_non_finite_matrix_entries_rejected(bad):
         ("non_finite", (0, 1)),
         ("non_finite", (1, 0)),
     ]
+
+
+def test_package_exports_each_submodule_all():
+    assert mmsdist.__all__ == [
+        # core
+        "DEFAULT_TOL", "Violation", "ValidationError", "GluingError", "BudgetError",
+        "SizeLimitError", "DegenerateSupportError", "DistanceMatrix", "FiniteMMS",
+        "Coupling", "MatrixEnsemble", "check_distance_matrix", "validate_distance_matrix",
+        "theta_map", "quotient_zero_distances",
+        # coupling
+        "ProkhorovResult", "BirkhoffDecomposition", "EpsMatching", "delta_of_coupling",
+        "prokhorov_distance", "birkhoff_decompose", "epsilon_matching", "overlap_coupling_bound",
+        # entropy
+        "EmbeddingSet", "kl_divergence", "find_isometric_embeddings", "relative_entropy",
+        "relative_entropy_witness",
+        # ghp
+        "GluedSpace", "GhpBound", "StrategyError", "glue_by_relation", "ghp_upper_bound",
+        "best_ghp_upper_bound", "ghp_bounds_uniform", "STRATEGIES",
+        # matmetric
+        "DPI_EXACT_LIMIT", "DmWitness", "PiWitness", "dm_distance", "dpi_distance",
+        "min_vertex_cover",
+        # sampling
+        "ModelSpace", "NetPartition", "rng_stream", "empirical_space", "sample_indices",
+        "enumerate_matrix_ensemble", "epsilon_net_partition", "hat_space",
+    ]
+    assert all(hasattr(mmsdist, name) for name in mmsdist.__all__)

@@ -647,3 +647,27 @@ def test_epsilon_matching_rejects_nan_epsilon():
     # used to return an empty matching
     with pytest.raises(ValueError, match="positive"):
         epsilon_matching([[0.0]], np.nan)
+
+
+@st.composite
+def _planar_triple(draw):
+    """One cloud of 1-6 points in the unit square (half-step lattice points,
+    which tie, or arbitrary ones) and three mass vectors on it whose integer
+    weights may be zero."""
+    k = draw(st.integers(1, 6))
+    coord = st.one_of(st.integers(0, 2).map(lambda v: v / 2), st.floats(0.0, 1.0))
+    pts = np.array(draw(st.lists(coord, min_size=2 * k, max_size=2 * k))).reshape(k, 2)
+    masses = []
+    for _ in range(3):
+        w = np.array(draw(st.lists(st.integers(0, 4), min_size=k, max_size=k)), dtype=float)
+        w[draw(st.integers(0, k - 1))] += 1.0
+        masses.append(w / w.sum())
+    return DistanceMatrix.from_points(pts).entries, masses
+
+
+@settings(max_examples=100, deadline=None)
+@given(_planar_triple())
+def test_prokhorov_triangle_inequality(inst):
+    ground, (p, q, s) = inst
+    dps = prokhorov_distance(p, s, ground).value
+    assert dps <= prokhorov_distance(p, q, ground).value + prokhorov_distance(q, s, ground).value + 1e-9

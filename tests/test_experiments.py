@@ -5,7 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from mmsdist import DistanceMatrix, FiniteMMS, ModelSpace, SizeLimitError, dpi_distance
+from mmsdist import (
+    DistanceMatrix,
+    FiniteMMS,
+    MatrixEnsemble,
+    ModelSpace,
+    SizeLimitError,
+    dm_distance,
+    dpi_distance,
+)
 from mmsdist import experiments
 from mmsdist.experiments import (
     binomial_tail_above,
@@ -187,6 +195,7 @@ def test_hoelder_above_dpi_limit_raises_before_classifying(monkeypatch):
         raise AssertionError("atoms classified although the dpi grid is over the limit")
 
     monkeypatch.setattr(experiments, "_dpi_exact", refuse)
+    monkeypatch.setattr(experiments, "_is_relabelling", refuse)
     with pytest.raises(SizeLimitError, match=f"limited to n <= {DPI_EXACT_LIMIT}, got 9"):
         check_hoelder_small_n(0.1, 9)
 
@@ -211,12 +220,42 @@ def _three_point_model(d01, d02, d12, mass):
 def test_class_grid_equals_per_atom_dpi(x, y, n):
     ens_x = enumerate_matrix_ensemble(x, n)
     ens_y = enumerate_matrix_ensemble(y, n)
-    grid = experiments._ensemble_cross_grid(ens_x, ens_y, dpi_distance, 1e-9, 10**6)
-    per_atom = np.array(
-        [[dpi_distance(a.entries, b.entries).value for b in ens_y.matrices()] for a in ens_x.matrices()]
-    )
-    assert grid.shape == (ens_x.size, ens_y.size)
-    assert grid.tobytes() == per_atom.tobytes()
+    for distance in (dpi_distance, dm_distance):
+        grid = experiments._ensemble_cross_grid(ens_x, ens_y, distance, 1e-9, 10**6)
+        per_atom = np.array(
+            [[distance(a.entries, b.entries).value for b in ens_y.matrices()] for a in ens_x.matrices()]
+        )
+        assert grid.shape == (ens_x.size, ens_y.size)
+        assert grid.tobytes() == per_atom.tobytes()
+
+
+def _with_atom(ens, entries):
+    """``ens`` with one more atom, of probability 1/2, appended last."""
+    atoms = [(m, p / 2) for m, p in ens.atoms] + [(DistanceMatrix(entries), 0.5)]
+    return MatrixEnsemble(tuple(atoms))
+
+
+@pytest.mark.parametrize("distance", [dm_distance, dpi_distance])
+def test_cross_grid_checks_every_atom_before_any_distance(monkeypatch, distance):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a distance was computed before the atoms were checked")
+
+    monkeypatch.setattr(experiments, "_aligned_scan", refuse)
+    monkeypatch.setattr(experiments, "_dpi_exact", refuse)
+    ens_x = enumerate_matrix_ensemble(_two_point_model(0.5, 0.1, "x"), 3)
+    ens_y = enumerate_matrix_ensemble(_two_point_model(1.0, 0.1, "y"), 3)
+    skew = np.zeros((3, 3))
+    skew[0, 1] = 1e-6
+    bad = {
+        "non-finite": _with_atom(ens_y, np.diag([0.0, math.nan, 0.0])),
+        "not symmetric within 1e-09": _with_atom(ens_y, skew),
+        "dimension mismatch": enumerate_matrix_ensemble(_two_point_model(1.0, 0.1, "y"), 4),
+    }
+    for message, ens in bad.items():
+        with pytest.raises(ValueError, match=message):
+            experiments._ensemble_cross_grid(ens_x, ens, distance, 1e-9, 10**6)
+        with pytest.raises(ValueError, match=message):
+            experiments._ensemble_cross_grid(ens, ens_x, distance, 1e-9, 10**6)
 
 
 def test_class_holds_atoms_of_different_multisets():
@@ -253,18 +292,18 @@ def test_invariant_collision_stays_split():
 
 def test_class_grid_logs_its_work(monkeypatch, caplog):
     tests, calls = [], []
-    search = experiments._dpi_exact
+    matcher, search = experiments._is_relabelling, experiments._dpi_exact
 
     def counting_test(*args, **kwargs):
         tests.append(1)
-        return search(*args, **kwargs)
+        return matcher(*args, **kwargs)
 
     def counting_dpi(*args, **kwargs):
         calls.append(1)
-        return dpi_distance(*args, **kwargs)
+        return search(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "_dpi_exact", counting_test)
-    monkeypatch.setattr(experiments, "dpi_distance", counting_dpi)
+    monkeypatch.setattr(experiments, "_is_relabelling", counting_test)
+    monkeypatch.setattr(experiments, "_dpi_exact", counting_dpi)
     with caplog.at_level(logging.DEBUG, logger="mmsdist"):
         r = check_hoelder_small_n(0.1, 5)
     lines = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("dpi grid")]

@@ -16,7 +16,7 @@ from mmsdist import (
     min_vertex_cover,
 )
 from mmsdist import experiments
-from mmsdist.matmetric import PiWitness, _dpi_exact, _scan_pairs
+from mmsdist.matmetric import PiWitness, _is_relabelling, _scan_pairs, _twin_prev
 from mmsdist.sampling import enumerate_matrix_ensemble, rng_stream
 
 from oracles import dm_bruteforce, dpi_bruteforce, mvc_bruteforce
@@ -390,16 +390,22 @@ def test_twin_pruning_on_grids_asymmetric_within_tol():
         assert repr(dpi_distance(a, b)) == repr(_dpi_exact_unpruned(a, b))
 
 
-def test_zero_bar_decides_relabelling():
+def _matches(a, b):
+    """The relabelling matcher on two grids, with its per-atom inputs."""
+    rows_a, rows_b = a.tolist(), b.tolist()
+    sorted_a = [tuple(sorted(r)) for r in rows_a]
+    sorted_b = [tuple(sorted(r)) for r in rows_b]
+    return _is_relabelling(rows_a, sorted_a, rows_b, sorted_b, _twin_prev(rows_b))
+
+
+def test_matcher_decides_relabelling():
     rng = rng_stream(32)
     for t in range(300):
         n = int(rng.integers(0, 7))
         a = _sampled(rng, ("lattice", "equilateral", "zero")[t % 3], n)
         p = rng.permutation(n)
         b = a[np.ix_(p, p)] if t % 2 else _sampled(rng, "lattice", n)
-        bar = _dpi_exact(a, b, below=math.ulp(0.0)).value
-        assert (bar == 0.0) == (_dpi_exact_unpruned(a, b).value == 0.0)
-        assert bar in (0.0, math.ulp(0.0))
+        assert _matches(a, b) == (_dpi_exact_unpruned(a, b).value == 0.0)
 
 
 def _reference_labels(mats):
@@ -461,3 +467,45 @@ def test_dpi_on_twin_rich_samples_ignores_relabelling(inst):
     value = dpi_distance(a, b).value
     assert dpi_distance(a[np.ix_(p, p)], b).value == value
     assert dpi_distance(a, b[np.ix_(q, q)]).value == value
+
+
+@settings(max_examples=60, deadline=None)
+@given(_twin_rich_pair())
+def test_matcher_on_twin_rich_relabellings(inst):
+    a, b, (p, q) = inst
+    assert _matches(a, a[np.ix_(p, p)]) and _matches(b[np.ix_(q, q)], b)
+    expected = _dpi_exact_unpruned(a, b).value == 0.0
+    assert _matches(a, b) == expected
+    assert _matches(a[np.ix_(p, p)], b[np.ix_(q, q)]) == expected
+
+
+# ---------------------------------------------------------------------------
+# dm pseudo-metric properties
+
+
+@st.composite
+def _grid_triple(draw):
+    """Three symmetric n x n grids (0 <= n <= 5, diagonals included) whose
+    entries mix half-steps, which tie, with arbitrary floats in [0, 2]."""
+    n = draw(st.integers(0, 5))
+    entry = st.one_of(st.integers(0, 4).map(lambda v: v / 2), st.floats(0.0, 2.0))
+    grids = []
+    for _ in range(3):
+        m = np.zeros((n, n))
+        m[np.tril_indices(n)] = draw(st.lists(entry, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
+        grids.append(np.tril(m) + np.tril(m, -1).T)
+    return grids
+
+
+@settings(max_examples=100, deadline=None)
+@given(_grid_triple())
+def test_dm_is_symmetric(grids):
+    a, b, _ = grids
+    assert dm_distance(a, b).value == dm_distance(b, a).value
+
+
+@settings(max_examples=100, deadline=None)
+@given(_grid_triple())
+def test_dm_triangle_inequality(grids):
+    a, b, c = grids
+    assert dm_distance(a, c).value <= dm_distance(a, b).value + dm_distance(b, c).value + 1e-9

@@ -133,9 +133,7 @@ def _cmd_sample(args) -> int:
         _emit([m for m in mats])
     else:
         for m in mats:
-            sys.stdout.write(f"{m.shape[0]}\n")
-            for row in m:
-                sys.stdout.write(" ".join(repr(float(v)) for v in row) + "\n")
+            sys.stdout.write(fileio.format_matrix(m))
     return 0
 
 

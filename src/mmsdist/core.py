@@ -143,11 +143,18 @@ class DistanceMatrix:
     @staticmethod
     def from_points(coords) -> "DistanceMatrix":
         """Euclidean distance matrix of a point cloud (rows = points)."""
-        pts = np.asarray(coords, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        diff = pts[:, None, :] - pts[None, :, :]
-        return DistanceMatrix(np.sqrt((diff * diff).sum(axis=-1)))
+        return DistanceMatrix(_euclidean_grid(coords, coords))
+
+
+def _euclidean_grid(p, q) -> np.ndarray:
+    """Euclidean distances between the rows of two point clouds; 1-D
+    coordinates are one column."""
+    p, q = (np.asarray(c, dtype=float) for c in (p, q))
+    p, q = (c[:, None] if c.ndim == 1 else c for c in (p, q))
+    if p.shape[1] != q.shape[1]:
+        raise ValueError(f"coordinate dimensions differ: {p.shape[1]} vs {q.shape[1]}")
+    diff = p[:, None, :] - q[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=-1))
 
 
 def check_distance_matrix(entries, tol: float = DEFAULT_TOL) -> list[Violation]:

@@ -18,6 +18,7 @@ from .core import DEFAULT_TOL, DistanceMatrix, FiniteMMS, validate_distance_matr
 
 __all__ = [
     "read_matrix",
+    "format_matrix",
     "write_matrix",
     "read_mms",
     "read_mass_vector",
@@ -38,12 +39,15 @@ def read_matrix(path) -> np.ndarray:
     return np.array(vals).reshape(n, n)
 
 
-def write_matrix(path, entries) -> None:
+def format_matrix(entries) -> str:
+    """A matrix in the plain matrix format, each entry as its float repr."""
     a = np.asarray(entries, dtype=float)
+    return f"{a.shape[0]}\n" + "".join(" ".join(repr(float(x)) for x in row) + "\n" for row in a)
+
+
+def write_matrix(path, entries) -> None:
     with open(path, "w") as fh:
-        fh.write(f"{a.shape[0]}\n")
-        for row in a:
-            fh.write(" ".join(repr(float(x)) for x in row) + "\n")
+        fh.write(format_matrix(entries))
 
 
 def _mms_from_dict(obj: dict, tol: float) -> FiniteMMS:

@@ -16,7 +16,7 @@ bilinear problem, and the sandwich above is all the downstream checks need.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .core import (
     DistanceMatrix,
     FiniteMMS,
     GluingError,
+    _euclidean_grid,
     theta_map,
 )
 from .coupling import (
@@ -241,10 +242,10 @@ def _net_bound(x: FiniteMMS, y: FiniteMMS, tol: float, cross=None) -> GhpBound:
             raise StrategyError(
                 "net strategy needs an ambient cross-distance grid or coordinates"
             )
-        if x.coords.shape[1] != y.coords.shape[1]:
-            raise StrategyError("coordinate dimensions differ")
-        diff = x.coords[:, None, :] - y.coords[None, :, :]
-        cross = np.sqrt((diff * diff).sum(axis=-1))
+        try:
+            cross = _euclidean_grid(x.coords, y.coords)
+        except ValueError as exc:
+            raise StrategyError(str(exc)) from None
     cross = np.asarray(cross, dtype=float)
     if cross.shape != (x.n, y.n):
         raise StrategyError(f"cross grid shape {cross.shape} does not match spaces")
@@ -336,33 +337,14 @@ def ghp_bounds_uniform(
 ) -> GhpBound:
     """Two-sided bounds for the uniform spaces on two distance matrices.
 
-    Lower bound: half the exact permutation-quotient distance.  Upper
-    bound: the smaller of that distance and the best witnessed strategy
-    bound.  Requires the exact permutation search, hence n <= exact_limit.
+    One exact permutation search gives both sides.  Lower bound: half the
+    permutation-quotient distance.  Upper bound: the smaller of that
+    distance and the permutation strategy's bound, whose gluing and
+    coupling are the witness.  Requires the exact search, hence
+    n <= exact_limit.
     """
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    x, y = theta_map(a), theta_map(b)
     pi = dpi_distance(a.entries, b.entries, mode="exact", exact_limit=exact_limit, tol=tol)
-    best = _permutation_bound(x, y, tol, exact_limit, pi=pi)
-    for s in ("identify", "net"):
-        try:
-            cand = ghp_upper_bound(x, y, s, tol=tol, exact_limit=exact_limit)
-        except (StrategyError, GluingError):
-            continue
-        if cand.upper < best.upper:
-            best = GhpBound(
-                upper=cand.upper,
-                lower=best.lower,
-                glued=cand.glued,
-                coupling=cand.coupling,
-                method=cand.method,
-            )
-    upper = min(pi.value, best.upper)
-    return GhpBound(
-        upper=upper,
-        lower=pi.value / 2.0,
-        glued=best.glued,
-        coupling=best.coupling,
-        method=best.method,
-    )
+    best = _permutation_bound(theta_map(a), theta_map(b), tol, exact_limit, pi=pi)
+    return replace(best, upper=min(pi.value, best.upper))

@@ -364,51 +364,51 @@ def _check_exact_limit(n: int, limit: int = DPI_EXACT_LIMIT) -> None:
 
 def _dpi_exact(a_list, b_list):
     """Exact permutation search over grids given as nested lists, which the
-    caller has checked finite and symmetric within tol."""
+    caller has checked finite and symmetric within tol.
+
+    The search walks one memo tree.  Aligning row k of A to row j of B adds
+    the k + 1 gap pairs :func:`_row_gaps` builds; the node for that step is
+    keyed by their gap tuple under its parent and holds ``(value, cover,
+    children)`` from one :func:`_scan_pairs` call on the whole prefix.
+    Chunk lengths are fixed per depth, so prefixes with equal gap tuples
+    reach the same node and each is scanned once.  A node's value bounds
+    every completion of its prefix from below; at depth n - 1 it is the dm
+    of the full alignment, and its cover is the witness's exclusion set.
+    """
     n = len(a_list)
+    if not n:
+        return PiWitness(0.0, (), DmWitness(0.0, (), 0.0), exact=True)
     perm = [-1] * n
     used = [False] * n
     # twins give equal gaps, and the lex-smallest optimum places each twin
     # class in increasing order, so only the lowest unused twin is tried
     prev = _twin_prev(b_list)
-    best = {"value": math.inf, "perm": None, "witness": None}
-    prefix: list = []  # stack of gap-pair lists, one chunk per depth
-    # prefix pairs come in a fixed order per depth, so the gap tuple alone
-    # keys the bound; structured matrices repeat patterns across branches
-    memo: dict = {}
+    best = {"value": math.inf}
+    pairs: list = []  # the prefix's gap pairs, extended and truncated in place
 
-    def prefix_value(pairs) -> float:
-        key = tuple(g for _, _, g in pairs)
-        val = memo.get(key)
-        if val is None:
-            val = _scan_pairs(pairs, n)[0]
-            memo[key] = val
-        return val
-
-    def dfs(k: int) -> None:
-        if k == n:
-            pairs = [p for chunk in prefix for p in chunk]
-            val, cover = _scan_pairs(pairs, n)
-            if val < best["value"]:
-                best["value"] = val
-                best["perm"] = tuple(perm)
-                best["witness"] = _witness(pairs, val, cover)
-            return
+    def dfs(k: int, children: dict) -> None:
         ar = a_list[k]
         for j in range(n):
             if used[j] or (prev[j] >= 0 and not used[prev[j]]):
                 continue
             perm[k] = j
-            prefix.append(_row_gaps(ar, b_list, perm, k))
-            lb = prefix_value([p for ch in prefix for p in ch])
-            if lb < best["value"]:
-                used[j] = True
-                dfs(k + 1)
-                used[j] = False
-            prefix.pop()
-        perm[k] = -1
+            chunk = _row_gaps(ar, b_list, perm, k)
+            pairs.extend(chunk)
+            key = tuple(g for _, _, g in chunk)
+            node = children.get(key)
+            if node is None:
+                node = children[key] = (*_scan_pairs(pairs, n), {})
+            value, cover, sub = node
+            if value < best["value"]:
+                if k == n - 1:
+                    best.update(value=value, perm=tuple(perm), witness=_witness(pairs, value, cover))
+                else:
+                    used[j] = True
+                    dfs(k + 1, sub)
+                    used[j] = False
+            del pairs[-(k + 1) :]
 
-    dfs(0)
+    dfs(0, {})
     return PiWitness(
         value=float(best["value"]),
         permutation=best["perm"],

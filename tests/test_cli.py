@@ -86,6 +86,31 @@ def test_ghp_command(files, capsys):
     assert payload["upper"] == pytest.approx(0.1)
 
 
+def test_ghp_command_on_1d_coordinates(files, capsys):
+    x = _write(files["dir"] / "x1.json", '{"coords": [0.0, 1.0, 3.0]}')
+    y = _write(files["dir"] / "y1.json", '{"coords": [0.0, 1.25, 3.0, 4.0]}')
+    code, out = _run(capsys, ["ghp", x, y])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["method"] == "net" and 0.0 < payload["upper"] <= 1.0
+    # a 1-D space against a planar one is a typed error, not a traceback
+    z = _write(files["dir"] / "z2.json", '{"coords": [[0.0, 1.0], [2.0, 0.0]]}')
+    assert main(["ghp", x, z, "--strategy", "net"]) == 2
+    assert "coordinate dimensions differ" in capsys.readouterr().err
+
+
+def test_sample_text_reads_back_as_its_json(files, capsys):
+    argv = ["sample", files["space"], "--n", "4", "--seed", "3", "--count", "3"]
+    code, text = _run(capsys, argv)
+    assert code == 0
+    code, out = _run(capsys, argv + ["--json"])
+    lines = text.splitlines()
+    assert len(lines) == 3 * 5
+    for k, want in enumerate(json.loads(out)):
+        path = _write(files["dir"] / f"m{k}.mat", "\n".join(lines[5 * k : 5 * k + 5]))
+        assert fileio.read_matrix(path).tolist() == want
+
+
 def test_sample_and_ensemble_commands(files, capsys):
     code, out = _run(
         capsys, ["sample", files["space"], "--n", "3", "--seed", "1", "--count", "2"]

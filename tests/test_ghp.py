@@ -120,6 +120,17 @@ def test_net_strategy_needs_and_uses_coords():
     assert b2.upper <= 0.02
 
 
+def test_net_strategy_reads_1d_coords_as_one_column():
+    # flat coordinates are one column, as DistanceMatrix.from_points reads them
+    flat = [_space("abc", [0.0, 1.0, 3.0]), _space("de", [0.05, 1.05])]
+    cols = [_space("abc", [[0.0], [1.0], [3.0]]), _space("de", [[0.05], [1.05]])]
+    got, want = ghp_upper_bound(*flat, "net"), ghp_upper_bound(*cols, "net")
+    assert (got.upper, got.glued.bridges) == (want.upper, want.glued.bridges)
+    assert got.glued.cross.tobytes() == want.glued.cross.tobytes()
+    with pytest.raises(StrategyError, match="coordinate dimensions differ: 1 vs 2"):
+        ghp_upper_bound(flat[0], _space("de", [[0.0, 0.0], [1.0, 0.0]]), "net")
+
+
 def test_greedy_net_coupling_keeps_tiny_masses():
     # the net strategy's coupling runs on the exact scaled masses, so a
     # 1e-15 atom reaches the coupling instead of being cut as rounding noise
@@ -184,6 +195,18 @@ def test_net_bound_equals_gluing_every_level(caplog):
 def test_bounds_uniform_identical():
     b = ghp_bounds_uniform(A_LINE, A_LINE)
     assert (b.lower, b.upper) == (0.0, 0.0)
+
+
+def test_bounds_uniform_bracket_on_grids_equal_within_tol():
+    # B moves one entry of A by less than tol: the bracket is the exact
+    # search's, lower = dpi / 2 <= upper <= dpi
+    e = A_LINE.entries.copy()
+    e[0, 1] += 4e-10
+    e[1, 0] += 4e-10
+    b = ghp_bounds_uniform(A_LINE, validate_distance_matrix(e))
+    dpi = dpi_distance(A_LINE.entries, e).value
+    assert 0.0 < b.lower == dpi / 2.0 <= b.upper <= dpi
+    assert b.method == "permutation"
 
 
 def test_bounds_uniform_quarter_pair():

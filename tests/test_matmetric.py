@@ -15,7 +15,7 @@ from mmsdist import (
     dpi_distance,
     min_vertex_cover,
 )
-from mmsdist import experiments
+from mmsdist import experiments, matmetric
 from mmsdist.matmetric import PiWitness, _is_relabelling, _scan_pairs, _twin_prev
 from mmsdist.sampling import enumerate_matrix_ensemble, rng_stream
 
@@ -388,6 +388,28 @@ def test_twin_pruning_on_grids_asymmetric_within_tol():
         i, j = rng.integers(0, n, size=2)
         b[i, j] += 1e-12 * (t % 3 - 1)
         assert repr(dpi_distance(a, b)) == repr(_dpi_exact_unpruned(a, b))
+
+
+def test_exact_search_scans_each_prefix_once(monkeypatch):
+    # equal gap prefixes share one memo node, and the depth n - 1 scan is
+    # the full alignment's dm, so no leaf scans its prefix a second time
+    scanned: list = []
+
+    def spy(pairs, denom):
+        scanned.append(tuple(pairs))
+        return _scan_pairs(pairs, denom)
+
+    monkeypatch.setattr(matmetric, "_scan_pairs", spy)
+    rng = rng_stream(33)
+    kinds = ["random", "lattice", "equilateral", "zero"]
+    for t in range(200):
+        n = int(rng.integers(1, 7))
+        a = _sampled(rng, kinds[t % 4], n)
+        b = _sampled(rng, kinds[(t // 4) % 4], n)
+        scanned.clear()
+        w = dpi_distance(a, b, mode="exact")
+        assert scanned and len(set(scanned)) == len(scanned)
+        assert repr(w) == repr(_dpi_exact_unpruned(a, b))
 
 
 def _matches(a, b):

@@ -253,9 +253,12 @@ class FiniteMMS:
 def theta_map(a: DistanceMatrix) -> FiniteMMS:
     """Uniform metric measure space on the rows of a distance matrix.
 
-    Every singleton gets mass 1/n; labels are ``p0..p{n-1}``.
+    Every singleton gets mass 1/n; labels are ``p0..p{n-1}``.  A matrix
+    with no rows has no uniform measure and raises ValueError.
     """
     n = a.n
+    if not n:
+        raise ValueError("uniform space needs at least one point")
     return FiniteMMS(
         labels=tuple(f"p{i}" for i in range(n)),
         dist=a,

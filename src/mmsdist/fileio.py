@@ -62,6 +62,8 @@ def _mms_from_dict(obj: dict, tol: float) -> FiniteMMS:
     else:
         raise ValueError("space JSON needs a 'dist' or 'coords' field")
     n = dist.n
+    if not n:
+        raise ValueError("space JSON has no points")
     labels = obj.get("labels", [f"p{i}" for i in range(n)])
     mass = obj.get("mass", np.full(n, 1.0 / n))
     return FiniteMMS(labels=tuple(labels), dist=dist, mass=np.asarray(mass, float), coords=coords)

@@ -249,14 +249,14 @@ def _net_bound(x: FiniteMMS, y: FiniteMMS, tol: float, cross=None) -> GhpBound:
     cross = np.asarray(cross, dtype=float)
     if cross.shape != (x.n, y.n):
         raise StrategyError(f"cross grid shape {cross.shape} does not match spaces")
-    candidates = np.unique(cross)
-    candidates = candidates[candidates > 0]
+    # sorted distinct positive entries; np.unique would import numpy.ma
+    candidates = sorted({v for v in cross.ravel().tolist() if v > 0})
     best = None
     # equal pairs give equal bridges, gluing and value, and the strict <
     # keeps the first, so each distinct matching is glued once
     seen = set()
     for eps in candidates:
-        matching = epsilon_matching(cross, float(eps))
+        matching = epsilon_matching(cross, eps)
         if not matching.pairs or matching.pairs in seen:
             continue
         seen.add(matching.pairs)

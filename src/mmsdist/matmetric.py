@@ -81,7 +81,7 @@ class PiWitness:
 # exact minimum vertex cover
 
 
-def min_vertex_cover(n: int, edges, max_size: int | None = None):
+def min_vertex_cover(n: int, edges, max_size: int | None = None, *, lower: int = 0):
     """Exact minimum vertex cover by branch and bound.
 
     Args:
@@ -89,96 +89,137 @@ def min_vertex_cover(n: int, edges, max_size: int | None = None):
         edges: iterable of (i, j); a self-loop (i, i) forces i into the cover.
         max_size: optional budget; branches proving the optimum exceeds it
             are abandoned and None is returned.
+        lower: a proven lower bound on the minimum cover size.  The search
+            stops at the first cover of that size.  A value above the true
+            minimum may return a cover that is not minimum.
 
     Returns:
         Sorted tuple of cover vertices, or None if every cover is larger
         than ``max_size``.
 
-    Branching picks a maximum-degree vertex (lowest index on ties) and
-    explores "v in cover" before "all neighbours of v in cover"; a greedy
-    maximal matching provides the lower bound.  The result is deterministic.
+    Raises:
+        ValueError: an edge names a vertex outside 0..n-1.
+
+    A node first peels degree-1 vertices, the lowest index first, putting
+    each one's neighbour in the cover; the degree-1 set is kept as a bitmask
+    updated from the removed vertex's neighbours, so a peel costs that
+    vertex's degree.  With none left it branches on a maximum-degree vertex
+    v (lowest index on ties), exploring "v in cover" before "all neighbours
+    of v in cover"; a greedy maximal matching provides the lower bound.
+    The result is the first minimum cover in this depth-first order, the
+    same with any budget and any valid ``lower``.
     """
     adj = [0] * n
     forced = 0
-    for i, j in edges:
-        if i == j:
-            forced |= 1 << i
-        else:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
+    try:
+        for i, j in edges:
+            if i == j:
+                forced |= 1 << i
+            else:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+        if forced >> n:  # a self-loop on a vertex >= n
+            raise IndexError
+    except (IndexError, ValueError):  # a vertex >= n, or a negative shift count
+        raise ValueError(f"edges must be pairs of vertices in 0..{n - 1}") from None
     base = forced.bit_count()
     if max_size is not None and base > max_size:
         return None
-    full = (1 << n) - 1
-    alive0 = full & ~forced
-    if forced:
-        for v in range(n):
-            adj[v] &= alive0
+    # forced vertices never enter ``alive``, and every degree is read
+    # within ``alive``, so their bits in ``adj`` are never seen
+    alive = 0
+    for v, nb in enumerate(adj):
+        if nb:
+            alive |= 1 << v
+    alive &= ~forced
 
-    # exclusive upper bound on the non-forced part of the cover
-    bound0 = (max_size - base + 1) if max_size is not None else (n + 1)
-    best = {"size": bound0, "mask": None}
-
-    def matching_lb(alive: int) -> int:
-        used = 0
-        cnt = 0
+    # exclusive upper bound on the non-forced part of the cover, and the
+    # size at which a found cover is proven minimum
+    best = (max_size - base + 1) if max_size is not None else (n + 1)
+    goal = lower - base
+    best_cover = None
+    # a node is (alive, cover, size, touched): ``alive`` holds the vertices
+    # with an edge left, ``touched`` those whose degree changed since the
+    # parent's branching, which happens only when no vertex has degree 1
+    stack = [(alive, 0, 0, alive)]
+    while stack:
+        alive, cover, size, touched = stack.pop()
+        if size >= best:
+            continue
+        deg1 = 0
+        while touched:
+            x = touched & -touched
+            touched ^= x
+            d = (adj[x.bit_length() - 1] & alive).bit_count()
+            if d == 1:
+                deg1 |= x
+            elif not d:
+                alive ^= x
+        while deg1:
+            w = deg1 & -deg1
+            u = adj[w.bit_length() - 1] & alive
+            alive ^= w | u
+            deg1 &= alive
+            cover |= u
+            size += 1
+            if size >= best:
+                break
+            nb = adj[u.bit_length() - 1] & alive
+            while nb:
+                x = nb & -nb
+                nb ^= x
+                d = (adj[x.bit_length() - 1] & alive).bit_count()
+                if d == 1:
+                    deg1 |= x
+                elif not d:
+                    alive ^= x
+                    deg1 &= alive
+        if size >= best:
+            continue
+        if not alive:
+            best = size
+            best_cover = cover
+            if size <= goal:
+                break
+            continue
+        # one pass: the branching vertex and the matching lower bound
+        pick = maxd = lb = used = 0
         mm = alive
         while mm:
-            v = (mm & -mm).bit_length() - 1
-            mm &= mm - 1
-            if used >> v & 1:
-                continue
-            nb = adj[v] & alive & ~used
-            if nb:
-                u = (nb & -nb).bit_length() - 1
-                used |= (1 << v) | (1 << u)
-                cnt += 1
-        return cnt
+            x = mm & -mm
+            mm ^= x
+            nb = adj[x.bit_length() - 1] & alive
+            d = nb.bit_count()
+            if d > maxd:
+                maxd = d
+                pick = x
+            if not used & x:
+                nb &= ~used
+                if nb:
+                    used |= x | (nb & -nb)
+                    lb += 1
+        if size + lb >= best:
+            continue
+        nb = adj[pick.bit_length() - 1] & alive
+        rest = alive & ~nb & ~pick
+        touched = 0
+        mm = nb
+        while mm:
+            x = mm & -mm
+            mm ^= x
+            touched |= adj[x.bit_length() - 1]
+        stack.append((rest, cover | nb, size + nb.bit_count(), touched & rest))
+        stack.append((alive ^ pick, cover | pick, size + 1, nb))
 
-    def rec(alive: int, cover: int, size: int) -> None:
-        if size >= best["size"]:
-            return
-        # reductions: finish when edge-free, peel degree-1 vertices
-        while True:
-            pick = -1
-            maxd = 0
-            deg1 = -1
-            mm = alive
-            while mm:
-                v = (mm & -mm).bit_length() - 1
-                mm &= mm - 1
-                d = (adj[v] & alive).bit_count()
-                if d > maxd:
-                    maxd = d
-                    pick = v
-                if d == 1 and deg1 < 0:
-                    deg1 = v
-            if maxd == 0:
-                best["size"] = size
-                best["mask"] = cover
-                return
-            if deg1 >= 0:
-                nb = adj[deg1] & alive
-                u = (nb & -nb).bit_length() - 1
-                alive &= ~((1 << u) | (1 << deg1))
-                cover |= 1 << u
-                size += 1
-                if size >= best["size"]:
-                    return
-                continue
-            break
-        if size + matching_lb(alive) >= best["size"]:
-            return
-        v = pick
-        nb = adj[v] & alive
-        rec(alive & ~(1 << v), cover | (1 << v), size + 1)
-        rec(alive & ~nb & ~(1 << v), cover | nb, size + nb.bit_count())
-
-    rec(alive0, 0, 0)
-    if best["mask"] is None:
+    if best_cover is None:
         return None
-    mask = best["mask"] | forced
-    return tuple(i for i in range(n) if mask >> i & 1)
+    mask = best_cover | forced
+    out = []
+    while mask:
+        x = mask & -mask
+        mask ^= x
+        out.append(x.bit_length() - 1)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +286,7 @@ def _scan_pairs(pairs, denom):
     best_cover: tuple = ()
     edges: list = []
     k = 0  # prefix of pos already in `edges`
+    low = 0  # the last cover's size: edges only grow, so it bounds the next
     for t in thresholds:
         while k < len(pos) and pos[k][0] > t:
             edges.append((pos[k][1], pos[k][2]))
@@ -257,9 +299,10 @@ def _scan_pairs(pairs, denom):
             ms = None
             if inc < math.inf:
                 ms = math.ceil(denom * inc) - 1
-            cover = min_vertex_cover(nverts, edges, max_size=ms)
+            cover = min_vertex_cover(nverts, edges, max_size=ms, lower=low)
             if cover is None:
                 break  # covers only grow as t shrinks
+            low = len(cover)
         share = len(cover) / denom if cover else 0.0  # n = 0: no pairs, no cover
         val = max(t, share)
         if val < inc:
@@ -336,24 +379,30 @@ def _is_relabelling(a_rows, a_sorted, b_rows, b_sorted, b_prev) -> bool:
     n = len(a_rows)
     perm = [-1] * n
     used = [False] * n
-
-    def place(k: int) -> bool:
-        if k == n:
-            return True
-        ar = a_rows[k]
-        for j in range(n):
-            if used[j] or (b_prev[j] >= 0 and not used[b_prev[j]]) or b_sorted[j] != a_sorted[k]:
-                continue
-            bj = b_rows[j]
-            if ar[k] == bj[j] and all(ar[t] == bj[perm[t]] for t in range(k)):
-                perm[k] = j
-                used[j] = True
-                if place(k + 1):
-                    return True
-                used[j] = False
-        return False
-
-    return place(0)
+    k = j = 0  # row k of A tries rows j, j + 1, ... of B
+    while k < n:
+        if j == n:  # row k fits nowhere: move row k - 1 on
+            k -= 1
+            if k < 0:
+                return False
+            j = perm[k]
+            used[j] = False
+            j += 1
+            continue
+        ar, bj = a_rows[k], b_rows[j]
+        if (
+            not used[j]
+            and (b_prev[j] < 0 or used[b_prev[j]])
+            and b_sorted[j] == a_sorted[k]
+            and ar[k] == bj[j]
+            and all(ar[t] == bj[perm[t]] for t in range(k))
+        ):
+            perm[k] = j
+            used[j] = True
+            k, j = k + 1, 0
+        else:
+            j += 1
+    return True
 
 
 def _check_exact_limit(n: int, limit: int = DPI_EXACT_LIMIT) -> None:
@@ -383,38 +432,42 @@ def _dpi_exact(a_list, b_list):
     # twins give equal gaps, and the lex-smallest optimum places each twin
     # class in increasing order, so only the lowest unused twin is tried
     prev = _twin_prev(b_list)
-    best = {"value": math.inf}
+    best_value, best_perm, best_witness = math.inf, None, None
     pairs: list = []  # the prefix's gap pairs, extended and truncated in place
-
-    def dfs(k: int, children: dict) -> None:
-        ar = a_list[k]
-        for j in range(n):
-            if used[j] or (prev[j] >= 0 and not used[prev[j]]):
-                continue
-            perm[k] = j
-            chunk = _row_gaps(ar, b_list, perm, k)
-            pairs.extend(chunk)
-            key = tuple(g for _, _, g in chunk)
-            node = children.get(key)
-            if node is None:
-                node = children[key] = (*_scan_pairs(pairs, n), {})
-            value, cover, sub = node
-            if value < best["value"]:
-                if k == n - 1:
-                    best.update(value=value, perm=tuple(perm), witness=_witness(pairs, value, cover))
-                else:
-                    used[j] = True
-                    dfs(k + 1, sub)
-                    used[j] = False
+    levels = [{}] + [None] * (n - 1)  # levels[k]: the children of the node row k extends
+    k = j = 0  # row k of A tries rows j, j + 1, ... of B
+    while True:
+        if j == n:  # depth k is done: back to depth k - 1
+            k -= 1
+            if k < 0:
+                break
+            j = perm[k]
+            used[j] = False
             del pairs[-(k + 1) :]
-
-    dfs(0, {})
-    return PiWitness(
-        value=float(best["value"]),
-        permutation=best["perm"],
-        inner=best["witness"],
-        exact=True,
-    )
+            j += 1
+            continue
+        if used[j] or (prev[j] >= 0 and not used[prev[j]]):
+            j += 1
+            continue
+        perm[k] = j
+        chunk = _row_gaps(a_list[k], b_list, perm, k)
+        pairs.extend(chunk)
+        key = tuple(g for _, _, g in chunk)
+        node = levels[k].get(key)
+        if node is None:
+            node = levels[k][key] = (*_scan_pairs(pairs, n), {})
+        value, cover, sub = node
+        if value < best_value:
+            if k == n - 1:
+                best_value, best_perm, best_witness = value, tuple(perm), _witness(pairs, value, cover)
+            else:
+                used[j] = True
+                levels[k + 1] = sub
+                k, j = k + 1, 0
+                continue
+        del pairs[-(k + 1) :]
+        j += 1
+    return PiWitness(value=float(best_value), permutation=best_perm, inner=best_witness, exact=True)
 
 
 def _dpi_heuristic(a, b):

@@ -115,6 +115,109 @@ def mvc_bruteforce(n, edges):
     return best
 
 
+# The recursive branch and bound that ``matmetric.min_vertex_cover`` replaced,
+# kept verbatim as its reference: the same tree in the same order, so both
+# return the same first minimum cover.
+def min_vertex_cover_recursive(n: int, edges, max_size: int | None = None):
+    """Exact minimum vertex cover by branch and bound.
+
+    Args:
+        n: number of vertices (0..n-1).
+        edges: iterable of (i, j); a self-loop (i, i) forces i into the cover.
+        max_size: optional budget; branches proving the optimum exceeds it
+            are abandoned and None is returned.
+
+    Returns:
+        Sorted tuple of cover vertices, or None if every cover is larger
+        than ``max_size``.
+
+    Branching picks a maximum-degree vertex (lowest index on ties) and
+    explores "v in cover" before "all neighbours of v in cover"; a greedy
+    maximal matching provides the lower bound.  The result is deterministic.
+    """
+    adj = [0] * n
+    forced = 0
+    for i, j in edges:
+        if i == j:
+            forced |= 1 << i
+        else:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    base = forced.bit_count()
+    if max_size is not None and base > max_size:
+        return None
+    full = (1 << n) - 1
+    alive0 = full & ~forced
+    if forced:
+        for v in range(n):
+            adj[v] &= alive0
+
+    # exclusive upper bound on the non-forced part of the cover
+    bound0 = (max_size - base + 1) if max_size is not None else (n + 1)
+    best = {"size": bound0, "mask": None}
+
+    def matching_lb(alive: int) -> int:
+        used = 0
+        cnt = 0
+        mm = alive
+        while mm:
+            v = (mm & -mm).bit_length() - 1
+            mm &= mm - 1
+            if used >> v & 1:
+                continue
+            nb = adj[v] & alive & ~used
+            if nb:
+                u = (nb & -nb).bit_length() - 1
+                used |= (1 << v) | (1 << u)
+                cnt += 1
+        return cnt
+
+    def rec(alive: int, cover: int, size: int) -> None:
+        if size >= best["size"]:
+            return
+        # reductions: finish when edge-free, peel degree-1 vertices
+        while True:
+            pick = -1
+            maxd = 0
+            deg1 = -1
+            mm = alive
+            while mm:
+                v = (mm & -mm).bit_length() - 1
+                mm &= mm - 1
+                d = (adj[v] & alive).bit_count()
+                if d > maxd:
+                    maxd = d
+                    pick = v
+                if d == 1 and deg1 < 0:
+                    deg1 = v
+            if maxd == 0:
+                best["size"] = size
+                best["mask"] = cover
+                return
+            if deg1 >= 0:
+                nb = adj[deg1] & alive
+                u = (nb & -nb).bit_length() - 1
+                alive &= ~((1 << u) | (1 << deg1))
+                cover |= 1 << u
+                size += 1
+                if size >= best["size"]:
+                    return
+                continue
+            break
+        if size + matching_lb(alive) >= best["size"]:
+            return
+        v = pick
+        nb = adj[v] & alive
+        rec(alive & ~(1 << v), cover | (1 << v), size + 1)
+        rec(alive & ~nb & ~(1 << v), cover | nb, size + nb.bit_count())
+
+    rec(alive0, 0, 0)
+    if best["mask"] is None:
+        return None
+    mask = best["mask"] | forced
+    return tuple(i for i in range(n) if mask >> i & 1)
+
+
 def embeddings_bruteforce(y, x, tol):
     """All distance-preserving injections, by scanning every arrangement."""
     dy = y.dist.entries

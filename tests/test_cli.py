@@ -241,6 +241,9 @@ def test_check_nonzero_exit_on_failure(files, capsys):
 def test_cli_error_paths(files, capsys):
     code = main(["dm", files["a"], str(files["dir"] / "missing.mat")])
     assert code == 2
+    empty = _write(files["dir"] / "empty.json", '{"coords": []}')
+    assert main(["ghp", empty, empty]) == 2
+    assert "no points" in capsys.readouterr().err
     bad = _write(files["dir"] / "bad.mat", "2\n0 1\n")
     code = main(["dm", files["a"], bad])
     assert code == 2

@@ -56,6 +56,15 @@ def test_theta_map_examples():
     four = theta_map(DistanceMatrix.from_points(np.arange(4.0)[:, None]))
     assert np.all(four.mass == 0.25)
     assert abs(four.mass.sum() - 1.0) < 1e-12
+    with pytest.raises(ValueError, match="at least one point"):
+        theta_map(validate_distance_matrix(np.zeros((0, 0))))
+
+
+def test_space_json_without_points_is_a_typed_error(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text('{"coords": []}')
+    with pytest.raises(ValueError, match="no points"):
+        read_mms(path)
 
 
 def test_quotient_merges_zero_pairs():

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from mmsdist import experiments, matmetric
 from mmsdist.matmetric import PiWitness, _is_relabelling, _scan_pairs, _twin_prev
 from mmsdist.sampling import enumerate_matrix_ensemble, rng_stream
 
-from oracles import dm_bruteforce, dpi_bruteforce, mvc_bruteforce
+from oracles import dm_bruteforce, dpi_bruteforce, min_vertex_cover_recursive, mvc_bruteforce
 
 A_LINE = np.array([[0.0, 1, 3], [1, 0, 2], [3, 2, 0]])  # points {0, 1, 3}
 B_LINE = np.array([[0.0, 2, 3], [2, 0, 1], [3, 1, 0]])  # points {0, 2, 3}
@@ -200,6 +201,92 @@ def test_min_vertex_cover_against_bruteforce():
         assert len(cover) == mvc_bruteforce(n, edges)
         cap = mvc_bruteforce(n, edges)
         assert min_vertex_cover(n, edges, max_size=cap - 1) is None or cap == 0
+
+
+@pytest.mark.parametrize("edges", [[(5, 5)], [(0, 5)], [(5, 0)], [(-1, 0)], [(0, -1)], [(-1, -1)], [(-3, 1)]])
+def test_min_vertex_cover_rejects_vertices_outside_the_graph(edges):
+    with pytest.raises(ValueError, match=r"0\.\.1"):
+        min_vertex_cover(2, edges)
+
+
+@st.composite
+def _graph(draw):
+    """A graph on 0 <= n <= 9 vertices; edges may repeat, run either way
+    or be self-loops."""
+    n = draw(st.integers(0, 9))
+    if not n:
+        return n, []
+    vertex = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_graph())
+def test_min_vertex_cover_matches_the_recursive_kernel(graph):
+    # same tree, same order: every budget and every valid lower bound gives
+    # the cover (or None) the recursive kernel returns
+    n, edges = graph
+    opt = len(min_vertex_cover_recursive(n, edges))
+    for max_size in [None, *range(-1, n + 1)]:
+        want = min_vertex_cover_recursive(n, edges, max_size)
+        for lower in range(opt + 1):
+            assert min_vertex_cover(n, edges, max_size, lower=lower) == want
+
+
+def _integer_grid(rng, n):
+    m = rng.integers(0, 3, size=(n, n)).astype(float)
+    return np.tril(m) + np.tril(m, -1).T
+
+
+def test_witnesses_are_unchanged_under_the_recursive_kernel(monkeypatch):
+    # dm, exact and heuristic dpi on random, twin-rich and integer grids:
+    # the reprs with the recursive kernel patched in are the same bytes
+    rng = rng_stream(34)
+    kinds = ["random", "lattice", "equilateral", "zero"]
+    cases = []
+    for t, n in enumerate([*range(9), 12, 16, 24, 32, 48, 64] * 6):
+        pair = [_random_symmetric(rng, n, with_diagonal=True) for _ in range(2)]
+        if t % 3 == 1:
+            pair = [_sampled(rng, kinds[t % 4], n) for _ in range(2)]
+        elif t % 3 == 2:
+            pair = [_integer_grid(rng, n) for _ in range(2)]
+        modes = ["dm"] + ["exact"] * (n <= 7) + ["heuristic"] * (n <= 12)
+        cases += [(mode, *pair) for mode in modes]
+
+    def run():
+        return [
+            repr(dm_distance(a, b) if mode == "dm" else dpi_distance(a, b, mode=mode))
+            for mode, a, b in cases
+        ]
+
+    got = run()
+    monkeypatch.setattr(
+        matmetric,
+        "min_vertex_cover",
+        lambda n, edges, max_size=None, lower=0: min_vertex_cover_recursive(n, edges, max_size),
+    )
+    assert got == run()
+
+
+def test_calls_leave_no_cyclic_garbage():
+    rng = rng_stream(35)
+    a, b = _random_symmetric(rng, 6), _random_symmetric(rng, 6)
+    c, d = _random_symmetric(rng, 10), _random_symmetric(rng, 10)
+    calls = [
+        lambda: min_vertex_cover(6, [(0, 1), (1, 2), (2, 0), (3, 3), (4, 5)]),
+        lambda: dm_distance(a, b),
+        lambda: dpi_distance(a, b, mode="exact"),
+        lambda: dpi_distance(c, d, mode="heuristic"),
+    ]
+    for call in calls:
+        call()
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -91,7 +91,7 @@ def _cmd_prokhorov(args) -> int:
 def _cmd_birkhoff(args) -> int:
     s = fileio.read_matrix(args.s)
     dec = birkhoff_decompose(s, tol=args.tol)
-    err = float(np.abs(dec.reconstruct() - s).max())
+    err = float(np.abs(dec.reconstruct() - s).max(initial=0.0))
     _emit(
         {
             "terms": [{"coefficient": c, "permutation": list(p)} for c, p in dec.terms],

@@ -197,6 +197,22 @@ def _northwest_fill(rres, cres, mass):
         cres[j] -= take
 
 
+def _greedy_coupling(p, q, pairs):
+    """A coupling of p and q: each listed (row, column) pair in turn takes
+    all it can of both residual masses, then northwest-corner filling
+    places the rest, on the integer masses of :func:`_scaled_masses`."""
+    rres, cres, one = _scaled_masses(p, q)
+    mass = [[0] * len(cres) for _ in rres]
+    for i, j in pairs:
+        take = min(rres[i], cres[j])
+        if take > 0:
+            mass[i][j] += take
+            rres[i] -= take
+            cres[j] -= take
+    _northwest_fill(rres, cres, mass)
+    return np.array([[x / one for x in row] for row in mass])
+
+
 def _first_true(pred, lo: int, hi: int) -> int:
     """Least k in [lo, hi) with pred(k), else hi, for a pred that is false
     up to some index and true from there on.
@@ -386,6 +402,8 @@ def epsilon_matching(dist_grid, epsilon: float) -> EpsMatching:
     if not epsilon > 0:  # NaN fails this too
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     d = np.asarray(dist_grid, dtype=float)
+    if d.ndim != 2:
+        raise ValueError(f"expected a 2-d distance grid, got shape {d.shape}")
     if not np.isfinite(d).all():
         raise ValueError("distance grid has a non-finite entry")
     allowed = d < epsilon
@@ -409,6 +427,8 @@ def birkhoff_decompose(s, tol: float = DEFAULT_TOL) -> BirkhoffDecomposition:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square grid, got shape {a.shape}")
     n = a.shape[0]
+    if not n:  # the zero-residual corner case below, with the empty permutation
+        return BirkhoffDecomposition(terms=((1.0, ()),))
     if not np.isfinite(a).all():
         raise ValueError("grid has a non-finite entry")
     if float(a.min()) < -tol:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 import math
 from dataclasses import asdict, dataclass
 
@@ -29,12 +28,8 @@ from .coupling import prokhorov_distance
 from .ghp import ghp_bounds_uniform, ghp_upper_bound
 from .matmetric import (
     DPI_EXACT_LIMIT,
-    _aligned_scan,
     _check_exact_limit,
-    _check_finite_symmetric,
-    _dpi_exact,
-    _is_relabelling,
-    _twin_prev,
+    _cross_grid,
     dm_distance,
     dpi_distance,
 )
@@ -60,8 +55,6 @@ __all__ = [
     "check_sampling_convergence",
     "check_group_invariance",
 ]
-
-log = logging.getLogger("mmsdist")
 
 
 @dataclass(frozen=True)
@@ -151,92 +144,21 @@ def binomial_tail_above(n: int, p: float, m: float) -> float:
     return total
 
 
-def _atom_rows(mats, tol: float):
-    """The matrices as nested lists, each checked finite and symmetric
-    within tol once."""
-    stack = np.array(mats, dtype=float)
-    _check_finite_symmetric(stack, "ensemble atom", tol)
-    return stack.tolist()
-
-
-def _relabelling_classes(mats, tol: float):
-    """Partition distance matrices into classes of matrices equal up to
-    relabelling.
-
-    Each matrix is checked and converted to lists once.  The matrices are
-    bucketed by an invariant of simultaneous row/column permutation (the
-    sorted multiset of sorted rows; cheap but not complete), and a matrix
-    joins a class of its bucket only when :func:`matmetric._is_relabelling`
-    places its rows on the class representative's with ``==`` alone, which
-    holds exactly when their exact dpi is 0.0.  The invariant reads full
-    rows, so on a grid asymmetric within tol it may only split a class.
-    Returns the class index of every matrix, the representative (first
-    member, as nested lists) of every class and the number of relabelling
-    tests made.
-    """
-    buckets: dict = {}
-    labels = np.empty(len(mats), dtype=int)
-    reps: list = []
-    sorted_reps: list = []
-    calls = 0
-    for i, rows in enumerate(_atom_rows(mats, tol)):
-        srt = [tuple(sorted(r)) for r in rows]
-        bucket = buckets.setdefault(tuple(sorted(srt)), [])
-        prev = _twin_prev(rows) if bucket else None
-        for k in bucket:
-            calls += 1
-            if _is_relabelling(reps[k], sorted_reps[k], rows, srt, prev):
-                labels[i] = k
-                break
-        else:
-            labels[i] = len(reps)
-            bucket.append(len(reps))
-            reps.append(rows)
-            sorted_reps.append(srt)
-    return labels, reps, calls
-
-
 def _ensemble_cross_grid(ens_x, ens_y, distance, tol: float, budget: int):
     """Grid of ``distance`` (dm_distance or dpi_distance) between two
-    ensembles' atoms; raises :class:`BudgetError` before allocating when it
-    has more than ``budget`` cells, ValueError when the ensembles differ in
-    size, :class:`SizeLimitError` before classifying any atom when a dpi
-    grid's matrices exceed the exact limit, and ValueError before any
-    distance when an atom is non-finite or asymmetric beyond tol.
-
-    Each atom is checked and converted to lists once, and the cells run the
-    same private paths as :func:`dm_distance` and :func:`dpi_distance`
-    without repeating those checks or building witnesses.  dpi is invariant
-    under relabelling either matrix, so its grid is built on permutation
-    classes (:func:`_relabelling_classes`): one exact dpi per class pair,
-    copied to every atom pair of the two classes.  The values are
-    bit-identical to a per-atom loop, because relabelling only permutes the
-    same float gaps.  dm is not relabelling-invariant and runs on every
-    atom pair.
-    """
-    ax = [m.entries for m in ens_x.matrices()]
-    ay = [m.entries for m in ens_y.matrices()]
-    if len(ax) * len(ay) > budget:
-        raise BudgetError(f"{len(ax)} x {len(ay)} grid exceeds the budget of {budget}")
+    ensembles' atoms, built by :func:`matmetric._cross_grid`; raises
+    :class:`BudgetError` before allocating when it has more than ``budget``
+    cells, ValueError when the ensembles differ in size and
+    :class:`SizeLimitError` before classifying any atom when a dpi grid's
+    matrices exceed the exact limit."""
+    if ens_x.size * ens_y.size > budget:
+        raise BudgetError(f"{ens_x.size} x {ens_y.size} grid exceeds the budget of {budget}")
     if ens_x.n != ens_y.n:
         raise ValueError(f"dimension mismatch: {ens_x.n} vs {ens_y.n}")
     if distance is dpi_distance:
         _check_exact_limit(ens_x.n)
-        label_x, rows_x, calls_x = _relabelling_classes(ax, tol)
-        label_y, rows_y, calls_y = _relabelling_classes(ay, tol)
-        log.debug(
-            "dpi grid: %d x %d atoms -> %d x %d classes, "
-            "%d relabelling tests, %d class-pair dpi calls",
-            len(ax), len(ay), len(rows_x), len(rows_y),
-            calls_x + calls_y, len(rows_x) * len(rows_y),
-        )
-        small = [[_dpi_exact(a, b).value for b in rows_y] for a in rows_x]
-    else:
-        label_x, label_y = np.arange(len(ax)), np.arange(len(ay))
-        rows_x, rows_y = _atom_rows(ax, tol), _atom_rows(ay, tol)
-        ident = range(ens_x.n)
-        small = [[_aligned_scan(a, b, ident)[1] for b in rows_y] for a in rows_x]
-    return np.array(small)[np.ix_(label_x, label_y)]
+    ax, ay = ([m.entries for m in ens.matrices()] for ens in (ens_x, ens_y))
+    return _cross_grid(ax, ay, distance is dpi_distance, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +212,7 @@ def check_hoelder_small_n(
 ) -> ExperimentReport:
     """Square-root bound for ensembles of the two-point pair at sample size
     n: the exact ensemble distance under the permutation-quotient ground
-    metric must not exceed sqrt(eps).  The dpi grid is built on permutation
-    classes of the atoms (a handful for these two-point ensembles) and
-    expanded to every atom pair before the Prokhorov step.
+    metric must not exceed sqrt(eps).
 
     With ``mc_trials`` > 0 additionally samples coupled pairs from the
     witness coupling and checks, per sample, that the quotient distance of
@@ -500,8 +420,6 @@ def check_group_invariance(
     """Ensembles of i.i.d. samples are exchangeable, so their coupling
     distance is the same under the full matrix metric and its permutation
     quotient; computed exactly both ways and compared.
-    The dpi grid is built on permutation classes of the atoms; the dm grid,
-    which is not relabelling-invariant, is computed on every atom pair.
 
     Also reports, without asserting, the gap after artificially breaking
     the symmetry by deleting an ensemble atom."""

@@ -31,8 +31,7 @@ from .core import (
 )
 from .coupling import (
     ProkhorovResult,
-    _northwest_fill,
-    _scaled_masses,
+    _greedy_coupling,
     delta_of_coupling,
     epsilon_matching,
     prokhorov_distance,
@@ -124,8 +123,10 @@ def _glue(x: FiniteMMS, y: FiniteMMS, bridges, tol: float) -> GluedSpace:
     dx, dy = x.dist.entries, y.dist.entries
     cross = np.full((nl, nr), np.inf)
     for i, j, t in bridges:
-        if t < 0:
-            raise ValueError(f"negative bridge length {t}")
+        if not (0 <= i < nl and 0 <= j < nr):
+            raise ValueError(f"bridge ({i}, {j}) is outside the {nl} x {nr} spaces")
+        if not 0 <= t < np.inf:  # NaN fails this too
+            raise ValueError(f"bridge length {t} is not finite and nonnegative")
         np.minimum(cross, dx[:, i][:, None] + t + dy[j, :][None, :], out=cross)
     w = np.zeros((nl + nr, nl + nr))
     w[:nl, :nl] = dx
@@ -152,14 +153,10 @@ def glue_by_relation(x: FiniteMMS, y: FiniteMMS, relation, t: float, tol: float 
     completed by min-plus closure over the union graph; the closure must
     not shorten any internal distance by more than tol, otherwise the
     relation is too distorted for this t and a :class:`GluingError` is
-    raised.
+    raised.  An empty relation, an index outside either space, or a t that
+    is negative, NaN or infinite raises ValueError.
     """
-    if t < 0:
-        raise ValueError("bridge length must be nonnegative")
-    rel = tuple(relation)
-    if not rel:
-        raise ValueError("relation must be nonempty")
-    return _glue(x, y, [(i, j, t) for i, j in rel], tol)
+    return _glue(x, y, [(i, j, t) for i, j in relation], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -223,19 +220,6 @@ def _identify_bound(x: FiniteMMS, y: FiniteMMS, tol: float) -> GhpBound:
     )
 
 
-def _greedy_coupling_on_pairs(p, q, pairs, shape):
-    rres, cres, one = _scaled_masses(p, q)
-    mass = [[0] * shape[1] for _ in range(shape[0])]
-    for i, j in pairs:
-        take = min(rres[i], cres[j])
-        if take > 0:
-            mass[i][j] += take
-            rres[i] -= take
-            cres[j] -= take
-    _northwest_fill(rres, cres, mass)
-    return np.array([[x / one for x in row] for row in mass])
-
-
 def _net_bound(x: FiniteMMS, y: FiniteMMS, tol: float, cross=None) -> GhpBound:
     if cross is None:
         if x.coords is None or y.coords is None:
@@ -262,7 +246,7 @@ def _net_bound(x: FiniteMMS, y: FiniteMMS, tol: float, cross=None) -> GhpBound:
         seen.add(matching.pairs)
         bridges = [(i, j, float(cross[i, j])) for i, j in matching.pairs]
         glued = _glue(x, y, bridges, tol)
-        mass = _greedy_coupling_on_pairs(x.mass, y.mass, matching.pairs, (x.n, y.n))
+        mass = _greedy_coupling(x.mass, y.mass, matching.pairs)
         val = delta_of_coupling(Coupling(mass=mass, ground_dist=glued.cross), tol)
         if best is None or val < best[0]:
             best = (val, glued)

@@ -23,10 +23,13 @@ configurable size limit, or heuristically (greedy profile assignment plus
 2-swap local search) above it.  The exact search tries one row per class of
 twins of B (rows whose swap leaves B unchanged, as repeated sample points
 do), which cuts the search without changing the value or the witness.
+The grids of dm or dpi between two lists of grids (ensemble atoms) are
+built here too, the dpi grid on classes of grids equal up to relabelling.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -44,6 +47,8 @@ __all__ = [
 ]
 
 DPI_EXACT_LIMIT = 8  # largest n that the exact permutation search accepts by default
+
+log = logging.getLogger("mmsdist")
 
 
 @dataclass(frozen=True)
@@ -226,14 +231,16 @@ def min_vertex_cover(n: int, edges, max_size: int | None = None, *, lower: int =
 # the exclusion-tolerant distance
 
 
-def _check_finite_symmetric(m, what, tol):
-    """Raise ValueError unless every entry of ``m`` (one grid, or a stack of
-    grids along the first axis) is finite and each grid is symmetric within
-    tol."""
+def _checked(m, what, tol):
+    """``m`` (one square grid, or a stack of them along axis 0) as a float
+    array, after checking that every entry is finite and each grid is
+    symmetric within tol; raises ValueError otherwise."""
+    m = np.asarray(m, dtype=float)
     if not np.isfinite(m).all():
         raise ValueError(f"{what} has a non-finite entry")
     if m.size and float(np.abs(m - np.swapaxes(m, -1, -2)).max()) > tol:
         raise ValueError(f"{what} is not symmetric within {tol}")
+    return m
 
 
 def _check_symmetric_pair(a, b, tol):
@@ -243,9 +250,7 @@ def _check_symmetric_pair(a, b, tol):
         raise ValueError(f"first matrix is not square: shape {a.shape}")
     if b.shape != a.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    _check_finite_symmetric(a, "first matrix", tol)
-    _check_finite_symmetric(b, "second matrix", tol)
-    return a, b
+    return _checked(a, "first matrix", tol), _checked(b, "second matrix", tol)
 
 
 def _row_gaps(ar, b_list, perm, k):
@@ -523,3 +528,67 @@ def dpi_distance(
     if mode == "heuristic":
         return _dpi_heuristic(a, b)
     raise ValueError(f"unknown mode {mode!r}: expected 'exact' or 'heuristic'")
+
+
+def _relabelling_classes(mats, tol: float):
+    """Partition equal-size grids, each checked and converted to lists once,
+    into classes of grids equal up to relabelling.
+
+    The grids are bucketed by an invariant of simultaneous row/column
+    permutation (the sorted multiset of sorted rows; cheap but not
+    complete), and a grid joins a class of its bucket only when
+    :func:`_is_relabelling` places its rows on the class representative's
+    with ``==`` alone, that is, when their exact dpi is 0.0.  The invariant
+    reads full rows, so on a grid asymmetric within tol it may only split a
+    class.  Returns the class of every grid, the representative (first
+    member, as nested lists) of every class and the relabelling tests made.
+    """
+    buckets: dict = {}
+    labels = np.empty(len(mats), dtype=int)
+    reps: list = []
+    sorted_reps: list = []
+    calls = 0
+    for i, rows in enumerate(_checked(mats, "ensemble atom", tol).tolist()):
+        srt = [tuple(sorted(r)) for r in rows]
+        bucket = buckets.setdefault(tuple(sorted(srt)), [])
+        prev = _twin_prev(rows) if bucket else None
+        for k in bucket:
+            calls += 1
+            if _is_relabelling(reps[k], sorted_reps[k], rows, srt, prev):
+                labels[i] = k
+                break
+        else:
+            labels[i] = len(reps)
+            bucket.append(len(reps))
+            reps.append(rows)
+            sorted_reps.append(srt)
+    return labels, reps, calls
+
+
+def _cross_grid(mats_x, mats_y, quotient: bool, tol: float):
+    """Exact dpi (``quotient``; the caller checks the size limit) or dm of
+    every grid of ``mats_x`` against every grid of ``mats_y``, all of one
+    size, bit-identical to per-pair :func:`dpi_distance` or
+    :func:`dm_distance` calls.
+
+    Every grid is checked (ValueError when non-finite or asymmetric beyond
+    tol) and converted to lists once, before any distance, and the cells
+    run the private paths without building witnesses.  dpi is invariant
+    under relabelling either grid, so its grid is one exact dpi per pair of
+    :func:`_relabelling_classes`, copied to every pair of the two classes
+    (relabelling only permutes the same float gaps).  dm is not, and runs
+    on every pair.
+    """
+    if not quotient:
+        rows_x, rows_y = (_checked(m, "ensemble atom", tol).tolist() for m in (mats_x, mats_y))
+        return np.array([[_aligned_scan(a, b, range(len(a)))[1] for b in rows_y] for a in rows_x])
+    label_x, rows_x, calls_x = _relabelling_classes(mats_x, tol)
+    label_y, rows_y, calls_y = _relabelling_classes(mats_y, tol)
+    log.debug(
+        "dpi grid: %d x %d atoms -> %d x %d classes, "
+        "%d relabelling tests, %d class-pair dpi calls",
+        len(mats_x), len(mats_y), len(rows_x), len(rows_y),
+        calls_x + calls_y, len(rows_x) * len(rows_y),
+    )
+    small = [[_dpi_exact(a, b).value for b in rows_y] for a in rows_x]
+    return np.array(small)[np.ix_(label_x, label_y)]

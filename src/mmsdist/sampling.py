@@ -21,6 +21,7 @@ from .core import (
     DistanceMatrix,
     FiniteMMS,
     MatrixEnsemble,
+    as_prob_vector,
 )
 
 __all__ = [
@@ -63,8 +64,8 @@ class ModelSpace:
 
     @staticmethod
     def circle(circumference: float = 1.0) -> "ModelSpace":
-        if circumference <= 0:
-            raise ValueError("circumference must be positive")
+        if not 0 < circumference < np.inf:  # NaN fails this too
+            raise ValueError(f"circumference must be positive and finite, got {circumference}")
         return ModelSpace(kind="circle", circumference=float(circumference))
 
     @staticmethod
@@ -73,10 +74,17 @@ class ModelSpace:
 
     @staticmethod
     def euclidean_points(coords, mass=None) -> "ModelSpace":
+        """Weighted point cloud (rows are points; 1-D coordinates are one
+        column); the weights, uniform by default, must be a probability
+        vector within ``DEFAULT_TOL``, as :class:`FiniteMMS` masses are."""
         c = np.asarray(coords, dtype=float)
         if c.ndim == 1:
             c = c[:, None]
-        m = np.full(c.shape[0], 1.0 / c.shape[0]) if mass is None else np.asarray(mass, float)
+        if not (c.size and np.isfinite(c).all()):
+            raise ValueError("point cloud needs points with finite coordinates")
+        m = np.full(len(c), 1.0 / len(c)) if mass is None else as_prob_vector(mass, DEFAULT_TOL, "weights")
+        if m.shape != (len(c),):
+            raise ValueError(f"{m.size} weights for {len(c)} points")
         return ModelSpace(kind="euclideanPoints", coords=c, weights=m)
 
     def atom_space(self) -> FiniteMMS:
@@ -189,8 +197,8 @@ def epsilon_net_partition(space: FiniteMMS, epsilon: float) -> NetPartition:
     """Greedy farthest-point net: repeatedly add the lowest-index point at
     distance > epsilon from every chosen center, then assign each point to
     its nearest center (ties to the earliest center)."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not epsilon > 0:  # NaN fails this too
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     d = space.dist.entries
     n = space.n
     centers: list[int] = []

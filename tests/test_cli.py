@@ -78,6 +78,20 @@ def test_birkhoff_command(files, capsys):
     assert payload["reconstruction_error"] <= 1e-12
 
 
+def test_birkhoff_command_on_the_empty_grid(files, capsys):
+    code, out = _run(capsys, ["birkhoff", _write(files["dir"] / "E.mat", "0\n")])
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["terms"] == [{"coefficient": 1.0, "permutation": []}]
+    assert payload["reconstruction_error"] == 0.0
+
+
+def test_sample_rejects_weights_that_are_not_a_probability_vector(files, capsys):
+    bad = _write(files["dir"] / "w.json", '{"kind": "euclideanPoints", "coords": [[0], [1]], "mass": [0.9, 0.9]}')
+    assert main(["sample", bad, "--n", "3"]) == 2
+    assert "weights sums to 1.8" in capsys.readouterr().err
+
+
 def test_ghp_command(files, capsys):
     code, out = _run(capsys, ["ghp", files["x"], files["y"]])
     payload = json.loads(out)

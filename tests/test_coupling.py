@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -641,6 +642,21 @@ def test_birkhoff_and_matching_reject_non_finite_grids(bad):
         birkhoff_decompose([[bad, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="non-finite"):
         epsilon_matching([[bad, 0.0], [0.0, 1.0]], 0.5)
+
+
+@pytest.mark.parametrize("grid", [[1.0, 2.0], 0.5, np.zeros((2, 2, 2))])
+def test_epsilon_matching_rejects_a_grid_that_is_not_2d(grid):
+    # a flat grid failed with "not enough values to unpack"
+    shape = np.shape(grid)
+    with pytest.raises(ValueError, match=re.escape(f"expected a 2-d distance grid, got shape {shape}")):
+        epsilon_matching(grid, 1.5)
+
+
+def test_birkhoff_of_the_empty_grid_is_the_empty_permutation():
+    # failed inside numpy ("zero-size array to reduction operation minimum")
+    dec = birkhoff_decompose(np.zeros((0, 0)))
+    assert dec.terms == ((1.0, ()),)
+    assert dec.reconstruct().shape == (0, 0)
 
 
 def test_epsilon_matching_rejects_nan_epsilon():

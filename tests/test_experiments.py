@@ -14,7 +14,7 @@ from mmsdist import (
     dm_distance,
     dpi_distance,
 )
-from mmsdist import experiments
+from mmsdist import experiments, matmetric
 from mmsdist.experiments import (
     binomial_tail_above,
     check_finspc_sandwich,
@@ -194,8 +194,8 @@ def test_hoelder_above_dpi_limit_raises_before_classifying(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("atoms classified although the dpi grid is over the limit")
 
-    monkeypatch.setattr(experiments, "_dpi_exact", refuse)
-    monkeypatch.setattr(experiments, "_is_relabelling", refuse)
+    monkeypatch.setattr(matmetric, "_dpi_exact", refuse)
+    monkeypatch.setattr(matmetric, "_is_relabelling", refuse)
     with pytest.raises(SizeLimitError, match=f"limited to n <= {DPI_EXACT_LIMIT}, got 9"):
         check_hoelder_small_n(0.1, 9)
 
@@ -240,8 +240,8 @@ def test_cross_grid_checks_every_atom_before_any_distance(monkeypatch, distance)
     def refuse(*args, **kwargs):
         raise AssertionError("a distance was computed before the atoms were checked")
 
-    monkeypatch.setattr(experiments, "_aligned_scan", refuse)
-    monkeypatch.setattr(experiments, "_dpi_exact", refuse)
+    monkeypatch.setattr(matmetric, "_aligned_scan", refuse)
+    monkeypatch.setattr(matmetric, "_dpi_exact", refuse)
     ens_x = enumerate_matrix_ensemble(_two_point_model(0.5, 0.1, "x"), 3)
     ens_y = enumerate_matrix_ensemble(_two_point_model(1.0, 0.1, "y"), 3)
     skew = np.zeros((3, 3))
@@ -264,7 +264,7 @@ def test_class_holds_atoms_of_different_multisets():
     space = _three_point_model(1.0, 1.5, 2.0, [0.5, 0.3, 0.2]).space
     d = space.dist.entries
     mats = [d[np.ix_(t, t)] for t in ([0, 0, 1], [0, 1, 1], [0, 0, 2])]
-    labels, reps, calls = experiments._relabelling_classes(mats, 1e-9)
+    labels, reps, calls = matmetric._relabelling_classes(mats, 1e-9)
     assert labels.tolist() == [0, 0, 1]
     assert len(reps) == 2 and calls == 1
 
@@ -285,14 +285,14 @@ def test_invariant_collision_stays_split():
     relabelled = cycle[np.ix_(perm, perm)]
     assert np.array_equal(np.sort(cycle, axis=1), np.sort(triangles, axis=1))
     assert dpi_distance(cycle, triangles).value > 0.0
-    labels, reps, calls = experiments._relabelling_classes([cycle, triangles, relabelled], 1e-9)
+    labels, reps, calls = matmetric._relabelling_classes([cycle, triangles, relabelled], 1e-9)
     assert labels.tolist() == [0, 1, 0]
     assert len(reps) == 2 and calls == 2
 
 
 def test_class_grid_logs_its_work(monkeypatch, caplog):
     tests, calls = [], []
-    matcher, search = experiments._is_relabelling, experiments._dpi_exact
+    matcher, search = matmetric._is_relabelling, matmetric._dpi_exact
 
     def counting_test(*args, **kwargs):
         tests.append(1)
@@ -302,8 +302,8 @@ def test_class_grid_logs_its_work(monkeypatch, caplog):
         calls.append(1)
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "_is_relabelling", counting_test)
-    monkeypatch.setattr(experiments, "_dpi_exact", counting_dpi)
+    monkeypatch.setattr(matmetric, "_is_relabelling", counting_test)
+    monkeypatch.setattr(matmetric, "_dpi_exact", counting_dpi)
     with caplog.at_level(logging.DEBUG, logger="mmsdist"):
         r = check_hoelder_small_n(0.1, 5)
     lines = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("dpi grid")]

@@ -23,7 +23,8 @@ from mmsdist import (
     validate_distance_matrix,
 )
 from mmsdist.experiments import sharp_pair
-from mmsdist.ghp import _glue, _greedy_coupling_on_pairs, _net_bound
+from mmsdist.coupling import _greedy_coupling
+from mmsdist.ghp import _glue, _net_bound
 from mmsdist.matmetric import DPI_EXACT_LIMIT
 from mmsdist.sampling import rng_stream
 
@@ -134,7 +135,7 @@ def test_net_strategy_reads_1d_coords_as_one_column():
 def test_greedy_net_coupling_keeps_tiny_masses():
     # the net strategy's coupling runs on the exact scaled masses, so a
     # 1e-15 atom reaches the coupling instead of being cut as rounding noise
-    mass = _greedy_coupling_on_pairs([1 - 1e-15, 1e-15], [1e-15, 1 - 1e-15], [(0, 0)], (2, 2))
+    mass = _greedy_coupling([1 - 1e-15, 1e-15], [1e-15, 1 - 1e-15], [(0, 0)])
     assert mass.tolist() == [[1e-15, 1 - 2e-15], [0.0, 1e-15]]
     assert mass.sum(axis=1).tolist() == [1 - 1e-15, 1e-15]
     assert mass.sum(axis=0).tolist() == [1e-15, 1 - 1e-15]
@@ -162,7 +163,7 @@ def _net_bound_every_level(x, y, tol):
         if not pairs:
             continue
         glued = _glue(x, y, [(i, j, float(cross[i, j])) for i, j in pairs], tol)
-        mass = _greedy_coupling_on_pairs(x.mass, y.mass, pairs, (x.n, y.n))
+        mass = _greedy_coupling(x.mass, y.mass, pairs)
         val = delta_of_coupling(Coupling(mass=mass, ground_dist=glued.cross), tol)
         if best is None or val < best[0]:
             best = (val, glued)
@@ -260,3 +261,19 @@ def test_best_strategy_picks_minimum():
     best = best_ghp_upper_bound(x, y)
     assert best.method == "identify"
     assert best.upper == pytest.approx(0.1, abs=1e-12)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -0.1])
+def test_glue_rejects_a_bridge_length_that_is_not_finite_and_nonnegative(t):
+    # a NaN length used to return a gluing whose cross grid was NaN
+    x = _space("ab", [[0.0], [1.0]])
+    with pytest.raises(ValueError, match="not finite and nonnegative"):
+        glue_by_relation(x, x, [(0, 0)], t)
+
+
+@pytest.mark.parametrize("rel", [[(2, 0)], [(0, 2)], [(-1, 0)], [(0, 0), (0, -1)]])
+def test_glue_rejects_a_relation_index_outside_the_spaces(rel):
+    # an index >= n raised IndexError, and -1 silently named the last point
+    x = _space("ab", [[0.0], [1.0]])
+    with pytest.raises(ValueError, match="outside the 2 x 2 spaces"):
+        glue_by_relation(x, x, rel, 0.5)

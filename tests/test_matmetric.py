@@ -16,8 +16,8 @@ from mmsdist import (
     dpi_distance,
     min_vertex_cover,
 )
-from mmsdist import experiments, matmetric
-from mmsdist.matmetric import PiWitness, _is_relabelling, _scan_pairs, _twin_prev
+from mmsdist import matmetric
+from mmsdist.matmetric import PiWitness, _is_relabelling, _relabelling_classes, _scan_pairs, _twin_prev
 from mmsdist.sampling import enumerate_matrix_ensemble, rng_stream
 
 from oracles import dm_bruteforce, dpi_bruteforce, min_vertex_cover_recursive, mvc_bruteforce
@@ -542,7 +542,7 @@ def _three_point_space(d01, d02, d12):
 @pytest.mark.parametrize("sides, n", [((1.0, 1.5, 2.0), 4), ((1.0, 1.0, 2.0), 4), ((1.0, 1.0, 1.0), 5)])
 def test_relabelling_classes_match_the_unpruned_search(sides, n):
     mats = [m.entries for m in enumerate_matrix_ensemble(_three_point_space(*sides), n).matrices()]
-    labels = experiments._relabelling_classes(mats, 1e-9)[0]
+    labels = _relabelling_classes(mats, 1e-9)[0]
     assert labels.tolist() == _reference_labels(mats)
 
 

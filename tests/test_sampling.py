@@ -239,3 +239,36 @@ def test_hat_of_empirical_measure_pushforward():
     ground = emp.dist.entries[np.ix_(net.centers, range(emp.n))]
     dp = prokhorov_distance(hat.mass, emp.mass, ground).value
     assert dp <= eps + 1e-12
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_circle_needs_a_positive_finite_circumference(bad):
+    # NaN and inf were accepted and gave all-NaN sample matrices
+    with pytest.raises(ValueError, match="circumference must be positive and finite"):
+        ModelSpace.circle(bad)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.1, np.nan])
+def test_net_needs_a_positive_epsilon(bad):
+    # a NaN epsilon ended in numpy's argmin of an empty sequence
+    space = two_point_space(1.0, 0.5, "x")
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        epsilon_net_partition(space, bad)
+
+
+@pytest.mark.parametrize(
+    "coords, mass, message",
+    [
+        ([[0.0], [1.0]], [0.9, 0.9], "weights sums to 1.8"),  # drew point 0 90 % of the time
+        ([[0.0], [1.0]], [1.5, -0.5], "weights has a negative entry"),
+        ([[0.0], [1.0]], [1.0], "1 weights for 2 points"),
+        ([[0.0], [1.0]], [[0.5, 0.5]], "weights must be 1-dimensional"),
+        ([], None, "needs points with finite coordinates"),  # raised ZeroDivisionError
+        ([[0.0, np.nan], [1.0, 0.0]], None, "finite coordinates"),  # gave NaN matrices
+        ([[0.0, np.inf], [1.0, 0.0]], [0.5, 0.5], "finite coordinates"),
+    ],
+)
+def test_euclidean_points_checks_its_input(coords, mass, message):
+    with pytest.raises(ValueError, match=message):
+        ModelSpace.euclidean_points(coords, mass)
+

@@ -12,15 +12,16 @@
 * maximum bipartite matching under a distance cap (augmenting paths),
 * the same-support overlap bound 1 - sum_i min(p_i, q_i).
 
-The Prokhorov flow and the greedy net coupling of `ghp` run on Python
-ints: the masses scaled by one power-of-two denominator, so no flow or
-filling arithmetic rounds and every value is exact.
+The Prokhorov flow, the concentration functional and the greedy net coupling
+of `ghp` run on Python ints (the masses over one power-of-two denominator),
+and one breakpoint search gives all three values, correctly rounded.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -90,26 +91,38 @@ class EpsMatching:
 # the concentration functional
 
 
+def _ground_grid(dist, tol):
+    """Ground distances as a float array, all finite and none below -tol."""
+    d = np.asarray(dist, dtype=float)
+    if not np.isfinite(d).all():
+        raise ValueError("distance grid has a non-finite entry (NaN or inf)")
+    if d.size and float(d.min()) < -tol:
+        raise ValueError(f"negative distance {float(d.min())}")
+    return d
+
+
 def delta_of_coupling(c: Coupling, tol: float = DEFAULT_TOL) -> float:
     """Least r >= 0 with coupling mass >= 1 - r on pairs at distance <= r.
 
-    Computed exactly as the minimum over sorted distinct pair distances d_k
-    of max(d_k, 1 - C_k), with C_k the cumulative mass at d_k (plus the
-    virtual level 0 when no pair sits at distance 0).
+    The minimum over the distinct pair distances v (and 0) of max(v, share
+    of the mass beyond v), found by :func:`_breakpoint` on the masses scaled
+    to integers (a mass within ``tol`` below 0 counts as 0): correctly
+    rounded, and exactly 0 for a coupling with all its mass at distance 0.
     """
     mass = as_prob_vector(c.mass.ravel(), tol, "coupling mass")
-    dist = c.ground_dist.ravel()
-    if np.isnan(dist).any():
-        raise ValueError("coupling has a NaN ground distance")
-    order = np.argsort(dist, kind="stable")
-    d_sorted = dist[order]
-    cum = np.cumsum(mass[order])
-    last = np.flatnonzero(np.append(d_sorted[1:] != d_sorted[:-1], True))
-    level = d_sorted[np.append(0, last[:-1] + 1)]  # first entry of each tie group
-    rest = 1.0 - cum[last]
-    # np.where keeps max(level, rest)'s choice between -0.0 and 0.0; the
-    # virtual level r = 0 with no mass below it costs 1
-    return min(1.0, float(np.where(rest > level, rest, level).min()))
+    dist = _ground_grid(c.ground_dist, tol)
+    return _delta(_scaled_masses(mass, ())[0], dist.ravel().tolist())
+
+
+def _delta(masses, dist):
+    """delta_of_coupling of flat lists of integer pair masses and distances."""
+    at = {}  # distance -> the mass on pairs at that distance
+    for x, m in zip(dist, masses):
+        if m > 0:  # only levels that gain mass (and 0) can attain the minimum
+            at[x] = at.get(x, 0) + m
+    levels = sorted(at.keys() | {0.0})
+    cum = list(accumulate(at.get(v, 0) for v in levels))
+    return min(1.0, _breakpoint(levels, lambda k: cum[-1] - cum[k], cum[-1])[1])
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +210,12 @@ def _northwest_fill(rres, cres, mass):
         cres[j] -= take
 
 
-def _greedy_coupling(p, q, pairs):
-    """A coupling of p and q: each listed (row, column) pair in turn takes
-    all it can of both residual masses, then northwest-corner filling
-    places the rest, on the integer masses of :func:`_scaled_masses`."""
-    rres, cres, one = _scaled_masses(p, q)
+def _greedy_delta(p, q, pairs, dist):
+    """delta_of_coupling over ``dist`` of the coupling of p and q in which
+    each listed (row, column) pair in turn takes all it can of both
+    residual masses and northwest-corner filling places the rest, on the
+    integer masses of :func:`_scaled_masses`."""
+    rres, cres, _ = _scaled_masses(p, q)
     mass = [[0] * len(cres) for _ in rres]
     for i, j in pairs:
         take = min(rres[i], cres[j])
@@ -210,7 +224,7 @@ def _greedy_coupling(p, q, pairs):
             rres[i] -= take
             cres[j] -= take
     _northwest_fill(rres, cres, mass)
-    return np.array([[x / one for x in row] for row in mass])
+    return _delta([x for row in mass for x in row], np.ravel(dist).tolist())
 
 
 def _first_true(pred, lo: int, hi: int) -> int:
@@ -238,6 +252,49 @@ def _first_true(pred, lo: int, hi: int) -> int:
     return lo
 
 
+def _breakpoint(levels, unplaced, total):
+    """(k, value): the least max(v_k, u_k / total) over the sorted distinct
+    levels v_k and the first k attaining it, for integers u_k = unplaced(k)
+    that never increase with k.  The levels with u_k <= v_k form a suffix
+    from k*, and the minimum sits at k* or at the first level whose u_k
+    equals u_(k*-1); galloping search finds both, calling ``unplaced`` once
+    each for O(log N) of the N levels.  Levels and shares compare exactly;
+    the value is the correctly rounded share or the level (-0.0 read as 0.0).
+    """
+    known = {}  # level index -> unplaced mass
+
+    def u(k):
+        if k not in known:
+            known[k] = unplaced(k)
+        return known[k]
+
+    def at_most(x, k):  # x / total <= levels[k], exactly
+        num, den = levels[k].as_integer_ratio()
+        return x * den <= num * total
+
+    def settled(k):
+        # u_k is at most the unplaced mass of any known level below k, so
+        # one of those may settle it without a call
+        below = [i for i in known if i <= k]
+        if below and at_most(known[max(below)], k):
+            return True
+        return at_most(u(k), k)
+
+    pick = kstar = _first_true(settled, 0, len(levels))
+    # before k* the value is the unplaced share, which does not increase:
+    # its minimum is the share a of level k* - 1 (known, as the search
+    # found it unsettled), first reached at a level j found by search, and
+    # the first minimum overall when a / total <= v_k*
+    if kstar:
+        a = u(kstar - 1)
+        if kstar == len(levels) or at_most(a, kstar):
+            lo = 1 + max((k for k in known if known[k] > a), default=-1)
+            hi = min(k for k in known if known[k] <= a)
+            pick = _first_true(lambda k: u(k) <= a, lo, hi)
+    value = u(pick) / total if pick < kstar else levels[pick]  # u(pick) is known
+    return pick, max(0.0, value)
+
+
 def prokhorov_distance(
     p,
     q,
@@ -251,15 +308,11 @@ def prokhorov_distance(
     At level v a max-flow gives the largest coupling mass placeable on
     pairs within v, and the minimum over the sorted distinct levels v_k of
     max(v_k, unplaced share u_k) is the distance; the first level that
-    attains it is the breakpoint.  Since v_k increases and u_k does not,
-    the levels with u_k <= v_k form a suffix starting at k*, and the
-    minimum sits at k* or at the first level whose unplaced mass equals
-    that of level k* - 1.  Both are found by galloping search, so a call
-    solves O(log N) of its N level flows; a level at or above a value
-    already probed needs no flow.  The witness coupling is the breakpoint's
-    r x c flow, with its row and column residuals spread by
-    northwest-corner filling (that leftover mass provably lands on pairs
-    beyond the level).
+    attains it is the breakpoint.  The galloping search of
+    :func:`_breakpoint` finds it, so a call solves O(log N) of its N level
+    flows.  The witness coupling is the breakpoint's r x c flow, with its
+    row and column residuals spread by northwest-corner filling (that
+    leftover mass provably lands on pairs beyond the level).
 
     No arithmetic rounds: every float mass is a dyadic rational, so scaled
     by the largest mass denominator (one power of two) the masses are
@@ -279,10 +332,7 @@ def prokhorov_distance(
             f"distance grid shape {d.shape} does not match marginals "
             f"({pv.size}, {qv.size})"
         )
-    if not np.isfinite(d).all():
-        raise ValueError("distance grid has a non-finite entry")
-    if d.size and float(d.min()) < -tol:
-        raise ValueError(f"negative distance {float(d.min())}")
+    _ground_grid(d, tol)
 
     P, Q, one = _scaled_masses(pv, qv)
     D = d.tolist()
@@ -291,57 +341,28 @@ def prokhorov_distance(
     levels = sorted({x for row in D for x in row})
     if not levels or levels[0] > 0.0:
         levels.insert(0, 0.0)
-    n_levels = len(levels)
 
-    flows = {}  # level index -> (unplaced mass, [flow, row and column residuals])
+    flows = {}  # level index -> [flow, row and column residuals]
 
     def unplaced(k):
-        if k not in flows:
-            placed, *witness = _max_mass_within(P, Q, D, levels[k])
-            flows[k] = total - placed, witness
-        return flows[k][0]
+        placed, *flows[k] = _max_mass_within(P, Q, D, levels[k])
+        return total - placed
 
-    def at_most(u, k):  # u / total <= levels[k], exactly
-        num, den = levels[k].as_integer_ratio()
-        return u * den <= num * total
-
-    def settled(k):
-        # u_k / total <= v_k; u_k is at most the unplaced mass of any probed
-        # level below k, so one of those may settle it without a flow
-        below = [i for i in flows if i <= k]
-        if below and at_most(flows[max(below)][0], k):
-            return True
-        return at_most(unplaced(k), k)
-
-    pick = kstar = _first_true(settled, 0, n_levels)
-    # before k* the value is the unplaced share, which does not increase:
-    # its minimum is the share a of level k* - 1 (probed, as the search
-    # found it unsettled), first reached at a level j found by search, and
-    # the first minimum overall when a / total <= v_k*
-    if kstar:
-        a = unplaced(kstar - 1)
-        if kstar == n_levels or at_most(a, kstar):
-            lo = 1 + max((k for k in flows if flows[k][0] > a), default=-1)
-            hi = min(k for k in flows if flows[k][0] <= a)
-            pick = _first_true(lambda k: unplaced(k) <= a, lo, hi)
-    u = unplaced(pick)  # probed already: no level is solved twice
-    value = u / total if pick < kstar else levels[pick]
+    pick, value = _breakpoint(levels, unplaced, total)
 
     # witness coupling: the breakpoint's flow plus its residuals
-    mass, rres, cres = flows[pick][1]
+    mass, rres, cres = flows[pick]
     _northwest_fill(rres, cres, mass)
     log.debug(
         "prokhorov: %d x %d atoms, %d of %d levels probed, one max-flow each",
-        len(P), len(Q), len(flows), n_levels,
+        len(P), len(Q), len(flows), len(levels),
     )
     coupling = Coupling(
         mass=np.array([[x / one for x in row] for row in mass]),
         ground_dist=d,
     )
-    # + 0.0 maps a -0.0 level to 0.0, as max(0.0, .) does for the value
-    return ProkhorovResult(
-        value=max(0.0, value), coupling=coupling, breakpoint=levels[pick] + 0.0
-    )
+    # + 0.0 maps a -0.0 level to 0.0, as _breakpoint does for the value
+    return ProkhorovResult(value=value, coupling=coupling, breakpoint=levels[pick] + 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,8 @@ def read_mass_vector(path) -> np.ndarray:
     with open(path) as fh:
         obj = json.load(fh)
     if isinstance(obj, dict):
+        if "mass" not in obj:
+            raise ValueError(f"{path}: mass JSON object needs a 'mass' field")
         obj = obj["mass"]
     return np.asarray(obj, dtype=float)
 
@@ -92,6 +94,8 @@ def read_model_space(path, tol: float = DEFAULT_TOL):
 
     with open(path) as fh:
         obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected a JSON object")
     kind = obj.get("kind")
     if kind == "finite":
         return ModelSpace.finite(_mms_from_dict(obj, tol))
@@ -100,6 +104,8 @@ def read_model_space(path, tol: float = DEFAULT_TOL):
     if kind == "interval":
         return ModelSpace.interval()
     if kind == "euclideanPoints":
+        if "coords" not in obj:
+            raise ValueError(f"{path}: euclideanPoints model space needs a 'coords' field")
         coords = np.asarray(obj["coords"], dtype=float)
         mass = obj.get("mass")
         mass = None if mass is None else np.asarray(mass, dtype=float)

@@ -16,7 +16,8 @@ bilinear problem, and the sandwich above is all the downstream checks need.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .core import (
 )
 from .coupling import (
     ProkhorovResult,
-    _greedy_coupling,
+    _greedy_delta,
     delta_of_coupling,
     epsilon_matching,
     prokhorov_distance,
@@ -116,18 +117,21 @@ def _min_plus_closure(w: np.ndarray) -> np.ndarray:
 
 
 def _glue(x: FiniteMMS, y: FiniteMMS, bridges, tol: float) -> GluedSpace:
-    bridges = tuple((int(i), int(j), float(t)) for i, j, t in bridges)
-    if not bridges:
-        raise ValueError("gluing needs at least one bridge")
     nl, nr = x.n, y.n
     dx, dy = x.dist.entries, y.dist.entries
     cross = np.full((nl, nr), np.inf)
+    checked = []
     for i, j, t in bridges:
-        if not (0 <= i < nl and 0 <= j < nr):
+        # a fractional index names no point: it is outside both spaces
+        if not (float(i).is_integer() and float(j).is_integer() and 0 <= i < nl and 0 <= j < nr):
             raise ValueError(f"bridge ({i}, {j}) is outside the {nl} x {nr} spaces")
+        i, j, t = int(i), int(j), float(t)
         if not 0 <= t < np.inf:  # NaN fails this too
             raise ValueError(f"bridge length {t} is not finite and nonnegative")
         np.minimum(cross, dx[:, i][:, None] + t + dy[j, :][None, :], out=cross)
+        checked.append((i, j, t))
+    if not checked:
+        raise ValueError("gluing needs at least one bridge")
     w = np.zeros((nl + nr, nl + nr))
     w[:nl, :nl] = dx
     w[nl:, nl:] = dy
@@ -142,7 +146,7 @@ def _glue(x: FiniteMMS, y: FiniteMMS, bridges, tol: float) -> GluedSpace:
         raise GluingError(
             f"not isometric: gluing shortens internal distances by {shrink}"
         )
-    return GluedSpace(left=x, right=y, cross=closed[:nl, nl:].copy(), bridges=bridges)
+    return GluedSpace(left=x, right=y, cross=closed[:nl, nl:].copy(), bridges=tuple(checked))
 
 
 def glue_by_relation(x: FiniteMMS, y: FiniteMMS, relation, t: float, tol: float = DEFAULT_TOL) -> GluedSpace:
@@ -153,8 +157,9 @@ def glue_by_relation(x: FiniteMMS, y: FiniteMMS, relation, t: float, tol: float 
     completed by min-plus closure over the union graph; the closure must
     not shorten any internal distance by more than tol, otherwise the
     relation is too distorted for this t and a :class:`GluingError` is
-    raised.  An empty relation, an index outside either space, or a t that
-    is negative, NaN or infinite raises ValueError.
+    raised.  An empty relation, an index that is not an integer or lies
+    outside either space, or a t that is negative, NaN or infinite raises
+    ValueError.
     """
     return _glue(x, y, [(i, j, t) for i, j in relation], tol)
 
@@ -180,7 +185,7 @@ def _permutation_bound(
         mode = "exact" if n <= exact_limit else "heuristic"
         pi = dpi_distance(x.dist.entries, y.dist.entries, mode=mode, exact_limit=exact_limit, tol=tol)
     keep = [i for i in range(n) if i not in set(pi.inner.excluded)]
-    t = max(pi.value, tol)
+    t = pi.value
     if keep:
         bridges = [(i, pi.permutation[i], t) for i in keep]
     else:
@@ -233,8 +238,9 @@ def _net_bound(x: FiniteMMS, y: FiniteMMS, tol: float, cross=None) -> GhpBound:
     cross = np.asarray(cross, dtype=float)
     if cross.shape != (x.n, y.n):
         raise StrategyError(f"cross grid shape {cross.shape} does not match spaces")
-    # sorted distinct positive entries; np.unique would import numpy.ma
-    candidates = sorted({v for v in cross.ravel().tolist() if v > 0})
+    # sorted distinct positive entries (np.unique would import numpy.ma);
+    # with none, one level that admits every pair
+    candidates = sorted({v for v in cross.ravel().tolist() if v > 0}) or [math.inf]
     best = None
     # equal pairs give equal bridges, gluing and value, and the strict <
     # keeps the first, so each distinct matching is glued once
@@ -246,8 +252,7 @@ def _net_bound(x: FiniteMMS, y: FiniteMMS, tol: float, cross=None) -> GhpBound:
         seen.add(matching.pairs)
         bridges = [(i, j, float(cross[i, j])) for i, j in matching.pairs]
         glued = _glue(x, y, bridges, tol)
-        mass = _greedy_coupling(x.mass, y.mass, matching.pairs)
-        val = delta_of_coupling(Coupling(mass=mass, ground_dist=glued.cross), tol)
+        val = _greedy_delta(x.mass, y.mass, matching.pairs, glued.cross)
         if best is None or val < best[0]:
             best = (val, glued)
     log.debug("net: %d eps levels, %d distinct matchings glued", len(candidates), len(seen))
@@ -322,13 +327,13 @@ def ghp_bounds_uniform(
     """Two-sided bounds for the uniform spaces on two distance matrices.
 
     One exact permutation search gives both sides.  Lower bound: half the
-    permutation-quotient distance.  Upper bound: the smaller of that
-    distance and the permutation strategy's bound, whose gluing and
-    coupling are the witness.  Requires the exact search, hence
+    permutation-quotient distance.  Upper bound: the permutation strategy's
+    bound, whose gluing and coupling are the witness; it is at most that
+    distance, as the bridges sit at it and only the excluded share of the
+    mass is coupled beyond it.  Requires the exact search, hence
     n <= exact_limit.
     """
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
     pi = dpi_distance(a.entries, b.entries, mode="exact", exact_limit=exact_limit, tol=tol)
-    best = _permutation_bound(theta_map(a), theta_map(b), tol, exact_limit, pi=pi)
-    return replace(best, upper=min(pi.value, best.upper))
+    return _permutation_bound(theta_map(a), theta_map(b), tol, exact_limit, pi=pi)

@@ -2,10 +2,12 @@
 
 These deliberately avoid the library's own algorithms: exhaustive
 enumeration over exclusion subsets and permutations, feasibility bisection
-over linear programs, and direct recursion for matchings and covers.
+over linear programs, direct recursion for matchings and covers, and
+exact rational scans over every level.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -81,6 +83,21 @@ def prokhorov_lp_oracle(p, q, d, iters=60):
         else:
             lo = mid
     return hi
+
+
+def delta_fraction_oracle(mass, dist):
+    """Least r >= 0 with mass >= 1 - r on pairs within r, in exact
+    rationals: the minimum over every pair distance v (and 0) of
+    max(v, share of the mass total on pairs beyond v), at most 1, rounded
+    once to a float."""
+    m = [Fraction(x) for x in np.ravel(np.asarray(mass, dtype=object)).tolist()]
+    d = [Fraction(x) for x in np.ravel(dist).tolist()]
+    total = sum(m)
+    best = Fraction(1)
+    for v in set(d) | {Fraction(0)}:
+        beyond = sum(x for x, e in zip(m, d) if e > v)
+        best = min(best, max(v, beyond / total))
+    return float(best)
 
 
 def matching_bruteforce(allowed):

@@ -11,7 +11,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "mmsdist"
 ALLOWED = {
     ("experiments", "matmetric"): {"_check_exact_limit", "_cross_grid"},
     ("ghp", "core"): {"_euclidean_grid"},
-    ("ghp", "coupling"): {"_greedy_coupling"},
+    ("ghp", "coupling"): {"_greedy_delta"},
 }
 
 

@@ -92,6 +92,23 @@ def test_sample_rejects_weights_that_are_not_a_probability_vector(files, capsys)
     assert "weights sums to 1.8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("sample", '{"kind": "euclideanPoints"}', "needs a 'coords' field"),
+        ("sample", "[1, 2]", "expected a JSON object"),
+        ("prokhorov", '{"foo": 1}', "needs a 'mass' field"),
+    ],
+)
+def test_malformed_json_is_a_typed_error(files, capsys, command, text, message):
+    # each of these ended in a KeyError or AttributeError traceback
+    bad = _write(files["dir"] / "bad.json", text)
+    argv = ["sample", bad, "--n", "3"] if command == "sample" else ["prokhorov", bad, files["q"], files["d"]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_ghp_command(files, capsys):
     code, out = _run(capsys, ["ghp", files["x"], files["y"]])
     payload = json.loads(out)

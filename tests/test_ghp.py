@@ -1,13 +1,14 @@
 import logging
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mmsdist import (
-    Coupling,
     DistanceMatrix,
     FiniteMMS,
     GluingError,
+    STRATEGIES,
     SizeLimitError,
     StrategyError,
     best_ghp_upper_bound,
@@ -23,10 +24,12 @@ from mmsdist import (
     validate_distance_matrix,
 )
 from mmsdist.experiments import sharp_pair
-from mmsdist.coupling import _greedy_coupling
+from mmsdist.coupling import _greedy_delta
 from mmsdist.ghp import _glue, _net_bound
 from mmsdist.matmetric import DPI_EXACT_LIMIT
 from mmsdist.sampling import rng_stream
+
+from oracles import delta_fraction_oracle
 
 A_LINE = validate_distance_matrix([[0.0, 1, 3], [1, 0, 2], [3, 2, 0]])
 B_LINE = validate_distance_matrix([[0.0, 2, 3], [2, 0, 1], [3, 1, 0]])
@@ -97,8 +100,7 @@ def test_sharp_spaces_identify_upper_is_epsilon():
 def test_permutation_strategy_on_line_pair():
     x, y = theta_map(A_LINE), theta_map(B_LINE)
     b = ghp_upper_bound(x, y, "permutation")
-    assert b.upper <= 2e-9  # d_pi = 0, bridged at the tolerance floor
-    assert b.lower == 0.0
+    assert (b.upper, b.lower) == (0.0, 0.0)  # d_pi = 0, bridged at 0
 
 
 def test_permutation_strategy_requires_uniform():
@@ -133,12 +135,14 @@ def test_net_strategy_reads_1d_coords_as_one_column():
 
 
 def test_greedy_net_coupling_keeps_tiny_masses():
-    # the net strategy's coupling runs on the exact scaled masses, so a
-    # 1e-15 atom reaches the coupling instead of being cut as rounding noise
-    mass = _greedy_coupling([1 - 1e-15, 1e-15], [1e-15, 1 - 1e-15], [(0, 0)])
-    assert mass.tolist() == [[1e-15, 1 - 2e-15], [0.0, 1e-15]]
-    assert mass.sum(axis=1).tolist() == [1 - 1e-15, 1e-15]
-    assert mass.sum(axis=0).tolist() == [1e-15, 1 - 1e-15]
+    # the net strategy scores its coupling on the exact scaled masses, so
+    # both 1e-15 atoms reach distance 0 instead of being cut as rounding
+    # noise (which would score 1.0)
+    p, q = [1 - 1e-15, 1e-15], [1e-15, 1 - 1e-15]
+    mass = [[Fraction(1e-15), Fraction(p[0]) - Fraction(1e-15)], [0, Fraction(1e-15)]]
+    dist = [[0.0, 1.0], [1.0, 0.0]]
+    got = _greedy_delta(p, q, [(0, 0)], dist)
+    assert got == delta_fraction_oracle(mass, dist) == 0.999999999999998
 
 
 def test_bounds_uniform_above_the_exact_limit_raises_the_shared_error():
@@ -163,8 +167,7 @@ def _net_bound_every_level(x, y, tol):
         if not pairs:
             continue
         glued = _glue(x, y, [(i, j, float(cross[i, j])) for i, j in pairs], tol)
-        mass = _greedy_coupling(x.mass, y.mass, pairs)
-        val = delta_of_coupling(Coupling(mass=mass, ground_dist=glued.cross), tol)
+        val = _greedy_delta(x.mass, y.mass, pairs, glued.cross)
         if best is None or val < best[0]:
             best = (val, glued)
     return best
@@ -256,6 +259,31 @@ def test_relabelled_space_collapses_bounds():
         assert bounds.upper <= 1e-8
 
 
+@pytest.mark.parametrize("points", [[[0.3, 0.7]], [[0.0], [1.0], [2.5]]])
+@pytest.mark.parametrize("strategy", [*STRATEGIES, "best"])
+def test_identical_spaces_give_zero_under_every_strategy(points, strategy):
+    # permutation read 1e-09 (bridged at the tolerance floor), and net on
+    # the one-point space raised "no epsilon level yields a nonempty
+    # matching" (its cross grid has no positive entry)
+    x = _space("abc"[: len(points)], points)
+    if strategy == "best":
+        b = best_ghp_upper_bound(x, x)
+    else:
+        b = ghp_upper_bound(x, x, strategy)
+    assert repr(b.upper) == "0.0"
+
+
+def test_permutation_bound_of_a_relabelled_space_is_zero():
+    # bridged at max(dpi, tol), every one of these read 1e-09
+    rng = rng_stream(46)
+    for _ in range(200):
+        n = int(rng.integers(1, 7))
+        a = validate_distance_matrix(DistanceMatrix.from_points(rng.random((n, 2))).entries)
+        perm = rng.permutation(n)
+        b = DistanceMatrix(a.entries[np.ix_(perm, perm)])
+        assert ghp_upper_bound(theta_map(a), theta_map(b), "permutation").upper == 0.0
+
+
 def test_best_strategy_picks_minimum():
     x, y = sharp_pair(1.0, 0.1)
     best = best_ghp_upper_bound(x, y)
@@ -271,9 +299,10 @@ def test_glue_rejects_a_bridge_length_that_is_not_finite_and_nonnegative(t):
         glue_by_relation(x, x, [(0, 0)], t)
 
 
-@pytest.mark.parametrize("rel", [[(2, 0)], [(0, 2)], [(-1, 0)], [(0, 0), (0, -1)]])
+@pytest.mark.parametrize("rel", [[(2, 0)], [(0, 2)], [(-1, 0)], [(0, 0), (0, -1)], [(0.9, 1.7)]])
 def test_glue_rejects_a_relation_index_outside_the_spaces(rel):
-    # an index >= n raised IndexError, and -1 silently named the last point
+    # an index >= n raised IndexError, -1 silently named the last point,
+    # and a fractional index was truncated: (0.9, 1.7) bridged (0, 1)
     x = _space("ab", [[0.0], [1.0]])
     with pytest.raises(ValueError, match="outside the 2 x 2 spaces"):
         glue_by_relation(x, x, rel, 0.5)

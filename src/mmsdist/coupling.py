@@ -129,13 +129,25 @@ def _delta(masses, dist):
 # max-flow machinery
 
 
+def _dyadic(x):
+    """A float vector as exact Python ints over its largest (power-of-two)
+    mass denominator: (ints, denominator)."""
+    ratios = [v.as_integer_ratio() for v in np.asarray(x, dtype=float).tolist()]
+    one = max((b for _, b in ratios), default=1)
+    return [a * (one // b) for a, b in ratios], one
+
+
 def _scaled_masses(p, q):
     """Both mass vectors as exact Python ints over one power-of-two
     denominator: (P, Q, denominator)."""
-    P, Q = (np.asarray(x, dtype=float).tolist() for x in (p, q))
-    one = max(x.as_integer_ratio()[1] for x in P + Q)
-    P, Q = ([a * (one // b) for a, b in map(float.as_integer_ratio, xs)] for xs in (P, Q))
-    return P, Q, one
+    (P, a), (Q, b) = _dyadic(p), _dyadic(q)
+    return _rescaled(P, a, b), _rescaled(Q, b, a), max(a, b)
+
+
+def _rescaled(ints, one, other):
+    """ints over denominator ``one`` restated over max(one, other), both
+    powers of two."""
+    return [x * (other // one) for x in ints] if other > one else ints
 
 
 def _max_mass_within(P, Q, D, level):
@@ -295,6 +307,45 @@ def _breakpoint(levels, unplaced, total):
     return pick, max(0.0, value)
 
 
+def _prokhorov_grid(d, shape, tol):
+    """The once-per-grid part of a Prokhorov distance: the grid checked
+    against the marginals' ``shape`` and as ground distances, as nested
+    lists, and its sorted distinct levels (with 0): (D, levels)."""
+    if d.shape != shape:
+        raise ValueError(f"distance grid shape {d.shape} does not match marginals {shape}")
+    _ground_grid(d, tol)
+    D = d.tolist()
+    levels = sorted({x for row in D for x in row})
+    if not levels or levels[0] > 0.0:
+        levels.insert(0, 0.0)
+    return D, levels
+
+
+def _prokhorov_core(P, Q, D, levels):
+    """The once-per-mass-pair part: (value, pick, flows) for integer
+    masses P, Q over one denominator on a prepared grid, where ``pick``
+    indexes the breakpoint level and ``flows`` maps each probed level to
+    its [flow, row residuals, column residuals]."""
+    total = max(sum(P), sum(Q))
+    flows = {}
+
+    def unplaced(k):
+        placed, *flows[k] = _max_mass_within(P, Q, D, levels[k])
+        return total - placed
+
+    pick, value = _breakpoint(levels, unplaced, total)
+    return value, pick, flows
+
+
+def _prokhorov_witness(flow, one, d):
+    """The witness coupling: the breakpoint's [flow, row and column
+    residuals], the residuals spread by northwest-corner filling, over the
+    denominator ``one`` on the float grid ``d``."""
+    mass, rres, cres = flow
+    _northwest_fill(rres, cres, mass)
+    return Coupling(mass=np.array([[x / one for x in row] for row in mass]), ground_dist=d)
+
+
 def prokhorov_distance(
     p,
     q,
@@ -323,46 +374,53 @@ def prokhorov_distance(
     witness masses are the correctly rounded quotients flow / denominator.
     ``exact`` is accepted for compatibility and ignored: every call is
     exact.
+
+    The call is :func:`_prokhorov_grid`, :func:`_prokhorov_core` and
+    :func:`_prokhorov_witness` in sequence; :class:`_ProkhorovTo` runs the
+    same core against one fixed measure without the per-call grid work.
     """
     pv = as_prob_vector(p, tol, "first marginal")
     qv = as_prob_vector(q, tol, "second marginal")
     d = np.asarray(dist, dtype=float)
-    if d.shape != (pv.size, qv.size):
-        raise ValueError(
-            f"distance grid shape {d.shape} does not match marginals "
-            f"({pv.size}, {qv.size})"
-        )
-    _ground_grid(d, tol)
-
+    D, levels = _prokhorov_grid(d, (pv.size, qv.size), tol)
     P, Q, one = _scaled_masses(pv, qv)
-    D = d.tolist()
-    total = max(sum(P), sum(Q))
-
-    levels = sorted({x for row in D for x in row})
-    if not levels or levels[0] > 0.0:
-        levels.insert(0, 0.0)
-
-    flows = {}  # level index -> [flow, row and column residuals]
-
-    def unplaced(k):
-        placed, *flows[k] = _max_mass_within(P, Q, D, levels[k])
-        return total - placed
-
-    pick, value = _breakpoint(levels, unplaced, total)
-
-    # witness coupling: the breakpoint's flow plus its residuals
-    mass, rres, cres = flows[pick]
-    _northwest_fill(rres, cres, mass)
+    value, pick, flows = _prokhorov_core(P, Q, D, levels)
     log.debug(
         "prokhorov: %d x %d atoms, %d of %d levels probed, one max-flow each",
         len(P), len(Q), len(flows), len(levels),
     )
-    coupling = Coupling(
-        mass=np.array([[x / one for x in row] for row in mass]),
-        ground_dist=d,
-    )
+    coupling = _prokhorov_witness(flows[pick], one, d)
     # + 0.0 maps a -0.0 level to 0.0, as _breakpoint does for the value
     return ProkhorovResult(value=value, coupling=coupling, breakpoint=levels[pick] + 0.0)
+
+
+class _ProkhorovTo:
+    """``self(q)`` is ``prokhorov_distance(q, p, dist, tol).value`` bit for
+    bit, for many first marginals q against one second marginal p: the
+    grid's checks and levels and p's checks and integer masses are prepared
+    once, and a call checks and scales q and runs :func:`_prokhorov_core`,
+    with no witness.  ``flows`` counts the max-flows solved, one per level
+    probed."""
+
+    def __init__(self, p, dist, tol: float = DEFAULT_TOL):
+        pv = as_prob_vector(p, tol, "second marginal")
+        d = np.asarray(dist, dtype=float)
+        self.shape = d.shape
+        self.D, self.levels = _prokhorov_grid(d, (len(d) if d.ndim else 0, pv.size), tol)
+        self.P, self.one = _dyadic(pv)
+        self.tol, self.flows = tol, 0
+
+    def __call__(self, q) -> float:
+        qv = as_prob_vector(q, self.tol, "first marginal")
+        if qv.size != len(self.D):
+            raise ValueError(
+                f"distance grid shape {self.shape} does not match marginals {(qv.size, len(self.P))}"
+            )
+        Q, one = _dyadic(qv)
+        Q, P = _rescaled(Q, one, self.one), _rescaled(self.P, self.one, one)
+        value, _, flows = _prokhorov_core(Q, P, self.D, self.levels)
+        self.flows += len(flows)
+        return value
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,10 @@ def _mms_from_dict(obj: dict, tol: float) -> FiniteMMS:
     if not n:
         raise ValueError("space JSON has no points")
     labels = obj.get("labels", [f"p{i}" for i in range(n)])
-    mass = obj.get("mass", np.full(n, 1.0 / n))
+    mass = obj.get("mass", [1.0 / n] * n)
+    for key, value in (("labels", labels), ("mass", mass)):
+        if not isinstance(value, list):
+            raise ValueError(f"space JSON field '{key}' must be an array, got {value!r}")
     return FiniteMMS(labels=tuple(labels), dist=dist, mass=np.asarray(mass, float), coords=coords)
 
 
@@ -100,7 +103,10 @@ def read_model_space(path, tol: float = DEFAULT_TOL):
     if kind == "finite":
         return ModelSpace.finite(_mms_from_dict(obj, tol))
     if kind == "circle":
-        return ModelSpace.circle(float(obj.get("circumference", 1.0)))
+        c = obj.get("circumference", 1.0)
+        if isinstance(c, bool) or not isinstance(c, (int, float)):
+            raise ValueError(f"{path}: circle 'circumference' must be a number, got {c!r}")
+        return ModelSpace.circle(float(c))
     if kind == "interval":
         return ModelSpace.interval()
     if kind == "euclideanPoints":

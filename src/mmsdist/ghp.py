@@ -239,8 +239,12 @@ def _net_bound(x: FiniteMMS, y: FiniteMMS, tol: float, cross=None) -> GhpBound:
     if cross.shape != (x.n, y.n):
         raise StrategyError(f"cross grid shape {cross.shape} does not match spaces")
     # sorted distinct positive entries (np.unique would import numpy.ma);
-    # with none, one level that admits every pair
-    candidates = sorted({v for v in cross.ravel().tolist() if v > 0}) or [math.inf]
+    # when none of them admits a pair (the match is strict, so the largest
+    # admits all but the pairs at it), one level that admits every pair
+    values = set(cross.ravel().tolist())
+    candidates = sorted(v for v in values if v > 0)
+    if not candidates or min(values) == candidates[-1]:
+        candidates = [math.inf]
     best = None
     # equal pairs give equal bridges, gluing and value, and the strict <
     # keeps the first, so each distinct matching is glued once

@@ -109,6 +109,23 @@ def test_malformed_json_is_a_typed_error(files, capsys, command, text, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("sample", '{"kind": "finite", "labels": 5, "dist": [[0, 1], [1, 0]]}', "'labels' must be an array"),
+        ("ghp", '{"dist": [[0, 1], [1, 0]], "mass": null}', "'mass' must be an array"),
+        ("sample", '{"kind": "circle", "circumference": null}', "'circumference' must be a number"),
+    ],
+)
+def test_malformed_json_fields_are_typed_errors(files, capsys, command, text, message):
+    # each of these ended in a TypeError or IndexError traceback
+    bad = _write(files["dir"] / "bad.json", text)
+    argv = ["sample", bad, "--n", "3"] if command == "sample" else ["ghp", bad, files["y"]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_ghp_command(files, capsys):
     code, out = _run(capsys, ["ghp", files["x"], files["y"]])
     payload = json.loads(out)

@@ -430,6 +430,55 @@ def test_prokhorov_exact_matches_oracle_and_witness(inst):
     assert delta_of_coupling(r.coupling) == pytest.approx(r.value, abs=DEFAULT_TOL)
 
 
+@st.composite
+def _one_grid_many_measures(draw):
+    """A fixed second marginal p and its grid (tied levels, zero masses and
+    n = 1 included), with one to four first marginals of the grid's rows."""
+    q, p, d = draw(_instances())
+    rows = st.lists(st.integers(0, 4), min_size=q.size, max_size=q.size).filter(any)
+    more = [np.array(w, float) / sum(w) for w in draw(st.lists(rows, max_size=3))]
+    return p, d, [q, *more]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_one_grid_many_measures())
+def test_prepared_grid_equals_prokhorov_distance(inst):
+    # one prepared grid and measure serve every first marginal, with the
+    # value of the full call bit for bit, zero levels also written as -0.0
+    p, d, qs = inst
+    for grid in (d, np.where(d == 0, -0.0, d)):
+        to_p = coupling_mod._ProkhorovTo(p, grid)
+        for q in qs:
+            assert repr(to_p(q)) == repr(prokhorov_distance(q, p, grid).value)
+
+
+def test_prepared_grid_on_the_smallest_grids():
+    for level in (0.0, -0.0, 0.5):
+        got = coupling_mod._ProkhorovTo([1.0], [[level]])([1.0])
+        assert repr(got) == repr(prokhorov_distance([1.0], [1.0], [[level]]).value)
+    # no measure is empty, so only the core reaches the 0 x 0 grid: one
+    # level, 0, at which nothing is left unplaced
+    D, levels = coupling_mod._prokhorov_grid(np.zeros((0, 0)), (0, 0), DEFAULT_TOL)
+    value, pick, _ = coupling_mod._prokhorov_core([], [], D, levels)
+    assert (repr(value), pick, levels) == ("0.0", 0, [0.0])
+    with pytest.raises(ValueError, match="first marginal sums to 0.0"):
+        prokhorov_distance([], [], np.zeros((0, 0)))
+
+
+def test_prepared_grid_rejects_what_prokhorov_distance_rejects():
+    d = np.ones((3, 2))
+    with pytest.raises(ValueError, match=re.escape("does not match marginals (2, 2)")):
+        coupling_mod._ProkhorovTo([0.5, 0.5], d)([0.5, 0.5])
+    with pytest.raises(ValueError, match=re.escape("does not match marginals (2, 2)")):
+        prokhorov_distance([0.5, 0.5], [0.5, 0.5], d)
+    with pytest.raises(ValueError, match=re.escape("does not match marginals (3, 3)")):
+        coupling_mod._ProkhorovTo([0.5, 0.25, 0.25], d)
+    with pytest.raises(ValueError, match="non-finite"):
+        coupling_mod._ProkhorovTo([1.0], [[math.nan]])
+    with pytest.raises(ValueError, match="first marginal sums to 0.9"):
+        coupling_mod._ProkhorovTo([1.0, 0.0], d[:2])([0.4, 0.5])
+
+
 @pytest.mark.parametrize("exact", [False, True])
 def test_prokhorov_logs_its_flows(monkeypatch, caplog, exact):
     calls = []

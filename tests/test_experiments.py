@@ -14,7 +14,7 @@ from mmsdist import (
     dm_distance,
     dpi_distance,
 )
-from mmsdist import experiments, matmetric
+from mmsdist import coupling, experiments, matmetric
 from mmsdist.experiments import (
     binomial_tail_above,
     check_finspc_sandwich,
@@ -116,6 +116,74 @@ def test_sampling_convergence_mean_decreases_with_n():
         for n in (50, 200, 1000)
     ]
     assert means[0] >= means[1] >= means[2]
+
+
+def test_sampling_convergence_report_at_its_defaults():
+    # recorded before the trials ran on one prepared grid
+    assert check_sampling_convergence().to_json() == """{
+  "bound": {
+    "binomial_95_slack": 0.041577878733768996,
+    "epsilon": 0.1
+  },
+  "config": {
+    "epsilon": 0.1,
+    "n": 1000,
+    "seed": 0,
+    "tol": 1e-09,
+    "trials": 200
+  },
+  "name": "sampling_convergence",
+  "notes": [],
+  "observed": {
+    "frequency_above_3eps": 0.0,
+    "max_dp": 0.05499999999999999,
+    "mean_dp": 0.021740000000000016
+  },
+  "passed": {
+    "frequency_below_eps": true
+  }
+}"""
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(trials=0), "need at least one trial"),
+        (dict(trials=-3), "need at least one trial"),
+        (dict(epsilon=math.nan), "epsilon must lie in"),
+        (dict(epsilon=0.0), "epsilon must lie in"),
+        (dict(epsilon=-0.1), "epsilon must lie in"),
+        (dict(epsilon=1.5), "epsilon must lie in"),
+        (dict(n=0), "need at least one sample point"),
+    ],
+)
+def test_sampling_convergence_rejects_bad_settings_before_sampling(monkeypatch, kwargs, message):
+    # trials=0 divided by zero and a NaN or non-positive epsilon passed
+    # silently, after every trial had been sampled
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking the settings")
+
+    monkeypatch.setattr(experiments, "sample_indices", no_sampling)
+    with pytest.raises(ValueError, match=message):
+        check_sampling_convergence(**kwargs)
+
+
+def test_sampling_convergence_logs_its_flows(monkeypatch, caplog):
+    calls = []
+    flow = coupling._max_mass_within
+
+    def counting_flow(*args):
+        calls.append(1)
+        return flow(*args)
+
+    monkeypatch.setattr(coupling, "_max_mass_within", counting_flow)
+    with caplog.at_level(logging.DEBUG, logger="mmsdist"):
+        check_sampling_convergence(n=100, trials=30, seed=3)
+    lines = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith(("sampconv", "prokhorov"))]
+    # the square's levels: 0, its side and its diagonal; no per-trial
+    # prokhorov line, as no trial builds a witness
+    assert lines == [f"sampconv: 30 trials on 4 x 4 atoms, 3 levels, {len(calls)} max-flows solved, one per level probed"]
+    assert 30 <= len(calls) <= 3 * 30
 
 
 def test_group_invariance_two_point():

@@ -196,6 +196,20 @@ def test_net_bound_equals_gluing_every_level(caplog):
         assert line == f"net: {levels.size} eps levels, {len(distinct)} distinct matchings glued"
 
 
+def test_net_bound_when_every_cross_entry_is_one_value():
+    # the matching is strict (< eps), so the one cross distance admits no
+    # pair at any positive level; the bound glues at the level that admits
+    # every pair instead of raising StrategyError
+    x = _space("ab", [[0.0, 1.0], [1.0, 1.0]])
+    y = _space("c", [[0.5, 1.5]])
+    b = ghp_upper_bound(x, y, "net")
+    gap = float(np.sqrt(0.5))
+    assert b.glued.bridges == ((0, 0, gap),)
+    assert (repr(b.upper), b.lower) == (repr(gap), 0.0)
+    ref = prokhorov_distance(x.mass, y.mass, b.glued.cross)
+    assert b.coupling.mass.tobytes() == ref.coupling.mass.tobytes()
+
+
 def test_bounds_uniform_identical():
     b = ghp_bounds_uniform(A_LINE, A_LINE)
     assert (b.lower, b.upper) == (0.0, 0.0)

@@ -236,7 +236,7 @@ class FiniteMMS:
         if len(self.labels) != self.dist.n or self.mass.shape != (self.dist.n,):
             raise ValueError(
                 f"inconsistent sizes: {len(self.labels)} labels, "
-                f"{self.dist.n}x{self.dist.n} matrix, {self.mass.shape[0]} masses"
+                f"{self.dist.n}x{self.dist.n} matrix, masses of shape {self.mass.shape}"
             )
         as_prob_vector(self.mass, DEFAULT_TOL, "mass vector")
         if self.coords is not None:

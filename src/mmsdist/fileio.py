@@ -106,7 +106,11 @@ def read_model_space(path, tol: float = DEFAULT_TOL):
         c = obj.get("circumference", 1.0)
         if isinstance(c, bool) or not isinstance(c, (int, float)):
             raise ValueError(f"{path}: circle 'circumference' must be a number, got {c!r}")
-        return ModelSpace.circle(float(c))
+        try:
+            c = float(c)
+        except OverflowError:  # a JSON integer beyond the float range
+            raise ValueError(f"{path}: circle 'circumference' is too large for a float") from None
+        return ModelSpace.circle(c)
     if kind == "interval":
         return ModelSpace.interval()
     if kind == "euclideanPoints":

@@ -20,9 +20,10 @@ dm by at most tol.
 The permutation quotient minimises over simultaneous row/column
 permutations of B, exactly (depth-first search with prefix pruning) up to a
 configurable size limit, or heuristically (greedy profile assignment plus
-2-swap local search) above it.  The exact search tries one row per class of
-twins of B (rows whose swap leaves B unchanged, as repeated sample points
-do), which cuts the search without changing the value or the witness.
+2-swap local search, each swap decided by one budgeted vertex cover) above
+it.  The exact search tries one row per class of twins of B (rows whose
+swap leaves B unchanged, as repeated sample points do), which cuts the
+search without changing the value or the witness.
 The grids of dm or dpi between two lists of grids (ensemble atoms) are
 built here too, the dpi grid on classes of grids equal up to relabelling.
 """
@@ -271,14 +272,15 @@ def _aligned_scan(a_list, b_list, perm):
 def _scan_pairs(pairs, denom):
     """Minimise max(threshold, cover_size/denom) over gap thresholds.
 
-    ``pairs`` lists (t, k, gap) for t <= k, as :func:`_row_gaps` builds
-    them.  Thresholds run over the distinct positive gaps in decreasing
-    order plus 0; at threshold t the pairs with gap > t must be covered.
+    ``pairs`` lists (t, k, gap) for t <= k, row by row as
+    :func:`_row_gaps` builds them, so the last pair has the largest k.
+    Thresholds run over the distinct positive gaps in decreasing order
+    plus 0; at threshold t the pairs with gap > t must be covered.
     Returns the minimum and an optimal cover.
     """
-    nverts = 0
-    for i, j, _ in pairs:
-        nverts = max(nverts, i + 1, j + 1)
+    if not pairs:
+        return 0.0, ()  # no points
+    nverts = pairs[-1][1] + 1
     pos = [(g, i, j) for (i, j, g) in pairs if g > 0.0]
     pos.sort(key=lambda t: -t[0])
     thresholds = []
@@ -288,6 +290,7 @@ def _scan_pairs(pairs, denom):
     thresholds.append(0.0)
 
     inc = math.inf
+    ms, ms_inc = None, inc  # the largest cover size whose share is below ms_inc
     best_cover: tuple = ()
     edges: list = []
     k = 0  # prefix of pos already in `edges`
@@ -301,14 +304,13 @@ def _scan_pairs(pairs, denom):
         if not edges:
             cover: tuple | None = ()
         else:
-            ms = None
-            if inc < math.inf:
-                ms = math.ceil(denom * inc) - 1
+            if ms_inc != inc:  # computed only for a call that needs it
+                ms, ms_inc = _share_budget(inc, denom), inc
             cover = min_vertex_cover(nverts, edges, max_size=ms, lower=low)
             if cover is None:
                 break  # covers only grow as t shrinks
             low = len(cover)
-        share = len(cover) / denom if cover else 0.0  # n = 0: no pairs, no cover
+        share = len(cover) / denom
         val = max(t, share)
         if val < inc:
             inc = val
@@ -316,6 +318,22 @@ def _scan_pairs(pairs, denom):
         if share >= inc:
             break
     return inc, best_cover
+
+
+def _share_budget(inc, denom):
+    """The largest m <= denom whose share m / denom is below ``inc``, by
+    the float division and comparison the scan makes; -1 when there is
+    none.  ``denom`` is positive."""
+    if inc > 1.0:
+        return denom
+    # the rounded product and the rounded shares each move the answer by at
+    # most one from ceil(denom * inc) - 1
+    m = math.ceil(denom * inc) - 1
+    if (m + 1) / denom < inc:
+        return m + 1
+    if m / denom >= inc:
+        return m - 1
+    return m
 
 
 def _witness(pairs, value, cover) -> DmWitness:
@@ -475,6 +493,25 @@ def _dpi_exact(a_list, b_list):
     return PiWitness(value=float(best_value), permutation=best_perm, inner=best_witness, exact=True)
 
 
+def _beats(a_list, b_list, perm, value, budget) -> bool:
+    """Whether the dm of A against B aligned by ``perm`` is below ``value``
+    (positive), given ``budget`` = :func:`_share_budget` of it.
+
+    The scan's value is min over thresholds t of max(t, cover share), and
+    covers shrink as t grows, so it is below ``value`` exactly when the
+    pairs at or above ``value`` (those above the largest threshold below
+    it) have a cover of at most ``budget`` vertices: one budgeted cover,
+    with the gaps read by :func:`_row_gaps`'s rule.
+    """
+    edges = []
+    for k, ar in enumerate(a_list):
+        bk = b_list[perm[k]]
+        for t in range(k + 1):
+            if abs(ar[t] - bk[perm[t]]) >= value:
+                edges.append((t, k))
+    return min_vertex_cover(len(a_list), edges, max_size=budget) is not None
+
+
 def _dpi_heuristic(a, b):
     n = a.shape[0]
     a_list = a.tolist()
@@ -486,18 +523,31 @@ def _dpi_heuristic(a, b):
         perm[int(ra)] = int(rb)
 
     cur = _aligned_scan(a_list, b_list, perm)
+    budget = _share_budget(cur[1], n) if n else -1
+    passes = tested = accepted = decisions = 0
     improved = True
     while improved:
         improved = False
+        passes += 1
         for i in range(n):
             for j in range(i + 1, n):
                 perm[i], perm[j] = perm[j], perm[i]
-                trial = _aligned_scan(a_list, b_list, perm)
-                if trial[1] < cur[1]:
-                    cur = trial
+                tested += 1
+                better = False
+                if budget >= 0:  # else cur is 0, and no value is below it
+                    decisions += 1
+                    better = _beats(a_list, b_list, perm, cur[1], budget)
+                if better:
+                    cur = _aligned_scan(a_list, b_list, perm)
+                    budget = _share_budget(cur[1], n)
+                    accepted += 1
                     improved = True
                 else:
                     perm[i], perm[j] = perm[j], perm[i]
+    log.debug(
+        "dpi heuristic: n = %d, %d passes, %d swaps tested, %d accepted, %d decision calls",
+        n, passes, tested, accepted, decisions,
+    )
     inner = _witness(*cur)
     return PiWitness(value=inner.value, permutation=tuple(perm), inner=inner, exact=False)
 

@@ -2,11 +2,12 @@
 
 These deliberately avoid the library's own algorithms: exhaustive
 enumeration over exclusion subsets and permutations, feasibility bisection
-over linear programs, direct recursion for matchings and covers, and
-exact rational scans over every level.
+over linear programs, direct recursion for matchings and covers, exact
+rational scans over every level, and a dm that solves every threshold.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -233,6 +234,62 @@ def min_vertex_cover_recursive(n: int, edges, max_size: int | None = None):
         return None
     mask = best["mask"] | forced
     return tuple(i for i in range(n) if mask >> i & 1)
+
+
+def dm_every_threshold(a_list, b_list, perm):
+    """dm of A against B aligned by ``perm``, as a DmWitness, by solving
+    every gap threshold (largest first) with no budget and no early stop.
+
+    The gap of {t, k}, t <= k, is |a_kt - b_perm[k]perm[t]|; at threshold t
+    the pairs with gap > t are covered by the recursive kernel.  The witness
+    takes the cover of the first threshold that attains the minimum.
+    """
+    from mmsdist import DmWitness
+
+    n = len(a_list)
+    if not n:
+        return DmWitness(0.0, (), 0.0)
+    pairs = [(t, k, abs(a_list[k][t] - b_list[perm[k]][perm[t]])) for k in range(n) for t in range(k + 1)]
+    value, cover = math.inf, ()
+    for level in sorted({g for _, _, g in pairs if g > 0.0} | {0.0}, reverse=True):
+        c = min_vertex_cover_recursive(n, [(t, k) for t, k, g in pairs if g > level])
+        if max(level, len(c) / n) < value:
+            value, cover = max(level, len(c) / n), c
+    resid = max((g for t, k, g in pairs if t not in cover and k not in cover), default=0.0)
+    return DmWitness(float(value), cover, float(resid))
+
+
+def dpi_heuristic_rescan(a, b):
+    """The 2-swap heuristic that rescans every trial swap in full, kept as
+    the reference for ``dpi_distance(..., mode="heuristic")``.
+
+    Rows are seeded by sorted row sums; passes over the swaps (i, j),
+    i < j, in order keep a swap only when its dm is strictly below the
+    current one, until a pass keeps none.
+    """
+    from mmsdist import PiWitness
+
+    a = np.asarray(a, float)
+    b = np.asarray(b, float)
+    n = a.shape[0]
+    a_list, b_list = a.tolist(), b.tolist()
+    perm = [0] * n
+    for ra, rb in zip(np.argsort(a.sum(axis=1), kind="stable"), np.argsort(b.sum(axis=1), kind="stable")):
+        perm[int(ra)] = int(rb)
+    cur = dm_every_threshold(a_list, b_list, perm)
+    improved = True
+    while improved:
+        improved = False
+        for i in range(n):
+            for j in range(i + 1, n):
+                perm[i], perm[j] = perm[j], perm[i]
+                trial = dm_every_threshold(a_list, b_list, perm)
+                if trial.value < cur.value:
+                    cur = trial
+                    improved = True
+                else:
+                    perm[i], perm[j] = perm[j], perm[i]
+    return PiWitness(cur.value, tuple(perm), cur, exact=False)
 
 
 def embeddings_bruteforce(y, x, tol):

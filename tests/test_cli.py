@@ -126,6 +126,14 @@ def test_malformed_json_fields_are_typed_errors(files, capsys, command, text, me
     assert err.startswith("error: ") and message in err
 
 
+def test_oversized_circumference_is_a_typed_error(files, capsys):
+    # a JSON integer beyond the float range ended in an OverflowError traceback
+    bad = _write(files["dir"] / "bad.json", '{"kind": "circle", "circumference": 1' + "0" * 400 + "}")
+    assert main(["sample", bad, "--n", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'circumference' is too large for a float" in err
+
+
 def test_ghp_command(files, capsys):
     code, out = _run(capsys, ["ghp", files["x"], files["y"]])
     payload = json.loads(out)

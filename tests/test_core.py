@@ -67,6 +67,12 @@ def test_space_json_without_points_is_a_typed_error(tmp_path):
         read_mms(path)
 
 
+def test_finite_mms_rejects_a_0d_mass():
+    # the size message read mass.shape[0], an IndexError on a 0-d array
+    with pytest.raises(ValueError, match="inconsistent sizes"):
+        FiniteMMS(labels=("a",), dist=DistanceMatrix(np.zeros((1, 1))), mass=np.float64(1.0))
+
+
 def test_quotient_merges_zero_pairs():
     d = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
     s = FiniteMMS(("p", "q", "r"), DistanceMatrix(d), [0.2, 0.3, 0.5])

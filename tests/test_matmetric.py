@@ -1,5 +1,7 @@
 import gc
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,10 +19,23 @@ from mmsdist import (
     min_vertex_cover,
 )
 from mmsdist import matmetric
-from mmsdist.matmetric import PiWitness, _is_relabelling, _relabelling_classes, _scan_pairs, _twin_prev
+from mmsdist.matmetric import (
+    PiWitness,
+    _is_relabelling,
+    _relabelling_classes,
+    _scan_pairs,
+    _share_budget,
+    _twin_prev,
+)
 from mmsdist.sampling import enumerate_matrix_ensemble, rng_stream
 
-from oracles import dm_bruteforce, dpi_bruteforce, min_vertex_cover_recursive, mvc_bruteforce
+from oracles import (
+    dm_bruteforce,
+    dpi_bruteforce,
+    dpi_heuristic_rescan,
+    min_vertex_cover_recursive,
+    mvc_bruteforce,
+)
 
 A_LINE = np.array([[0.0, 1, 3], [1, 0, 2], [3, 2, 0]])  # points {0, 1, 3}
 B_LINE = np.array([[0.0, 2, 3], [2, 0, 1], [3, 1, 0]])  # points {0, 2, 3}
@@ -618,3 +633,107 @@ def test_dm_is_symmetric(grids):
 def test_dm_triangle_inequality(grids):
     a, b, c = grids
     assert dm_distance(a, c).value <= dm_distance(a, b).value + dm_distance(b, c).value + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# share budgets and the heuristic's decision calls
+
+
+def test_share_budget_is_the_largest_share_below():
+    # by the float division the scan makes, also one ulp either side of
+    # every share and above 1
+    for denom in range(1, 70):
+        for m in range(denom + 1):
+            share = m / denom
+            for inc in (math.nextafter(share, -1.0), share, math.nextafter(share, 2.0), 1.5, 1e308):
+                want = max((k for k in range(denom + 1) if k / denom < inc), default=-1)
+                assert _share_budget(inc, denom) == want
+
+
+def test_dm_one_ulp_above_a_share_matches_the_oracle():
+    # 3 * x rounds to 1.0, so a budget of ceil(3x) - 1 stopped the scan
+    # before the cover of one vertex (share 1/3 < x) and returned x
+    x = math.nextafter(1 / 3, 1.0)
+    a = np.array([[0.0, x, 0.1], [x, 0.0, 0.1], [0.1, 0.1, 0.0]])
+    b = np.zeros((3, 3))
+    want = dm_bruteforce(a, b)
+    assert want == 1 / 3
+    assert dm_distance(a, b).value == want
+    assert dpi_distance(a, b).value == dpi_bruteforce(a, b) == want
+    assert dpi_distance(a, b, mode="heuristic").value == want
+
+
+def test_dm_with_gaps_near_the_float_limit():
+    # the budget of such a value overflowed ceil()
+    a = np.array([[0.0, 1e308], [1e308, 0.0]])
+    b = np.zeros((2, 2))
+    assert dm_distance(a, b).value == dm_bruteforce(a, b) == 0.5
+    assert dpi_distance(a, b, mode="heuristic").value == 0.5
+
+
+@st.composite
+def _tie_rich_pair(draw):
+    """Two symmetric grids of 0 <= n <= 7 points, diagonal included, whose
+    entries are thirds and halves (gaps tie with each other and with the
+    shares m / n), arbitrary floats or all zero."""
+    n = draw(st.integers(0, 7))
+    entries = draw(
+        st.sampled_from(
+            [st.sampled_from([0.0, 1 / 3, 0.5, 2 / 3, 1.0]), st.floats(0.0, 2.0), st.just(0.0)]
+        )
+    )
+    mats = []
+    for _ in range(2):
+        m = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+        mats.append(np.triu(m) + np.triu(m, 1).T)
+    return mats
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tie_rich_pair())
+def test_heuristic_equals_the_full_rescan(pair):
+    a, b = pair
+    assert repr(dpi_distance(a, b, mode="heuristic")) == repr(dpi_heuristic_rescan(a, b))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_heuristic_equals_the_full_rescan_on_the_smallest_grids(n):
+    rng = rng_stream(41)
+    for a, b in [
+        (np.zeros((n, n)), np.zeros((n, n))),
+        (np.zeros((n, n)), _integer_grid(rng, n)),
+        (_random_symmetric(rng, n, with_diagonal=True), _random_symmetric(rng, n, with_diagonal=True)),
+    ]:
+        assert repr(dpi_distance(a, b, mode="heuristic")) == repr(dpi_heuristic_rescan(a, b))
+
+
+def test_heuristic_witness_at_n13_is_pinned():
+    # recorded with the full rescan of every trial swap
+    rng = rng_stream(17)
+    a, b = (_random_symmetric(rng, 13) for _ in range(2))
+    assert repr(dpi_distance(a, b, mode="heuristic")) == (
+        "PiWitness(value=0.40418723441650983, permutation=(6, 0, 11, 4, 3, 2, 7, 9, 5, 1, 12, 10, 8), "
+        "inner=DmWitness(value=0.40418723441650983, excluded=(3, 6, 7, 9, 11), "
+        "max_residual=0.40418723441650983), exact=False)"
+    )
+
+
+def test_heuristic_logs_its_swaps(caplog):
+    def lines():
+        return [r.getMessage() for r in caplog.records if r.getMessage().startswith("dpi heuristic")]
+
+    with caplog.at_level(logging.DEBUG, logger="mmsdist"):
+        dpi_distance(np.zeros((4, 4)), np.zeros((4, 4)), mode="heuristic")
+    # a value of 0 needs no decision call
+    assert lines() == ["dpi heuristic: n = 4, 1 passes, 6 swaps tested, 0 accepted, 0 decision calls"]
+
+    caplog.clear()
+    rng = rng_stream(17)
+    a, b = (_random_symmetric(rng, 13) for _ in range(2))
+    with caplog.at_level(logging.DEBUG, logger="mmsdist"):
+        dpi_distance(a, b, mode="heuristic")
+    (line,) = lines()
+    n, passes, tested, accepted, decisions = map(int, re.findall(r"\d+", line))
+    assert n == 13 and passes >= 2 and tested == passes * 78
+    # every swap before the value reaches 0 is one decision call
+    assert 0 < accepted < decisions == tested

@@ -10,6 +10,7 @@ assertion fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -263,9 +264,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parsing leaves the parser unchanged, so one serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:

@@ -20,10 +20,13 @@ dm by at most tol.
 The permutation quotient minimises over simultaneous row/column
 permutations of B, exactly (depth-first search with prefix pruning) up to a
 configurable size limit, or heuristically (greedy profile assignment plus
-2-swap local search, each swap decided by one budgeted vertex cover) above
-it.  The exact search tries one row per class of twins of B (rows whose
-swap leaves B unchanged, as repeated sample points do), which cuts the
-search without changing the value or the witness.
+2-swap local search) above it.  Both searches ask one question of an
+alignment, whether its dm is below the incumbent, and answer it with one
+budgeted vertex cover (:func:`_below`); only a full alignment that passes
+(a leaf of the exact search, an accepted swap) is scanned in full.  The
+exact search tries one row per class of twins of B (rows whose swap leaves
+B unchanged, as repeated sample points do), which cuts the search without
+changing the value or the witness.
 The grids of dm or dpi between two lists of grids (ensemble atoms) are
 built here too, the dpi grid on classes of grids equal up to relabelling.
 """
@@ -440,12 +443,16 @@ def _dpi_exact(a_list, b_list):
 
     The search walks one memo tree.  Aligning row k of A to row j of B adds
     the k + 1 gap pairs :func:`_row_gaps` builds; the node for that step is
-    keyed by their gap tuple under its parent and holds ``(value, cover,
-    children)`` from one :func:`_scan_pairs` call on the whole prefix.
-    Chunk lengths are fixed per depth, so prefixes with equal gap tuples
-    reach the same node and each is scanned once.  A node's value bounds
-    every completion of its prefix from below; at depth n - 1 it is the dm
-    of the full alignment, and its cover is the witness's exclusion set.
+    keyed by their gap tuple under its parent, so prefixes with equal gap
+    tuples (chunk lengths are fixed per depth) share one node.  A prefix's
+    dm bounds every completion's from below, so a node is entered only when
+    its dm is below the incumbent, which :func:`_below` decides with one
+    budgeted vertex cover.  The node holds ``[incumbent, verdict,
+    children]``: no call is made while there is no incumbent, a failure
+    stays valid as the incumbent only falls, and a pass is decided again
+    once it has fallen.  Only a leaf that passes is scanned by
+    :func:`_scan_pairs`, for the new incumbent and its cover; the search
+    stops at an incumbent of 0, which nothing is below.
     """
     n = len(a_list)
     if not n:
@@ -455,9 +462,11 @@ def _dpi_exact(a_list, b_list):
     # twins give equal gaps, and the lex-smallest optimum places each twin
     # class in increasing order, so only the lowest unused twin is tried
     prev = _twin_prev(b_list)
-    best_value, best_perm, best_witness = math.inf, None, None
+    best = math.inf
+    budget = best_perm = best_witness = None  # set with the first incumbent
     pairs: list = []  # the prefix's gap pairs, extended and truncated in place
     levels = [{}] + [None] * (n - 1)  # levels[k]: the children of the node row k extends
+    nodes = decisions = scans = 0
     k = j = 0  # row k of A tries rows j, j + 1, ... of B
     while True:
         if j == n:  # depth k is done: back to depth k - 1
@@ -478,23 +487,36 @@ def _dpi_exact(a_list, b_list):
         key = tuple(g for _, _, g in chunk)
         node = levels[k].get(key)
         if node is None:
-            node = levels[k][key] = (*_scan_pairs(pairs, n), {})
-        value, cover, sub = node
-        if value < best_value:
+            nodes += 1
+            node = levels[k][key] = [math.inf, True, {}]  # every dm is below inf
+        if node[1] and node[0] != best:  # a pass holds at its own incumbent only
+            decisions += 1
+            node[:2] = best, _below(a_list, b_list, perm, k + 1, best, budget)
+        if node[1]:
             if k == n - 1:
-                best_value, best_perm, best_witness = value, tuple(perm), _witness(pairs, value, cover)
+                scans += 1
+                best, cover = _scan_pairs(pairs, n)
+                best_perm, best_witness = tuple(perm), _witness(pairs, best, cover)
+                if not best:  # no dm is below 0
+                    break
+                budget = _share_budget(best, n)
             else:
                 used[j] = True
-                levels[k + 1] = sub
+                levels[k + 1] = node[2]
                 k, j = k + 1, 0
                 continue
         del pairs[-(k + 1) :]
         j += 1
-    return PiWitness(value=float(best_value), permutation=best_perm, inner=best_witness, exact=True)
+    log.debug(
+        "dpi exact: n = %d, %d nodes, %d decision calls, %d leaves scanned",
+        n, nodes, decisions, scans,
+    )
+    return PiWitness(value=float(best), permutation=best_perm, inner=best_witness, exact=True)
 
 
-def _beats(a_list, b_list, perm, value, budget) -> bool:
-    """Whether the dm of A against B aligned by ``perm`` is below ``value``
+def _below(a_list, b_list, perm, rows, value, budget) -> bool:
+    """Whether the dm of the first ``rows`` rows of A against B aligned by
+    ``perm``, over all ``len(a_list)`` points, is below ``value``
     (positive), given ``budget`` = :func:`_share_budget` of it.
 
     The scan's value is min over thresholds t of max(t, cover share), and
@@ -504,7 +526,8 @@ def _beats(a_list, b_list, perm, value, budget) -> bool:
     with the gaps read by :func:`_row_gaps`'s rule.
     """
     edges = []
-    for k, ar in enumerate(a_list):
+    for k in range(rows):
+        ar = a_list[k]
         bk = b_list[perm[k]]
         for t in range(k + 1):
             if abs(ar[t] - bk[perm[t]]) >= value:
@@ -536,7 +559,7 @@ def _dpi_heuristic(a, b):
                 better = False
                 if budget >= 0:  # else cur is 0, and no value is below it
                     decisions += 1
-                    better = _beats(a_list, b_list, perm, cur[1], budget)
+                    better = _below(a_list, b_list, perm, n, cur[1], budget)
                 if better:
                     cur = _aligned_scan(a_list, b_list, perm)
                     budget = _share_budget(cur[1], n)
@@ -562,11 +585,11 @@ def dpi_distance(
     """Distance up to simultaneous row/column permutation.
 
     Exact mode runs a depth-first search over permutations with prefix
-    pruning (a partial alignment is abandoned once its forced gaps already
-    match the incumbent even after maximal allowed exclusion) and is limited
-    to ``exact_limit`` points.  It also prunes twins (rows of B whose swap
-    leaves B unchanged): each depth tries only the lowest unused row of a
-    twin class, so twins are aligned in one order only.  Heuristic mode
+    pruning (a partial alignment is abandoned once the dm of its aligned
+    rows, which bounds every completion's, is not below the incumbent) and
+    is limited to ``exact_limit`` points.  It also prunes twins (rows of B
+    whose swap leaves B unchanged): each depth tries only the lowest unused
+    row of a twin class, so twins are aligned in one order only.  Heuristic mode
     returns an upper bound and is flagged ``exact=False``.  Ties are broken
     toward the lexicographically smallest permutation.
     """

@@ -10,6 +10,7 @@ when trials are distributed across workers.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +65,8 @@ class ModelSpace:
 
     @staticmethod
     def circle(circumference: float = 1.0) -> "ModelSpace":
-        if not 0 < circumference < np.inf:  # NaN fails this too
+        # NaN fails this too, and so does an int beyond the float range
+        if not 0 < circumference <= sys.float_info.max:
             raise ValueError(f"circumference must be positive and finite, got {circumference}")
         return ModelSpace(kind="circle", circumference=float(circumference))
 

@@ -4,6 +4,8 @@ These deliberately avoid the library's own algorithms: exhaustive
 enumeration over exclusion subsets and permutations, feasibility bisection
 over linear programs, direct recursion for matchings and covers, exact
 rational scans over every level, and a dm that solves every threshold.
+The searches that faster library code replaced are kept here too, as the
+references their replacements must match byte for byte.
 """
 
 import itertools
@@ -290,6 +292,70 @@ def dpi_heuristic_rescan(a, b):
                 else:
                     perm[i], perm[j] = perm[j], perm[i]
     return PiWitness(cur.value, tuple(perm), cur, exact=False)
+
+
+# The exact search that ``matmetric._dpi_exact`` replaced, kept as its
+# reference: the same lex-order tree, but every memo node holds its prefix's
+# full threshold scan instead of one decision against the incumbent.
+def dpi_exact_scan(a, b):
+    """Exact dpi of two grids by a depth-first search that scans each
+    distinct gap prefix in full.
+
+    Aligning row k of A to row j of B adds the k + 1 gap pairs of row k;
+    the node for that step is keyed by their gap tuple under its parent and
+    holds ``(value, cover, children)`` from one threshold scan of the whole
+    prefix.  A node whose value is not below the incumbent is pruned; at
+    depth n - 1 the value is the dm of the full alignment, and its cover is
+    the witness's exclusion set.  Each depth tries only the lowest unused
+    row of a class of twins of B.
+    """
+    from mmsdist import DmWitness, PiWitness
+    from mmsdist.matmetric import _row_gaps, _scan_pairs, _twin_prev, _witness
+
+    a_list = np.asarray(a, float).tolist()
+    b_list = np.asarray(b, float).tolist()
+    n = len(a_list)
+    if not n:
+        return PiWitness(0.0, (), DmWitness(0.0, (), 0.0), exact=True)
+    perm = [-1] * n
+    used = [False] * n
+    prev = _twin_prev(b_list)
+    best_value, best_perm, best_witness = math.inf, None, None
+    pairs: list = []
+    levels = [{}] + [None] * (n - 1)
+    k = j = 0
+    while True:
+        if j == n:
+            k -= 1
+            if k < 0:
+                break
+            j = perm[k]
+            used[j] = False
+            del pairs[-(k + 1) :]
+            j += 1
+            continue
+        if used[j] or (prev[j] >= 0 and not used[prev[j]]):
+            j += 1
+            continue
+        perm[k] = j
+        chunk = _row_gaps(a_list[k], b_list, perm, k)
+        pairs.extend(chunk)
+        key = tuple(g for _, _, g in chunk)
+        node = levels[k].get(key)
+        if node is None:
+            node = levels[k][key] = (*_scan_pairs(pairs, n), {})
+        value, cover, sub = node
+        if value < best_value:
+            if k == n - 1:
+                best_value, best_perm, best_witness = value, tuple(perm), _witness(pairs, value, cover)
+            else:
+                used[j] = True
+                levels[k + 1] = sub
+                k, j = k + 1, 0
+                continue
+        del pairs[-(k + 1) :]
+        j += 1
+    return PiWitness(value=float(best_value), permutation=best_perm, inner=best_witness, exact=True)
 
 
 def embeddings_bruteforce(y, x, tol):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mmsdist import experiments, fileio
+from mmsdist import cli, experiments, fileio
 from mmsdist.cli import main
 from mmsdist.entropy import find_isometric_embeddings, kl_divergence
 
@@ -303,3 +303,40 @@ def test_cli_error_paths(files, capsys):
     bad = _write(files["dir"] / "bad.mat", "2\n0 1\n")
     code = main(["dm", files["a"], bad])
     assert code == 2
+
+
+def _outcomes(capsys, argvs):
+    """(exit code, stdout, stderr) of ``main`` on each argv in turn; a
+    parser exit counts by its code."""
+    got = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        got.append((code, *capsys.readouterr()))
+    return got
+
+
+def test_successive_calls_match_a_fresh_parser_per_call(files, capsys, monkeypatch):
+    # one parser serves every call; successes, library errors, parser
+    # errors and help, in any order, give what a parser built per call gives
+    argvs = [
+        ["dpi", files["a"], files["b"]],
+        ["dpi", files["a"], files["b"], "--limit", "2"],
+        ["dpi", files["a"], files["b"], "--heuristic"],
+        ["dm", files["a"], str(files["dir"] / "missing.mat")],
+        ["dm", files["a"]],
+        ["dpi", files["a"], files["b"], "--limit", "x"],
+        ["nope"],
+        ["ghp", files["x"], files["y"], "--strategy", "identify"],
+        ["ghp", files["x"], files["y"]],
+        ["--help"],
+        ["dm", files["a"], files["b"]],
+        ["check", "hoelder", "--eps", "0.1", "--n", "3"],
+        ["dm", files["a"], files["b"]],
+    ]
+    shared = _outcomes(capsys, argvs)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert shared == _outcomes(capsys, argvs)
+    assert [code for code, _, _ in shared] == [0, 2, 0, 2, 2, 2, 2, 0, 0, 0, 0, 0, 0]

@@ -32,6 +32,7 @@ from mmsdist.sampling import enumerate_matrix_ensemble, rng_stream
 from oracles import (
     dm_bruteforce,
     dpi_bruteforce,
+    dpi_exact_scan,
     dpi_heuristic_rescan,
     min_vertex_cover_recursive,
     mvc_bruteforce,
@@ -737,3 +738,101 @@ def test_heuristic_logs_its_swaps(caplog):
     assert n == 13 and passes >= 2 and tested == passes * 78
     # every swap before the value reaches 0 is one decision call
     assert 0 < accepted < decisions == tested
+
+
+# ---------------------------------------------------------------------------
+# the exact search's decision calls
+
+
+def _symmetric_from(entries, n):
+    """The symmetric n x n grid whose upper triangle, diagonal included, is
+    ``entries`` read row by row."""
+    m = np.zeros((n, n))
+    m[np.triu_indices(n)] = entries
+    return np.triu(m) + np.triu(m, 1).T
+
+
+@st.composite
+def _exact_pair(draw):
+    """Two grids of 0 <= n <= 7 points of one kind: random floats, half-step
+    lattices, thirds against sevenths (gaps tie with the shares m / 7),
+    all zero against a lattice or zero, samples of two-point spaces (the
+    ensemble atoms), or lattices moved apart by 5e-10 across the diagonal."""
+    n = draw(st.integers(0, 7))
+    kind = draw(st.sampled_from(["random", "lattice", "thirds-sevenths", "zero", "two-class", "asymmetric"]))
+    size = n * (n + 1) // 2
+
+    def grid(values):
+        return _symmetric_from(draw(st.lists(values, min_size=size, max_size=size)), n)
+
+    half_steps = st.integers(0, 3).map(lambda v: v / 2)
+    if kind == "random":
+        return grid(st.floats(0.0, 2.0)), grid(st.floats(0.0, 2.0))
+    if kind == "thirds-sevenths":
+        return grid(st.integers(0, 3).map(lambda v: v / 3)), grid(st.integers(0, 7).map(lambda v: v / 7))
+    if kind == "zero":
+        return np.zeros((n, n)), grid(draw(st.sampled_from([half_steps, st.just(0.0)])))
+    if kind == "two-class":
+        mats = []
+        for _ in range(2):
+            d = draw(st.sampled_from([0.5, 1.0]))
+            idx = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=int)
+            mats.append(np.array([[0.0, d], [d, 0.0]])[np.ix_(idx, idx)])
+        return tuple(mats)
+    a, b = grid(half_steps), grid(half_steps)
+    if kind == "asymmetric":
+        upper = np.triu_indices(n, 1)
+        moves = st.lists(st.sampled_from([-5e-10, 5e-10]), min_size=upper[0].size, max_size=upper[0].size)
+        for m in (a, b):
+            m[upper] += np.array(draw(moves))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exact_pair())
+def test_exact_search_equals_the_scan_per_node_search(pair):
+    a, b = pair
+    assert repr(dpi_distance(a, b)) == repr(dpi_exact_scan(a, b))
+
+
+def test_exact_witness_at_n8_is_pinned():
+    # recorded with the scan-per-node search
+    rng = rng_stream(42)
+    a, b = (_symmetric_from(rng.random(36) * 2, 8) for _ in range(2))
+    assert repr(dpi_distance(a, b)) == (
+        "PiWitness(value=0.39103674783300546, permutation=(2, 6, 7, 0, 3, 1, 5, 4), "
+        "inner=DmWitness(value=0.39103674783300546, excluded=(0, 1, 2), "
+        "max_residual=0.39103674783300546), exact=True)"
+    )
+
+
+def test_exact_search_logs_its_decisions(caplog, monkeypatch):
+    def lines():
+        return [r.getMessage() for r in caplog.records if r.getMessage().startswith("dpi exact")]
+
+    with caplog.at_level(logging.DEBUG, logger="mmsdist"):
+        dpi_distance(np.zeros((4, 4)), np.zeros((4, 4)))
+    # every row of B is a twin: one path, entered with no incumbent, whose
+    # leaf gives 0 and ends the search
+    assert lines() == ["dpi exact: n = 4, 4 nodes, 0 decision calls, 1 leaves scanned"]
+
+    calls = {"below": 0, "scan": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(matmetric, "_below", counted("below", matmetric._below))
+    monkeypatch.setattr(matmetric, "_scan_pairs", counted("scan", matmetric._scan_pairs))
+    rng = rng_stream(43)
+    a, b = (_random_symmetric(rng, 6, with_diagonal=True) for _ in range(2))
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="mmsdist"):
+        dpi_distance(a, b)
+    (line,) = lines()
+    n, nodes, decisions, leaves = map(int, re.findall(r"\d+", line))
+    assert (n, decisions, leaves) == (6, calls["below"], calls["scan"])
+    assert nodes >= n and 0 < leaves < nodes

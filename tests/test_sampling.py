@@ -248,6 +248,13 @@ def test_circle_needs_a_positive_finite_circumference(bad):
         ModelSpace.circle(bad)
 
 
+def test_circle_rejects_an_int_beyond_the_float_range():
+    # converting it to float raised OverflowError past the range check
+    with pytest.raises(ValueError, match="circumference must be positive and finite"):
+        ModelSpace.circle(10**400)
+    assert ModelSpace.circle(10**300).circumference == 1e300
+
+
 @pytest.mark.parametrize("bad", [0.0, -0.1, np.nan])
 def test_net_needs_a_positive_epsilon(bad):
     # a NaN epsilon ended in numpy's argmin of an empty sequence

@@ -14,8 +14,8 @@ Conventions used across the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "check_distance_matrix",
     "validate_distance_matrix",
     "theta_map",
-    "quotient_zero_distances",
 ]
 
 
@@ -132,11 +131,6 @@ class DistanceMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def take(self, indices) -> "DistanceMatrix":
-        """Submatrix on the given point indices (still a distance matrix)."""
-        idx = np.asarray(indices, dtype=int)
-        return DistanceMatrix(self.entries[np.ix_(idx, idx)])
-
     def diameter(self) -> float:
         return float(self.entries.max()) if self.n else 0.0
 
@@ -150,6 +144,8 @@ def _euclidean_grid(p, q) -> np.ndarray:
     """Euclidean distances between the rows of two point clouds; 1-D
     coordinates are one column."""
     p, q = (np.asarray(c, dtype=float) for c in (p, q))
+    if not (p.ndim and q.ndim):
+        raise ValueError("coordinates must be an array of points, got a scalar")
     p, q = (c[:, None] if c.ndim == 1 else c for c in (p, q))
     if p.shape[1] != q.shape[1]:
         raise ValueError(f"coordinate dimensions differ: {p.shape[1]} vs {q.shape[1]}")
@@ -241,7 +237,7 @@ class FiniteMMS:
         as_prob_vector(self.mass, DEFAULT_TOL, "mass vector")
         if self.coords is not None:
             c = _readonly(self.coords)
-            if c.shape[0] != self.dist.n:
+            if c.ndim == 0 or c.shape[0] != self.dist.n:
                 raise ValueError("coords row count does not match point count")
             object.__setattr__(self, "coords", c)
 
@@ -263,44 +259,6 @@ def theta_map(a: DistanceMatrix) -> FiniteMMS:
         labels=tuple(f"p{i}" for i in range(n)),
         dist=a,
         mass=np.full(n, 1.0 / n),
-    )
-
-
-def quotient_zero_distances(space: FiniteMMS, tol: float = DEFAULT_TOL) -> FiniteMMS:
-    """Merge points at mutual distance <= tol, summing masses (pushforward).
-
-    Identification uses the transitive closure of the <= tol relation, so
-    the result is a genuine metric space: distinct surviving points are at
-    distance > tol.  Each merged class keeps the label of its lowest-index
-    member.
-    """
-    n = space.n
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    d = space.dist.entries
-    for i in range(n):
-        for j in range(i + 1, n):
-            if d[i, j] <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-
-    reps = sorted({find(i) for i in range(n)})
-    rep_pos = {r: k for k, r in enumerate(reps)}
-    mass = np.zeros(len(reps))
-    for i in range(n):
-        mass[rep_pos[find(i)]] += space.mass[i]
-    return FiniteMMS(
-        labels=tuple(space.labels[r] for r in reps),
-        dist=space.dist.take(reps),
-        mass=mass,
-        coords=None if space.coords is None else space.coords[reps],
     )
 
 
@@ -329,22 +287,11 @@ class Coupling:
                 "must be 2-d grids of equal shape"
             )
 
-    @property
-    def rows(self) -> int:
-        return self.mass.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.mass.shape[1]
-
     def row_marginal(self) -> np.ndarray:
         return self.mass.sum(axis=1)
 
     def col_marginal(self) -> np.ndarray:
         return self.mass.sum(axis=0)
-
-    def total(self) -> float:
-        return float(self.mass.sum())
 
     def check_marginals(self, p, q, tol: float = DEFAULT_TOL) -> None:
         """Raise if the marginals differ from the supplied vectors beyond tol."""

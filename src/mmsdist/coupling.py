@@ -9,8 +9,7 @@
   value), solved by Edmonds-Karp on the bipartite network source -> rows
   -> columns -> sink,
 * Birkhoff decomposition of doubly stochastic grids,
-* maximum bipartite matching under a distance cap (augmenting paths),
-* the same-support overlap bound 1 - sum_i min(p_i, q_i).
+* maximum bipartite matching under a distance cap (augmenting paths).
 
 The Prokhorov flow, the concentration functional and the greedy net coupling
 of `ghp` run on Python ints (the masses over one power-of-two denominator),
@@ -35,7 +34,6 @@ __all__ = [
     "prokhorov_distance",
     "birkhoff_decompose",
     "epsilon_matching",
-    "overlap_coupling_bound",
 ]
 
 log = logging.getLogger("mmsdist")
@@ -532,17 +530,3 @@ def birkhoff_decompose(s, tol: float = DEFAULT_TOL) -> BirkhoffDecomposition:
     if not terms:  # the zero-residual corner case: n = 0 cannot occur here
         terms.append((1.0, tuple(range(n))))
     return BirkhoffDecomposition(terms=tuple(terms))
-
-
-# ---------------------------------------------------------------------------
-# same-support overlap bound
-
-
-def overlap_coupling_bound(p, q, tol: float = DEFAULT_TOL) -> float:
-    """1 - sum_i min(p_i, q_i): the diagonal-heavy coupling bound for two
-    measures on the same finite metric space."""
-    pv = as_prob_vector(p, tol, "first mass vector")
-    qv = as_prob_vector(q, tol, "second mass vector")
-    if pv.size != qv.size:
-        raise ValueError(f"length mismatch: {pv.size} vs {qv.size}")
-    return max(0.0, 1.0 - float(np.minimum(pv, qv).sum()))

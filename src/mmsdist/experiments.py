@@ -31,7 +31,6 @@ from .matmetric import (
     DPI_EXACT_LIMIT,
     _check_exact_limit,
     _cross_grid,
-    dm_distance,
     dpi_distance,
 )
 from .sampling import (
@@ -49,7 +48,6 @@ __all__ = [
     "two_point_space",
     "sharp_pair",
     "four_point_square",
-    "binomial_tail_above",
     "check_finspc_sandwich",
     "check_hoelder_small_n",
     "check_sharp_exponent",
@@ -138,30 +136,21 @@ def four_point_square(side: float = 1.0) -> FiniteMMS:
     )
 
 
-def binomial_tail_above(n: int, p: float, m: float) -> float:
-    """Exact P(B > m) for B ~ Binomial(n, p), by direct CDF summation."""
-    total = 0.0
-    for k in range(n + 1):
-        if k > m:
-            total += math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
-    return total
-
-
-def _ensemble_cross_grid(ens_x, ens_y, distance, tol: float, budget: int):
-    """Grid of ``distance`` (dm_distance or dpi_distance) between two
-    ensembles' atoms, built by :func:`matmetric._cross_grid`; raises
-    :class:`BudgetError` before allocating when it has more than ``budget``
-    cells, ValueError when the ensembles differ in size and
-    :class:`SizeLimitError` before classifying any atom when a dpi grid's
-    matrices exceed the exact limit."""
+def _ensemble_cross_grid(ens_x, ens_y, quotient: bool, tol: float, budget: int):
+    """Grid of exact dpi (``quotient``) or dm between two ensembles' atoms,
+    built by :func:`matmetric._cross_grid`; raises :class:`BudgetError`
+    before allocating when it has more than ``budget`` cells, ValueError
+    when the ensembles differ in size and :class:`SizeLimitError` before
+    classifying any atom when a dpi grid's matrices exceed the exact
+    limit."""
     if ens_x.size * ens_y.size > budget:
         raise BudgetError(f"{ens_x.size} x {ens_y.size} grid exceeds the budget of {budget}")
     if ens_x.n != ens_y.n:
         raise ValueError(f"dimension mismatch: {ens_x.n} vs {ens_y.n}")
-    if distance is dpi_distance:
+    if quotient:
         _check_exact_limit(ens_x.n)
     ax, ay = ([m.entries for m in ens.matrices()] for ens in (ens_x, ens_y))
-    return _cross_grid(ax, ay, distance is dpi_distance, tol)
+    return _cross_grid(ax, ay, quotient, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +165,8 @@ def check_finspc_sandwich(
     must hold on every trial."""
     if n < 1:
         raise ValueError("need at least one point per matrix")
+    if trials < 1:
+        raise ValueError("need at least one trial")
     worst_upper_excess = -math.inf
     worst_sandwich_excess = -math.inf
     violations = 0
@@ -228,7 +219,7 @@ def check_hoelder_small_n(
     ghp = ghp_upper_bound(x, y, "identify", tol=tol)
     ens_x = enumerate_matrix_ensemble(ModelSpace.finite(x), n, budget)
     ens_y = enumerate_matrix_ensemble(ModelSpace.finite(y), n, budget)
-    grid = _ensemble_cross_grid(ens_x, ens_y, dpi_distance, tol, budget)
+    grid = _ensemble_cross_grid(ens_x, ens_y, True, tol, budget)
     dp = prokhorov_distance(ens_x.probabilities(), ens_y.probabilities(), grid, tol=tol).value
     observed = {"dp_ensemble": dp, "ghp_upper": ghp.upper, "atoms_x": ens_x.size, "atoms_y": ens_y.size}
     bound = {"sqrt_eps": math.sqrt(epsilon), "sqrt_ghp_upper": math.sqrt(ghp.upper)}
@@ -336,7 +327,7 @@ def check_sharp_exponent(
         x, y = sharp_pair(c, epsilon)
         ens_x = enumerate_matrix_ensemble(ModelSpace.finite(x), n, budget)
         ens_y = enumerate_matrix_ensemble(ModelSpace.finite(y), n, budget)
-        grid = _ensemble_cross_grid(ens_x, ens_y, dpi_distance, tol, budget)
+        grid = _ensemble_cross_grid(ens_x, ens_y, True, tol, budget)
     except (BudgetError, SizeLimitError) as exc:
         notes.append(f"{exc}; exact ensemble step skipped")
     else:
@@ -441,8 +432,8 @@ def check_group_invariance(
     ens1 = enumerate_matrix_ensemble(space1, n, budget)
     ens2 = enumerate_matrix_ensemble(space2, n, budget)
     p1, p2 = ens1.probabilities(), ens2.probabilities()
-    grid_dm = _ensemble_cross_grid(ens1, ens2, dm_distance, tol, budget)
-    grid_dpi = _ensemble_cross_grid(ens1, ens2, dpi_distance, tol, budget)
+    grid_dm = _ensemble_cross_grid(ens1, ens2, False, tol, budget)
+    grid_dpi = _ensemble_cross_grid(ens1, ens2, True, tol, budget)
     dp_dm = prokhorov_distance(p1, p2, grid_dm, tol=tol).value
     dp_dpi = prokhorov_distance(p1, p2, grid_dpi, tol=tol).value
     observed = {"dp_under_dm": dp_dm, "dp_under_dpi": dp_dpi, "gap": abs(dp_dm - dp_dpi)}

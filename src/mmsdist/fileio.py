@@ -50,26 +50,35 @@ def write_matrix(path, entries) -> None:
         fh.write(format_matrix(entries))
 
 
+def _array(value, field: str, numeric: bool = True):
+    """A JSON field that must be an array: as a float array when ``numeric``,
+    else as the list itself.  Any other JSON value, or an array that is not
+    numeric where a number array is needed, raises ValueError naming the
+    field."""
+    if not isinstance(value, list):
+        raise ValueError(f"JSON field '{field}' must be an array, got {value!r}")
+    if not numeric:
+        return value
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:  # nested objects, strings, ragged rows
+        raise ValueError(f"JSON field '{field}' must be an array of numbers: {exc}") from None
+
+
 def _mms_from_dict(obj: dict, tol: float) -> FiniteMMS:
-    coords = None
+    coords = _array(obj["coords"], "coords") if "coords" in obj else None
     if "dist" in obj:
-        dist = validate_distance_matrix(obj["dist"], tol)
-        if "coords" in obj:
-            coords = np.asarray(obj["coords"], dtype=float)
-    elif "coords" in obj:
-        coords = np.asarray(obj["coords"], dtype=float)
+        dist = validate_distance_matrix(_array(obj["dist"], "dist"), tol)
+    elif coords is not None:
         dist = DistanceMatrix.from_points(coords)
     else:
         raise ValueError("space JSON needs a 'dist' or 'coords' field")
     n = dist.n
     if not n:
         raise ValueError("space JSON has no points")
-    labels = obj.get("labels", [f"p{i}" for i in range(n)])
-    mass = obj.get("mass", [1.0 / n] * n)
-    for key, value in (("labels", labels), ("mass", mass)):
-        if not isinstance(value, list):
-            raise ValueError(f"space JSON field '{key}' must be an array, got {value!r}")
-    return FiniteMMS(labels=tuple(labels), dist=dist, mass=np.asarray(mass, float), coords=coords)
+    labels = _array(obj.get("labels", [f"p{i}" for i in range(n)]), "labels", numeric=False)
+    mass = _array(obj.get("mass", [1.0 / n] * n), "mass")
+    return FiniteMMS(labels=tuple(labels), dist=dist, mass=mass, coords=coords)
 
 
 def read_mms(path, tol: float = DEFAULT_TOL) -> FiniteMMS:
@@ -88,7 +97,7 @@ def read_mass_vector(path) -> np.ndarray:
         if "mass" not in obj:
             raise ValueError(f"{path}: mass JSON object needs a 'mass' field")
         obj = obj["mass"]
-    return np.asarray(obj, dtype=float)
+    return _array(obj, "mass")
 
 
 def read_model_space(path, tol: float = DEFAULT_TOL):
@@ -116,8 +125,7 @@ def read_model_space(path, tol: float = DEFAULT_TOL):
     if kind == "euclideanPoints":
         if "coords" not in obj:
             raise ValueError(f"{path}: euclideanPoints model space needs a 'coords' field")
-        coords = np.asarray(obj["coords"], dtype=float)
         mass = obj.get("mass")
-        mass = None if mass is None else np.asarray(mass, dtype=float)
-        return ModelSpace.euclidean_points(coords, mass)
+        mass = None if mass is None else _array(mass, "mass")
+        return ModelSpace.euclidean_points(_array(obj["coords"], "coords"), mass)
     raise ValueError(f"unknown model space kind: {kind!r}")

@@ -31,7 +31,6 @@ from .core import (
     theta_map,
 )
 from .coupling import (
-    ProkhorovResult,
     _greedy_delta,
     delta_of_coupling,
     epsilon_matching,
@@ -82,11 +81,6 @@ class GluedSpace:
         out[:nl, nl:] = self.cross
         out[nl:, :nl] = self.cross.T
         return out
-
-    def full_labels(self) -> tuple:
-        return tuple(f"L/{l}" for l in self.left.labels) + tuple(
-            f"R/{l}" for l in self.right.labels
-        )
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,5 @@
-"""Model spaces, i.i.d. sampling of empirical spaces, exact enumeration of
-matrix ensembles, epsilon-nets and hat spaces.
+"""Model spaces, i.i.d. sampling of empirical spaces and exact enumeration
+of matrix ensembles.
 
 Randomness contract: all draws come from the counter-based Philox
 generator, keyed as (seed, stream).  Identical (space, N, seed, stream)
@@ -17,7 +17,6 @@ import numpy as np
 
 from .core import (
     BudgetError,
-    Coupling,
     DEFAULT_TOL,
     DistanceMatrix,
     FiniteMMS,
@@ -27,13 +26,10 @@ from .core import (
 
 __all__ = [
     "ModelSpace",
-    "NetPartition",
     "rng_stream",
     "empirical_space",
     "sample_indices",
     "enumerate_matrix_ensemble",
-    "epsilon_net_partition",
-    "hat_space",
 ]
 
 
@@ -80,10 +76,10 @@ class ModelSpace:
         column); the weights, uniform by default, must be a probability
         vector within ``DEFAULT_TOL``, as :class:`FiniteMMS` masses are."""
         c = np.asarray(coords, dtype=float)
+        if not (c.ndim and c.size and np.isfinite(c).all()):
+            raise ValueError("point cloud needs points with finite coordinates")
         if c.ndim == 1:
             c = c[:, None]
-        if not (c.size and np.isfinite(c).all()):
-            raise ValueError("point cloud needs points with finite coordinates")
         m = np.full(len(c), 1.0 / len(c)) if mass is None else as_prob_vector(mass, DEFAULT_TOL, "weights")
         if m.shape != (len(c),):
             raise ValueError(f"{m.size} weights for {len(c)} points")
@@ -180,65 +176,3 @@ def enumerate_matrix_ensemble(
             order.append(key)
     atoms = tuple((DistanceMatrix(acc[key][0]), acc[key][1]) for key in order)
     return MatrixEnsemble(atoms=atoms)
-
-
-@dataclass(frozen=True)
-class NetPartition:
-    """A finite net with its covering assignment.
-
-    ``centers`` lists the chosen point indices; ``assignment[i]`` is the
-    center (point index) of point i, always within epsilon of it.
-    """
-
-    centers: tuple
-    assignment: tuple
-    epsilon: float
-
-
-def epsilon_net_partition(space: FiniteMMS, epsilon: float) -> NetPartition:
-    """Greedy farthest-point net: repeatedly add the lowest-index point at
-    distance > epsilon from every chosen center, then assign each point to
-    its nearest center (ties to the earliest center)."""
-    if not epsilon > 0:  # NaN fails this too
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    d = space.dist.entries
-    n = space.n
-    centers: list[int] = []
-    dmin = np.full(n, np.inf)
-    while True:
-        far = np.where(dmin > epsilon)[0]
-        if far.size == 0:
-            break
-        c = int(far[0])
-        centers.append(c)
-        dmin = np.minimum(dmin, d[:, c])
-    to_centers = d[:, centers]
-    assignment = tuple(int(centers[j]) for j in np.argmin(to_centers, axis=1))
-    return NetPartition(centers=tuple(centers), assignment=assignment, epsilon=float(epsilon))
-
-
-def hat_space(space: FiniteMMS, net: NetPartition):
-    """Collapse a space onto its net centers, pushing the measure forward.
-
-    Returns (hat, witness): the hat space carries mass mu(cell) at each
-    center, and the witness coupling, supported on center x cell pairs,
-    certifies that the two measures are within the net's epsilon on the
-    original space.
-    """
-    centers = list(net.centers)
-    pos = {c: k for k, c in enumerate(centers)}
-    mass = np.zeros(len(centers))
-    for i, c in enumerate(net.assignment):
-        mass[pos[c]] += space.mass[i]
-    hat = FiniteMMS(
-        labels=tuple(space.labels[c] for c in centers),
-        dist=space.dist.take(centers),
-        mass=mass,
-        coords=None if space.coords is None else space.coords[centers],
-    )
-    joint = np.zeros((len(centers), space.n))
-    for i, c in enumerate(net.assignment):
-        joint[pos[c], i] = space.mass[i]
-    ground = space.dist.entries[np.ix_(centers, range(space.n))]
-    witness = Coupling(mass=joint, ground_dist=ground)
-    return hat, witness

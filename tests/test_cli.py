@@ -98,10 +98,11 @@ def test_sample_rejects_weights_that_are_not_a_probability_vector(files, capsys)
         ("sample", '{"kind": "euclideanPoints"}', "needs a 'coords' field"),
         ("sample", "[1, 2]", "expected a JSON object"),
         ("prokhorov", '{"foo": 1}', "needs a 'mass' field"),
+        ("prokhorov", '{"mass": {"a": 1}}', "'mass' must be an array"),
     ],
 )
 def test_malformed_json_is_a_typed_error(files, capsys, command, text, message):
-    # each of these ended in a KeyError or AttributeError traceback
+    # each of these ended in a KeyError, AttributeError or TypeError traceback
     bad = _write(files["dir"] / "bad.json", text)
     argv = ["sample", bad, "--n", "3"] if command == "sample" else ["prokhorov", bad, files["q"], files["d"]]
     assert main(argv) == 2
@@ -115,6 +116,12 @@ def test_malformed_json_is_a_typed_error(files, capsys, command, text, message):
         ("sample", '{"kind": "finite", "labels": 5, "dist": [[0, 1], [1, 0]]}', "'labels' must be an array"),
         ("ghp", '{"dist": [[0, 1], [1, 0]], "mass": null}', "'mass' must be an array"),
         ("sample", '{"kind": "circle", "circumference": null}', "'circumference' must be a number"),
+        ("ghp", '{"dist": {"a": 1}}', "'dist' must be an array"),
+        ("ghp", '{"coords": {"a": 1}}', "'coords' must be an array"),
+        ("ghp", '{"coords": 5}', "'coords' must be an array"),
+        ("ghp", '{"dist": [[0, 1], [1, 0]], "coords": 5}', "'coords' must be an array"),
+        ("ghp", '{"dist": [[0, {"a": 1}], [1, 0]]}', "'dist' must be an array of numbers"),
+        ("sample", '{"kind": "euclideanPoints", "coords": {"a": 1}}', "'coords' must be an array"),
     ],
 )
 def test_malformed_json_fields_are_typed_errors(files, capsys, command, text, message):
@@ -248,6 +255,7 @@ def test_check_cli_keeps_library_defaults(argv, name, kwargs, capsys):
         ["sampconv", "--n", "0"],
         ["gpaction", "--n", "0"],
         ["sharp", "--eps", "0"],
+        ["finspc", "--trials", "0"],  # passed vacuously and printed -Infinity
     ],
 )
 def test_check_rejects_explicit_zero(argv, capsys):

@@ -7,7 +7,6 @@ from mmsdist import (
     FiniteMMS,
     ValidationError,
     check_distance_matrix,
-    quotient_zero_distances,
     theta_map,
     validate_distance_matrix,
 )
@@ -73,43 +72,13 @@ def test_finite_mms_rejects_a_0d_mass():
         FiniteMMS(labels=("a",), dist=DistanceMatrix(np.zeros((1, 1))), mass=np.float64(1.0))
 
 
-def test_quotient_merges_zero_pairs():
-    d = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-    s = FiniteMMS(("p", "q", "r"), DistanceMatrix(d), [0.2, 0.3, 0.5])
-    q = quotient_zero_distances(s)
-    assert q.n == 2
-    assert q.labels == ("p", "r")
-    assert q.mass.tolist() == [0.5, 0.5]
-
-
-def test_quotient_identity_and_collapse():
-    d = DistanceMatrix.from_points([[0.0], [1.0], [3.0]])
-    s = FiniteMMS(("a", "b", "c"), d, [0.3, 0.3, 0.4])
-    q = quotient_zero_distances(s)
-    assert q.n == 3 and q.labels == s.labels
-
-    zero = FiniteMMS(("a", "b", "c"), DistanceMatrix(np.zeros((3, 3))), [0.3, 0.3, 0.4])
-    q = quotient_zero_distances(zero)
-    assert q.n == 1 and q.mass[0] == pytest.approx(1.0)
-
-
-def test_quotient_idempotent_and_mass_preserving():
-    rng = rng_stream(7)
-    for _ in range(25):
-        n = int(rng.integers(2, 7))
-        pts = rng.random((n, 2))
-        pts[0] = pts[-1]  # force at least one zero-distance pair
-        s = FiniteMMS(
-            tuple(f"p{i}" for i in range(n)),
-            DistanceMatrix.from_points(pts),
-            rng.dirichlet(np.ones(n)),
-        )
-        q = quotient_zero_distances(s)
-        assert q.mass.sum() == pytest.approx(s.mass.sum(), abs=1e-12)
-        q2 = quotient_zero_distances(q)
-        assert q2.n == q.n
-        off = q.dist.entries[~np.eye(q.n, dtype=bool)]
-        assert off.size == 0 or off.min() > 0
+def test_scalar_coordinates_are_rejected():
+    # each read shape[0] or shape[1] of a 0-d array, an IndexError
+    one = DistanceMatrix(np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="coords row count"):
+        FiniteMMS(labels=("a",), dist=one, mass=[1.0], coords=5.0)
+    with pytest.raises(ValueError, match="array of points"):
+        DistanceMatrix.from_points(5.0)
 
 
 def test_generated_matrices_validate():
@@ -171,10 +140,10 @@ def test_package_exports_each_submodule_all():
         "DEFAULT_TOL", "Violation", "ValidationError", "GluingError", "BudgetError",
         "SizeLimitError", "DegenerateSupportError", "DistanceMatrix", "FiniteMMS",
         "Coupling", "MatrixEnsemble", "check_distance_matrix", "validate_distance_matrix",
-        "theta_map", "quotient_zero_distances",
+        "theta_map",
         # coupling
         "ProkhorovResult", "BirkhoffDecomposition", "EpsMatching", "delta_of_coupling",
-        "prokhorov_distance", "birkhoff_decompose", "epsilon_matching", "overlap_coupling_bound",
+        "prokhorov_distance", "birkhoff_decompose", "epsilon_matching",
         # entropy
         "EmbeddingSet", "kl_divergence", "find_isometric_embeddings", "relative_entropy",
         "relative_entropy_witness",
@@ -185,7 +154,7 @@ def test_package_exports_each_submodule_all():
         "DPI_EXACT_LIMIT", "DmWitness", "PiWitness", "dm_distance", "dpi_distance",
         "min_vertex_cover",
         # sampling
-        "ModelSpace", "NetPartition", "rng_stream", "empirical_space", "sample_indices",
-        "enumerate_matrix_ensemble", "epsilon_net_partition", "hat_space",
+        "ModelSpace", "rng_stream", "empirical_space", "sample_indices",
+        "enumerate_matrix_ensemble",
     ]
     assert all(hasattr(mmsdist, name) for name in mmsdist.__all__)

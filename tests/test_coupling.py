@@ -14,7 +14,6 @@ from mmsdist import (
     birkhoff_decompose,
     delta_of_coupling,
     epsilon_matching,
-    overlap_coupling_bound,
     prokhorov_distance,
 )
 from mmsdist import coupling as coupling_mod
@@ -320,15 +319,6 @@ def test_epsilon_matching_long_augmenting_path():
     assert m.pairs == tuple((i, i + 1) for i in range(n - 1)) + ((n - 1, 0),)
 
 
-def test_overlap_bound_examples():
-    assert overlap_coupling_bound([0.5, 0.5], [0.5, 0.5]) == 0.0
-    assert overlap_coupling_bound([0.7, 0.3], [0.4, 0.6]) == pytest.approx(0.3)
-    # both bound directions of the same-space chain
-    p, q = np.array([0.7, 0.3]), np.array([0.4, 0.6])
-    bound = overlap_coupling_bound(p, q)
-    assert bound <= np.abs(p - q).sum() + 1e-12
-
-
 def test_overlap_dominates_prokhorov_on_shared_space():
     rng = rng_stream(38)
     for _ in range(40):
@@ -336,7 +326,9 @@ def test_overlap_dominates_prokhorov_on_shared_space():
         d = DistanceMatrix.from_points(rng.random((n, 2))).entries
         p = rng.dirichlet(np.ones(n))
         q = rng.dirichlet(np.ones(n))
-        assert prokhorov_distance(p, q, d).value <= overlap_coupling_bound(p, q) + 1e-9
+        # the coupling that keeps min(p_i, q_i) on the diagonal moves mass 1 - sum of them
+        overlap = 1.0 - float(np.minimum(p, q).sum())
+        assert prokhorov_distance(p, q, d).value <= overlap + 1e-9
 
 
 def test_prokhorov_rejects_nan_masses():

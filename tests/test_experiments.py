@@ -16,7 +16,6 @@ from mmsdist import (
 )
 from mmsdist import coupling, experiments, matmetric
 from mmsdist.experiments import (
-    binomial_tail_above,
     check_finspc_sandwich,
     check_group_invariance,
     check_hoelder_small_n,
@@ -30,7 +29,7 @@ from mmsdist.experiments import (
     write_report_csv,
 )
 from mmsdist.matmetric import DPI_EXACT_LIMIT
-from mmsdist.sampling import enumerate_matrix_ensemble, rng_stream
+from mmsdist.sampling import enumerate_matrix_ensemble
 
 
 def test_finspc_sandwich_small():
@@ -200,18 +199,6 @@ def test_group_invariance_identical_spaces():
     assert r.observed["dp_under_dpi"] == 0.0
 
 
-def test_binomial_tail_bound():
-    # the exact tail beats the generic Markov estimate: for p < eps < 1/4,
-    # P(B > N sqrt(eps)) < sqrt(eps)
-    rng = rng_stream(71)
-    for _ in range(50):
-        eps = float(rng.random()) * 0.2 + 0.01
-        p = float(rng.random()) * eps * 0.99
-        n = int(rng.integers(1, 40))
-        tail = binomial_tail_above(n, p, n * math.sqrt(eps))
-        assert tail < math.sqrt(eps)
-
-
 def test_reports_are_deterministic_and_serializable(tmp_path):
     r1 = check_finspc_sandwich(n=4, trials=6, seed=9)
     r2 = check_finspc_sandwich(n=4, trials=6, seed=9)
@@ -289,7 +276,7 @@ def test_class_grid_equals_per_atom_dpi(x, y, n):
     ens_x = enumerate_matrix_ensemble(x, n)
     ens_y = enumerate_matrix_ensemble(y, n)
     for distance in (dpi_distance, dm_distance):
-        grid = experiments._ensemble_cross_grid(ens_x, ens_y, distance, 1e-9, 10**6)
+        grid = experiments._ensemble_cross_grid(ens_x, ens_y, distance is dpi_distance, 1e-9, 10**6)
         per_atom = np.array(
             [[distance(a.entries, b.entries).value for b in ens_y.matrices()] for a in ens_x.matrices()]
         )
@@ -321,9 +308,9 @@ def test_cross_grid_checks_every_atom_before_any_distance(monkeypatch, distance)
     }
     for message, ens in bad.items():
         with pytest.raises(ValueError, match=message):
-            experiments._ensemble_cross_grid(ens_x, ens, distance, 1e-9, 10**6)
+            experiments._ensemble_cross_grid(ens_x, ens, distance is dpi_distance, 1e-9, 10**6)
         with pytest.raises(ValueError, match=message):
-            experiments._ensemble_cross_grid(ens, ens_x, distance, 1e-9, 10**6)
+            experiments._ensemble_cross_grid(ens, ens_x, distance is dpi_distance, 1e-9, 10**6)
 
 
 def test_class_holds_atoms_of_different_multisets():

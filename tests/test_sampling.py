@@ -4,15 +4,10 @@ import pytest
 from mmsdist import (
     BudgetError,
     DistanceMatrix,
-    FiniteMMS,
     ModelSpace,
     check_distance_matrix,
-    delta_of_coupling,
     empirical_space,
     enumerate_matrix_ensemble,
-    epsilon_net_partition,
-    hat_space,
-    prokhorov_distance,
 )
 from mmsdist.experiments import two_point_space
 from mmsdist.sampling import rng_stream, sample_indices
@@ -149,98 +144,6 @@ def test_ensemble_matches_monte_carlo_chisquare():
     assert chi2 < 6.635  # 99th percentile of chi-square with 1 dof
 
 
-def test_net_single_center_when_epsilon_large():
-    s = two_point_space(0.5, 0.3, "x")
-    net = epsilon_net_partition(s, 10.0)
-    assert net.centers == (0,)
-    assert net.assignment == (0, 0)
-
-
-def test_net_line_example():
-    s = FiniteMMS(("a", "b", "c"), DistanceMatrix.from_points([[0.0], [0.1], [1.0]]), [1 / 3] * 3)
-    net = epsilon_net_partition(s, 0.2)
-    assert net.centers == (0, 2)
-    assert net.assignment == (0, 0, 2)
-
-
-def test_net_covering_invariant_random():
-    rng = rng_stream(51)
-    for _ in range(30):
-        n = int(rng.integers(2, 9))
-        s = FiniteMMS(
-            tuple(f"p{i}" for i in range(n)),
-            DistanceMatrix.from_points(rng.random((n, 2))),
-            np.full(n, 1.0 / n),
-        )
-        eps = float(rng.random()) * 0.8 + 0.05
-        net = epsilon_net_partition(s, eps)
-        d = s.dist.entries
-        for i, c in enumerate(net.assignment):
-            assert d[i, c] <= eps
-        # centers are pairwise farther than eps apart
-        for a in net.centers:
-            for b in net.centers:
-                if a != b:
-                    assert d[a, b] > eps
-
-
-def test_hat_space_identity_when_all_centers():
-    s = FiniteMMS(("a", "b"), DistanceMatrix.from_points([[0.0], [5.0]]), [0.4, 0.6])
-    net = epsilon_net_partition(s, 0.01)
-    hat, wit = hat_space(s, net)
-    assert hat.labels == s.labels
-    assert np.array_equal(hat.dist.entries, s.dist.entries)
-    assert np.array_equal(hat.mass, s.mass)
-    assert delta_of_coupling(wit) == 0.0
-
-
-def test_hat_space_mass_aggregation():
-    s = FiniteMMS(
-        ("p", "q", "r"),
-        DistanceMatrix.from_points([[0.0], [0.05], [1.0]]),
-        [0.2, 0.3, 0.5],
-    )
-    net = epsilon_net_partition(s, 0.1)
-    hat, wit = hat_space(s, net)
-    assert hat.mass.tolist() == [0.5, 0.5]
-    assert hat.mass.sum() == pytest.approx(1.0)
-    assert delta_of_coupling(wit) <= 0.1
-
-
-def test_hat_witness_within_epsilon_random():
-    rng = rng_stream(52)
-    for _ in range(25):
-        n = int(rng.integers(3, 9))
-        s = FiniteMMS(
-            tuple(f"p{i}" for i in range(n)),
-            DistanceMatrix.from_points(rng.random((n, 2))),
-            rng.dirichlet(np.ones(n)),
-        )
-        eps = float(rng.random()) * 0.5 + 0.05
-        net = epsilon_net_partition(s, eps)
-        hat, wit = hat_space(s, net)
-        wit.check_marginals(hat.mass, s.mass, tol=1e-9)
-        assert delta_of_coupling(wit) <= eps + 1e-12
-
-
-def test_hat_of_empirical_measure_pushforward():
-    # the net assignment pushes the empirical measure to the hat space and
-    # the emitted coupling certifies closeness on the original space
-    space = ModelSpace.euclidean_points(
-        [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
-    )
-    emp = empirical_space(space, 60, seed=9)
-    eps = 0.35
-    net = epsilon_net_partition(emp, eps)
-    hat, wit = hat_space(emp, net)
-    assert hat.mass.sum() == pytest.approx(1.0)
-    assert delta_of_coupling(wit) <= eps
-    # and the bound dominates an actual coupling distance on the shared space
-    ground = emp.dist.entries[np.ix_(net.centers, range(emp.n))]
-    dp = prokhorov_distance(hat.mass, emp.mass, ground).value
-    assert dp <= eps + 1e-12
-
-
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
 def test_circle_needs_a_positive_finite_circumference(bad):
     # NaN and inf were accepted and gave all-NaN sample matrices
@@ -255,14 +158,6 @@ def test_circle_rejects_an_int_beyond_the_float_range():
     assert ModelSpace.circle(10**300).circumference == 1e300
 
 
-@pytest.mark.parametrize("bad", [0.0, -0.1, np.nan])
-def test_net_needs_a_positive_epsilon(bad):
-    # a NaN epsilon ended in numpy's argmin of an empty sequence
-    space = two_point_space(1.0, 0.5, "x")
-    with pytest.raises(ValueError, match="epsilon must be positive"):
-        epsilon_net_partition(space, bad)
-
-
 @pytest.mark.parametrize(
     "coords, mass, message",
     [
@@ -273,6 +168,7 @@ def test_net_needs_a_positive_epsilon(bad):
         ([], None, "needs points with finite coordinates"),  # raised ZeroDivisionError
         ([[0.0, np.nan], [1.0, 0.0]], None, "finite coordinates"),  # gave NaN matrices
         ([[0.0, np.inf], [1.0, 0.0]], [0.5, 0.5], "finite coordinates"),
+        (5, None, "needs points with finite coordinates"),  # raised TypeError
     ],
 )
 def test_euclidean_points_checks_its_input(coords, mass, message):

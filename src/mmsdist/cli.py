@@ -169,11 +169,19 @@ CHECKS = {
     "gpaction": ("check_group_invariance", ("space1", "space2", "n", "budget")),
 }
 
+# every option some check takes, in the order a stray one is reported
+_CHECK_OPTIONS = dict.fromkeys(k for _, options in CHECKS.values() for k in options)
+
 
 def _cmd_check(args) -> int:
     name, options = CHECKS[args.which]
     if args.which == "gpaction" and "space" in args:
         args.space1 = args.space
+        del args.space
+    for key in _CHECK_OPTIONS:
+        if key in args and key not in options:
+            flag = "--eps" if key == "epsilon" else "--" + key.replace("_", "-")
+            raise ValueError(f"check {args.which} does not take {flag}")
     opts = _given(args, *options)
     for key in ("space", "space1", "space2"):
         if key in opts:

@@ -13,7 +13,8 @@
 
 The Prokhorov flow, the concentration functional and the greedy net coupling
 of `ghp` run on Python ints (the masses over one power-of-two denominator),
-and one breakpoint search gives all three values, correctly rounded.
+and one breakpoint search gives all three values, correctly rounded.  Every
+Prokhorov distance is solved on a grid prepared by `_ProkhorovTo`.
 """
 
 from __future__ import annotations
@@ -305,43 +306,52 @@ def _breakpoint(levels, unplaced, total):
     return pick, max(0.0, value)
 
 
-def _prokhorov_grid(d, shape, tol):
-    """The once-per-grid part of a Prokhorov distance: the grid checked
-    against the marginals' ``shape`` and as ground distances, as nested
-    lists, and its sorted distinct levels (with 0): (D, levels)."""
-    if d.shape != shape:
-        raise ValueError(f"distance grid shape {d.shape} does not match marginals {shape}")
-    _ground_grid(d, tol)
-    D = d.tolist()
-    levels = sorted({x for row in D for x in row})
-    if not levels or levels[0] > 0.0:
-        levels.insert(0, 0.0)
-    return D, levels
+class _ProkhorovTo:
+    """Prokhorov distances of many first marginals to one second marginal
+    q over one grid: q's checks and integer masses, the grid's checks and
+    its sorted distinct levels (with 0) are prepared once.  ``self(p)`` is
+    ``prokhorov_distance(p, q, dist, tol).value`` bit for bit; ``flows``
+    counts the max-flows solved, one per level probed."""
 
+    def __init__(self, q, dist, tol: float = DEFAULT_TOL):
+        qv = as_prob_vector(q, tol, "second marginal")
+        self.d = np.asarray(dist, dtype=float)
+        self.Q, self.one = _dyadic(qv)
+        self._fit(len(self.d) if self.d.ndim else 0)
+        _ground_grid(self.d, tol)
+        self.D = self.d.tolist()
+        self.levels = sorted({x for row in self.D for x in row})
+        if not self.levels or self.levels[0] > 0.0:
+            self.levels.insert(0, 0.0)
+        self.tol, self.flows = tol, 0
 
-def _prokhorov_core(P, Q, D, levels):
-    """The once-per-mass-pair part: (value, pick, flows) for integer
-    masses P, Q over one denominator on a prepared grid, where ``pick``
-    indexes the breakpoint level and ``flows`` maps each probed level to
-    its [flow, row residuals, column residuals]."""
-    total = max(sum(P), sum(Q))
-    flows = {}
+    def _fit(self, rows):  # the grid must be rows x (the size of q)
+        if self.d.shape != (rows, len(self.Q)):
+            raise ValueError(
+                f"distance grid shape {self.d.shape} does not match marginals {(rows, len(self.Q))}"
+            )
 
-    def unplaced(k):
-        placed, *flows[k] = _max_mass_within(P, Q, D, levels[k])
-        return total - placed
+    def solve(self, pv):
+        """(value, pick, flows, denominator) for a checked first marginal,
+        with both masses as ints over one power-of-two denominator: ``pick``
+        indexes the breakpoint level, ``flows`` maps each probed level to
+        its [flow, row residuals, column residuals]."""
+        self._fit(pv.size)
+        P, one = _dyadic(pv)
+        P, Q = _rescaled(P, one, self.one), _rescaled(self.Q, self.one, one)
+        total = max(sum(P), sum(Q))
+        flows = {}
 
-    pick, value = _breakpoint(levels, unplaced, total)
-    return value, pick, flows
+        def unplaced(k):
+            placed, *flows[k] = _max_mass_within(P, Q, self.D, self.levels[k])
+            return total - placed
 
+        pick, value = _breakpoint(self.levels, unplaced, total)
+        self.flows += len(flows)
+        return value, pick, flows, max(one, self.one)
 
-def _prokhorov_witness(flow, one, d):
-    """The witness coupling: the breakpoint's [flow, row and column
-    residuals], the residuals spread by northwest-corner filling, over the
-    denominator ``one`` on the float grid ``d``."""
-    mass, rres, cres = flow
-    _northwest_fill(rres, cres, mass)
-    return Coupling(mass=np.array([[x / one for x in row] for row in mass]), ground_dist=d)
+    def __call__(self, p) -> float:
+        return self.solve(as_prob_vector(p, self.tol, "first marginal"))[0]
 
 
 def prokhorov_distance(
@@ -373,52 +383,21 @@ def prokhorov_distance(
     ``exact`` is accepted for compatibility and ignored: every call is
     exact.
 
-    The call is :func:`_prokhorov_grid`, :func:`_prokhorov_core` and
-    :func:`_prokhorov_witness` in sequence; :class:`_ProkhorovTo` runs the
-    same core against one fixed measure without the per-call grid work.
+    The call checks p, prepares q and the grid as :class:`_ProkhorovTo`,
+    runs its ``solve`` and builds the witness from the breakpoint's flow.
     """
     pv = as_prob_vector(p, tol, "first marginal")
-    qv = as_prob_vector(q, tol, "second marginal")
-    d = np.asarray(dist, dtype=float)
-    D, levels = _prokhorov_grid(d, (pv.size, qv.size), tol)
-    P, Q, one = _scaled_masses(pv, qv)
-    value, pick, flows = _prokhorov_core(P, Q, D, levels)
+    to_q = _ProkhorovTo(q, dist, tol)
+    value, pick, flows, one = to_q.solve(pv)
     log.debug(
         "prokhorov: %d x %d atoms, %d of %d levels probed, one max-flow each",
-        len(P), len(Q), len(flows), len(levels),
+        pv.size, len(to_q.Q), len(flows), len(to_q.levels),
     )
-    coupling = _prokhorov_witness(flows[pick], one, d)
+    mass, rres, cres = flows[pick]
+    _northwest_fill(rres, cres, mass)
+    coupling = Coupling(mass=np.array([[x / one for x in row] for row in mass]), ground_dist=to_q.d)
     # + 0.0 maps a -0.0 level to 0.0, as _breakpoint does for the value
-    return ProkhorovResult(value=value, coupling=coupling, breakpoint=levels[pick] + 0.0)
-
-
-class _ProkhorovTo:
-    """``self(q)`` is ``prokhorov_distance(q, p, dist, tol).value`` bit for
-    bit, for many first marginals q against one second marginal p: the
-    grid's checks and levels and p's checks and integer masses are prepared
-    once, and a call checks and scales q and runs :func:`_prokhorov_core`,
-    with no witness.  ``flows`` counts the max-flows solved, one per level
-    probed."""
-
-    def __init__(self, p, dist, tol: float = DEFAULT_TOL):
-        pv = as_prob_vector(p, tol, "second marginal")
-        d = np.asarray(dist, dtype=float)
-        self.shape = d.shape
-        self.D, self.levels = _prokhorov_grid(d, (len(d) if d.ndim else 0, pv.size), tol)
-        self.P, self.one = _dyadic(pv)
-        self.tol, self.flows = tol, 0
-
-    def __call__(self, q) -> float:
-        qv = as_prob_vector(q, self.tol, "first marginal")
-        if qv.size != len(self.D):
-            raise ValueError(
-                f"distance grid shape {self.shape} does not match marginals {(qv.size, len(self.P))}"
-            )
-        Q, one = _dyadic(qv)
-        Q, P = _rescaled(Q, one, self.one), _rescaled(self.P, self.one, one)
-        value, _, flows = _prokhorov_core(Q, P, self.D, self.levels)
-        self.flows += len(flows)
-        return value
+    return ProkhorovResult(value=value, coupling=coupling, breakpoint=to_q.levels[pick] + 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -371,7 +371,8 @@ def check_sampling_convergence(
     empirical mass vector and the model measure over the model's own
     distance grid, which dominates the space distance of the empirical
     space from the model.  The grid and the model measure are prepared once
-    for all trials (:class:`mmsdist.coupling._ProkhorovTo`)."""
+    (:class:`mmsdist.coupling._ProkhorovTo`, the path every Prokhorov
+    distance takes), and each trial runs only the breakpoint search."""
     if n < 1:
         raise ValueError("need at least one sample point")
     if trials < 1:

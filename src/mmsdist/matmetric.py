@@ -129,7 +129,7 @@ def min_vertex_cover(n: int, edges, max_size: int | None = None, *, lower: int =
                 adj[j] |= 1 << i
         if forced >> n:  # a self-loop on a vertex >= n
             raise IndexError
-    except (IndexError, ValueError):  # a vertex >= n, or a negative shift count
+    except (IndexError, TypeError, ValueError):  # a vertex >= n, < 0 or not an int
         raise ValueError(f"edges must be pairs of vertices in 0..{n - 1}") from None
     base = forced.bit_count()
     if max_size is not None and base > max_size:

@@ -263,6 +263,20 @@ def test_check_rejects_explicit_zero(argv, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["finspc", "--eps", "0.5"], "--eps"),
+        (["sampconv", "--budget", "7"], "--budget"),
+        (["hoelder", "--trials", "1"], "--trials"),
+        (["sharp", "--space2", "never-read.json"], "--space2"),
+    ],
+)
+def test_check_rejects_options_it_does_not_take(argv, flag, capsys):
+    assert main(["check", *argv]) == 2
+    assert capsys.readouterr().err == f"error: check {argv[0]} does not take {flag}\n"
+
+
 def test_check_command_exit_codes_and_reports(files, capsys):
     out_json = files["dir"] / "r.json"
     out_csv = files["dir"] / "r.csv"

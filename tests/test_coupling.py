@@ -448,10 +448,11 @@ def test_prepared_grid_on_the_smallest_grids():
     for level in (0.0, -0.0, 0.5):
         got = coupling_mod._ProkhorovTo([1.0], [[level]])([1.0])
         assert repr(got) == repr(prokhorov_distance([1.0], [1.0], [[level]]).value)
-    # no measure is empty, so only the core reaches the 0 x 0 grid: one
-    # level, 0, at which nothing is left unplaced
-    D, levels = coupling_mod._prokhorov_grid(np.zeros((0, 0)), (0, 0), DEFAULT_TOL)
-    value, pick, _ = coupling_mod._prokhorov_core([], [], D, levels)
+    # no measure is empty, so only the search reaches the 0 x 0 grid: one
+    # level, 0, at which the empty flow leaves nothing unplaced
+    levels = [0.0]
+    unplaced = lambda k: -coupling_mod._max_mass_within([], [], [], levels[k])[0]
+    pick, value = coupling_mod._breakpoint(levels, unplaced, 0)
     assert (repr(value), pick, levels) == ("0.0", 0, [0.0])
     with pytest.raises(ValueError, match="first marginal sums to 0.0"):
         prokhorov_distance([], [], np.zeros((0, 0)))

@@ -219,7 +219,9 @@ def test_min_vertex_cover_against_bruteforce():
         assert min_vertex_cover(n, edges, max_size=cap - 1) is None or cap == 0
 
 
-@pytest.mark.parametrize("edges", [[(5, 5)], [(0, 5)], [(5, 0)], [(-1, 0)], [(0, -1)], [(-1, -1)], [(-3, 1)]])
+@pytest.mark.parametrize(
+    "edges", [[(5, 5)], [(0, 5)], [(5, 0)], [(-1, 0)], [(0, -1)], [(-1, -1)], [(-3, 1)], [(0, 1.5)], [(0.5, 1)]]
+)
 def test_min_vertex_cover_rejects_vertices_outside_the_graph(edges):
     with pytest.raises(ValueError, match=r"0\.\.1"):
         min_vertex_cover(2, edges)

@@ -14,7 +14,7 @@ Conventions used across the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Iterable
 
 import numpy as np
@@ -218,15 +218,17 @@ class FiniteMMS:
     Zero distances between distinct points are allowed (pseudo-metric), and
     so are zero masses; comparisons in the Prokhorov style are insensitive
     to zero-mass points.  ``coords`` optionally records an ambient Euclidean
-    realisation (used by the net-based bounds when present).
+    realisation (used by the net-based bounds when present).  ``tol`` is
+    the tolerance of the mass check; it is not stored.
     """
 
     labels: tuple
     dist: DistanceMatrix
     mass: np.ndarray
     coords: np.ndarray | None = None
+    tol: InitVar[float] = DEFAULT_TOL
 
-    def __post_init__(self):
+    def __post_init__(self, tol):
         object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))
         object.__setattr__(self, "mass", _readonly(self.mass))
         if len(self.labels) != self.dist.n or self.mass.shape != (self.dist.n,):
@@ -234,7 +236,7 @@ class FiniteMMS:
                 f"inconsistent sizes: {len(self.labels)} labels, "
                 f"{self.dist.n}x{self.dist.n} matrix, masses of shape {self.mass.shape}"
             )
-        as_prob_vector(self.mass, DEFAULT_TOL, "mass vector")
+        as_prob_vector(self.mass, tol, "mass vector")
         if self.coords is not None:
             c = _readonly(self.coords)
             if c.ndim == 0 or c.shape[0] != self.dist.n:

@@ -11,6 +11,13 @@
 * Birkhoff decomposition of doubly stochastic grids,
 * maximum bipartite matching under a distance cap (augmenting paths).
 
+Both augmenting-path kernels skip work whose outcome is already fixed, and
+return what the plain searches return.  Edmonds-Karp fills its direct
+row -> column paths in one row-major sweep, as its BFS would one path at a
+time, before it searches longer paths.  Birkhoff peeling resumes Kuhn's
+matching at the first row whose support the last term changed, from the
+matching as it stood before that row.
+
 The Prokhorov flow, the concentration functional and the greedy net coupling
 of `ghp` run on Python ints (the masses over one power-of-two denominator),
 and one breakpoint search gives all three values, correctly rounded.  Every
@@ -157,12 +164,29 @@ def _max_mass_within(P, Q, D, level):
     Python ints.  The BFS takes rows, near columns and flow-carrying rows
     in index order, a column's rows before the sink.  Returns the placed
     mass, the r x c flow and the residuals P - flow and Q - flow.
+
+    While a direct path row -> column is left, the BFS augments along the
+    first row with residual and its first near column with residual, so
+    that first phase is one row-major sweep of the near pairs, each taking
+    all it can of both residuals.  Residuals only fall, so no later path
+    makes a direct one again, and the BFS runs only on longer paths: the
+    flow and residuals are those of the plain BFS loop.
     """
     r, c = len(P), len(Q)
     near = [[j for j, x in enumerate(row) if x <= level] for row in D]
     flow = [[0] * c for _ in range(r)]
     rres, cres = list(P), list(Q)
     placed = 0
+    for i, cols in enumerate(near):
+        for j in cols:
+            if rres[i] <= 0:  # not a truth test: a mass within tol below 0 is a negative int
+                break
+            if cres[j] > 0:
+                take = min(rres[i], cres[j])
+                flow[i][j] = take
+                rres[i] -= take
+                cres[j] -= take
+                placed += take
     while True:
         # reached[i]: None unreached, -1 from the source, else the column
         reached = [-1 if x > 0 else None for x in rres]
@@ -244,8 +268,12 @@ def _first_true(pred, lo: int, hi: int) -> int:
 
     Galloping search (Bentley & Yao, Inf. Process. Lett. 5, 1976): probes
     lo, lo + 1, lo + 3, lo + 7, ... (the last capped at hi - 1) until one is
-    true, then bisects the gap behind it, so an answer lo + k costs about
-    2 log2(k + 1) + 1 probes.
+    true, then bisects the gap behind it.  An answer lo + k with
+    m = k.bit_length() >= 1 costs at most 2m probes: m + 1 gallop probes
+    reach offset 2^m - 1 >= k, and the 2^(m-1) - 1 offsets left between
+    the last two take at most m - 1 bisection probes (a cap only shortens
+    that gap).  The answer lo costs one probe.  The bound is met at every
+    k = 2^j.
     """
     start, off = lo, 0
     while lo < hi:
@@ -404,17 +432,24 @@ def prokhorov_distance(
 # bipartite matching and Birkhoff decomposition
 
 
-def _max_matching(allowed: np.ndarray):
-    """Maximum bipartite matching (Kuhn's augmenting paths).
+def _max_matching(rows, n_r, before=None, first_row=0):
+    """Maximum bipartite matching (Kuhn's augmenting paths) of the rows'
+    allowed columns (``rows[u][v]`` true when row u may take column v):
+    (number matched, column of each row or -1).
 
-    Scans vertices in index order, preferring free columns before
-    augmenting through occupied ones, so identical supports match along
-    the diagonal.  The augmenting search keeps its own stack, so path
-    length is not bounded by the interpreter's recursion limit.
+    Scans rows in index order, preferring free columns before augmenting
+    through occupied ones, so identical supports match along the diagonal.
+    The augmenting search keeps its own stack, so path length is not
+    bounded by the interpreter's recursion limit.
+
+    Row u's search reaches only rows matched before it, so the matching as
+    it stood before row u depends on rows 0..u-1 alone.  A list ``before``
+    of one slot per row records it; a later call with the same list and
+    ``first_row`` = s resumes from the matching before row s, and returns
+    what a cold call returns as long as rows 0..s-1 have not changed since.
     """
-    n_l, n_r = allowed.shape
-    rows = allowed.tolist()
-    match_r = [-1] * n_r  # right -> left
+    n_l = len(rows)
+    match_r = list(before[first_row]) if first_row else [-1] * n_r  # right -> left
 
     def augment(root):
         seen = [False] * n_r
@@ -431,7 +466,7 @@ def _max_matching(allowed: np.ndarray):
                         match_r[v] = u
                         for k in range(len(stack) - 1, 0, -1):
                             match_r[stack[k][1]] = stack[k - 1][0]
-                        return True
+                        return
             for v in range(start, n_r):
                 if row[v] and not seen[v]:
                     seen[v] = True
@@ -440,17 +475,16 @@ def _max_matching(allowed: np.ndarray):
                     break
             else:
                 stack.pop()
-        return False
 
-    count = 0
-    for u in range(n_l):
-        if augment(u):
-            count += 1
+    for u in range(first_row, n_l):
+        if before is not None:
+            before[u] = list(match_r)
+        augment(u)
     match_l = [-1] * n_l
     for v, u in enumerate(match_r):
         if u != -1:
             match_l[u] = v
-    return count, match_l
+    return n_r - match_r.count(-1), match_l
 
 
 def epsilon_matching(dist_grid, epsilon: float) -> EpsMatching:
@@ -462,8 +496,7 @@ def epsilon_matching(dist_grid, epsilon: float) -> EpsMatching:
         raise ValueError(f"expected a 2-d distance grid, got shape {d.shape}")
     if not np.isfinite(d).all():
         raise ValueError("distance grid has a non-finite entry")
-    allowed = d < epsilon
-    _, match_l = _max_matching(allowed)
+    _, match_l = _max_matching((d < epsilon).tolist(), d.shape[1])
     pairs = tuple((i, j) for i, j in enumerate(match_l) if j != -1)
     return EpsMatching(pairs=pairs, epsilon=float(epsilon))
 
@@ -478,34 +511,47 @@ def birkhoff_decompose(s, tol: float = DEFAULT_TOL) -> BirkhoffDecomposition:
     the minimum matched entry times that permutation and continues until
     the residual vanishes; at most (n-1)^2 + 1 terms are produced and the
     reconstruction reproduces the input to within the peeling threshold.
+
+    Peeling changes only the matched cells, so each matching after the
+    first resumes Kuhn's search (:func:`_max_matching`) at the first row
+    whose matched cell left the support, from the matching as it stood
+    before that row: every term is the one a cold matching gives.  Logs one
+    debug line with the size, the terms and the rows the search ran.
     """
     a = np.array(s, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square grid, got shape {a.shape}")
     n = a.shape[0]
-    if not n:  # the zero-residual corner case below, with the empty permutation
-        return BirkhoffDecomposition(terms=((1.0, ()),))
-    if not np.isfinite(a).all():
-        raise ValueError("grid has a non-finite entry")
-    if float(a.min()) < -tol:
-        raise ValueError(f"negative entry {float(a.min())}")
-    rows = a.sum(axis=1)
-    cols = a.sum(axis=0)
-    if float(np.abs(rows - 1.0).max()) > tol or float(np.abs(cols - 1.0).max()) > tol:
-        raise ValueError("grid is not doubly stochastic within tolerance")
+    if n:  # the empty grid is the zero-residual corner case below
+        if not np.isfinite(a).all():
+            raise ValueError("grid has a non-finite entry")
+        if float(a.min()) < -tol:
+            raise ValueError(f"negative entry {float(a.min())}")
+        rows = a.sum(axis=1)
+        cols = a.sum(axis=0)
+        if float(np.abs(rows - 1.0).max()) > tol or float(np.abs(cols - 1.0).max()) > tol:
+            raise ValueError("grid is not doubly stochastic within tolerance")
 
     terms = []
     idx = np.arange(n)
-    while float(a.max()) > 1e-12:
-        count, match_l = _max_matching(a > _SUPPORT_EPS)
+    support = (a > _SUPPORT_EPS).tolist()
+    before, first_row, matched = [None] * n, 0, 0
+    while n and float(a.max()) > 1e-12:
+        count, sigma = _max_matching(support, n, before, first_row)
+        matched += n - first_row
         if count < n:
             raise DegenerateSupportError(
                 "residual support admits no perfect matching"
             )
-        sigma = np.array(match_l)
         coeff = float(a[idx, sigma].min())
-        terms.append((coeff, tuple(int(v) for v in sigma)))
+        terms.append((coeff, tuple(sigma)))
         a[idx, sigma] -= coeff
-    if not terms:  # the zero-residual corner case: n = 0 cannot occur here
+        # the minimum cell is now exactly 0, so some row always loses a cell
+        lost = np.flatnonzero(a[idx, sigma] <= _SUPPORT_EPS).tolist()
+        for i in lost:
+            support[i][sigma[i]] = False
+        first_row = lost[0]
+    if not terms:  # the zero-residual corner case, with the empty permutation at n = 0
         terms.append((1.0, tuple(range(n))))
+    log.debug("birkhoff: n = %d, %d terms, %d rows matched", n, len(terms), matched)
     return BirkhoffDecomposition(terms=tuple(terms))

@@ -78,7 +78,7 @@ def _mms_from_dict(obj: dict, tol: float) -> FiniteMMS:
         raise ValueError("space JSON has no points")
     labels = _array(obj.get("labels", [f"p{i}" for i in range(n)]), "labels", numeric=False)
     mass = _array(obj.get("mass", [1.0 / n] * n), "mass")
-    return FiniteMMS(labels=tuple(labels), dist=dist, mass=mass, coords=coords)
+    return FiniteMMS(labels=tuple(labels), dist=dist, mass=mass, coords=coords, tol=tol)
 
 
 def read_mms(path, tol: float = DEFAULT_TOL) -> FiniteMMS:

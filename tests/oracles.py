@@ -371,3 +371,120 @@ def embeddings_bruteforce(y, x, tol):
         ):
             out.append(tuple(arr))
     return sorted(out)
+
+
+def max_mass_within_bfs(P, Q, D, level):
+    """The bipartite Edmonds-Karp that the greedy first sweep now starts:
+    a BFS for every augmenting path, direct ones included; returns what
+    `coupling._max_mass_within` returns."""
+    r, c = len(P), len(Q)
+    near = [[j for j, x in enumerate(row) if x <= level] for row in D]
+    flow = [[0] * c for _ in range(r)]
+    rres, cres = list(P), list(Q)
+    placed = 0
+    while True:
+        # reached[i]: None unreached, -1 from the source, else the column
+        reached = [-1 if x > 0 else None for x in rres]
+        fringe = [i for i, x in enumerate(reached) if x == -1]
+        via = [-1] * c  # the row that reached each column
+        end = -1
+        while fringe and end < 0:
+            cols = []
+            for i in fringe:
+                for j in near[i]:
+                    if via[j] < 0:
+                        via[j] = i
+                        cols.append(j)
+            fringe = []
+            for j in cols:
+                if cres[j] > 0:
+                    end = j
+                    break
+                for i in range(r):
+                    if reached[i] is None and flow[i][j] > 0:
+                        reached[i] = j
+                        fringe.append(i)
+        if end < 0:
+            return placed, flow, rres, cres
+        # back from the sink: (row, its forward column, cancelled column or -1)
+        path, j = [], end
+        while j >= 0:
+            i = via[j]
+            path.append((i, j, reached[i]))
+            j = reached[i]
+        start = path[-1][0]
+        bottleneck = min(cres[end], rres[start], *(flow[i][k] for i, _, k in path[:-1]))
+        cres[end] -= bottleneck
+        rres[start] -= bottleneck
+        for i, j, k in path:
+            flow[i][j] += bottleneck
+            if k >= 0:
+                flow[i][k] -= bottleneck
+        placed += bottleneck
+
+
+def max_matching_cold(allowed):
+    """Kuhn's matching from scratch, rows in index order and free columns
+    first: (number matched, column of each row or -1)."""
+    n_l, n_r = allowed.shape
+    rows = allowed.tolist()
+    match_r = [-1] * n_r  # right -> left
+
+    def augment(root):
+        seen = [False] * n_r
+        # frames: [left vertex, column that reached it, next column to try]
+        stack = [[root, -1, 0]]
+        while stack:
+            frame = stack[-1]
+            u, _, start = frame
+            row = rows[u]
+            if start == 0:  # first visit: take a free column if there is one
+                for v in range(n_r):
+                    if row[v] and match_r[v] == -1 and not seen[v]:
+                        seen[v] = True
+                        match_r[v] = u
+                        for k in range(len(stack) - 1, 0, -1):
+                            match_r[stack[k][1]] = stack[k - 1][0]
+                        return True
+            for v in range(start, n_r):
+                if row[v] and not seen[v]:
+                    seen[v] = True
+                    frame[2] = v + 1
+                    stack.append([match_r[v], v, 0])
+                    break
+            else:
+                stack.pop()
+        return False
+
+    count = 0
+    for u in range(n_l):
+        if augment(u):
+            count += 1
+    match_l = [-1] * n_l
+    for v, u in enumerate(match_r):
+        if u != -1:
+            match_l[u] = v
+    return count, match_l
+
+
+def birkhoff_cold(s):
+    """Birkhoff peeling with a cold matching for every term, on an already
+    checked doubly stochastic grid: the terms tuple."""
+    from mmsdist.coupling import _SUPPORT_EPS
+
+    a = np.array(s, dtype=float)
+    n = a.shape[0]
+    if not n:
+        return ((1.0, ()),)
+    terms = []
+    idx = np.arange(n)
+    while float(a.max()) > 1e-12:
+        count, match_l = max_matching_cold(a > _SUPPORT_EPS)
+        assert count == n, "residual support admits no perfect matching"
+        sigma = np.array(match_l)
+        coeff = float(a[idx, sigma].min())
+        terms.append((coeff, tuple(int(v) for v in sigma)))
+        a[idx, sigma] -= coeff
+    if not terms:
+        terms.append((1.0, tuple(range(n))))
+    return tuple(terms)

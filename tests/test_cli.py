@@ -149,6 +149,19 @@ def test_ghp_command(files, capsys):
     assert payload["upper"] == pytest.approx(0.1)
 
 
+def test_global_tol_reaches_space_file_masses(files, capsys):
+    # X's masses sum to 1.000001: accepted at --tol 1e-3, as prokhorov accepts them
+    x = _write(
+        files["dir"] / "Xoff.json",
+        '{"labels": ["o", "x"], "dist": [[0, 0.5], [0.5, 0]], "mass": [0.9, 0.100001]}',
+    )
+    code, out = _run(capsys, ["--tol", "1e-3", "ghp", x, files["y"]])
+    assert code == 0 and json.loads(out)["method"] == "identify"
+    assert main(["ghp", x, files["y"]]) == 2
+    err = capsys.readouterr().err
+    assert "mass vector sums to 1.0000010000000001, expected 1 within 1e-09" in err
+
+
 def test_ghp_command_on_1d_coordinates(files, capsys):
     x = _write(files["dir"] / "x1.json", '{"coords": [0.0, 1.0, 3.0]}')
     y = _write(files["dir"] / "y1.json", '{"coords": [0.0, 1.25, 3.0, 4.0]}')

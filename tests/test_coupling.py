@@ -17,10 +17,16 @@ from mmsdist import (
     prokhorov_distance,
 )
 from mmsdist import coupling as coupling_mod
-from mmsdist.core import DEFAULT_TOL
+from mmsdist.core import DEFAULT_TOL, DegenerateSupportError
 from mmsdist.sampling import rng_stream
 
-from oracles import delta_fraction_oracle, matching_bruteforce, prokhorov_lp_oracle
+from oracles import (
+    birkhoff_cold,
+    delta_fraction_oracle,
+    matching_bruteforce,
+    max_mass_within_bfs,
+    prokhorov_lp_oracle,
+)
 
 PATH_D = np.array([[0.0, 1, 2], [1, 0, 1], [2, 1, 0]])
 
@@ -740,3 +746,105 @@ def test_prokhorov_triangle_inequality(inst):
     ground, (p, q, s) = inst
     dps = prokhorov_distance(p, s, ground).value
     assert dps <= prokhorov_distance(p, q, ground).value + prokhorov_distance(q, s, ground).value + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the augmenting-path kernels against the cold searches they shortcut
+
+
+@settings(max_examples=150, deadline=None)
+@given(_search_instances())
+def test_flow_sweep_equals_the_bfs_at_every_level(inst):
+    # masses with zeros, 5e-324 and -2^-40 (a negative int once scaled)
+    p, q, d = inst
+    P, Q, _ = coupling_mod._scaled_masses(p, q)
+    D = d.tolist()
+    for level in sorted({x for row in D for x in row} | {-0.0}):
+        assert coupling_mod._max_mass_within(P, Q, D, level) == max_mass_within_bfs(P, Q, D, level)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_search_instances())
+def test_prepared_grid_solves_one_flow_per_level_probed(inst):
+    p, q, d = inst
+    calls = []
+    flow = coupling_mod._max_mass_within
+
+    def counting_flow(*args):
+        calls.append(args[3])
+        return flow(*args)
+
+    to_q = coupling_mod._ProkhorovTo(q, d)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coupling_mod, "_max_mass_within", counting_flow)
+        _, _, flows, _ = to_q.solve(np.asarray(p))
+    assert len(calls) == len(flows) == to_q.flows
+    assert sorted(calls) == sorted(to_q.levels[k] for k in flows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 300), st.integers(0, 300), st.integers(0, 300))
+def test_galloping_probes_stay_within_their_bound(lo, size, k):
+    # probes at offsets 0, 1, 3, ..., 2^m - 1 for m = k.bit_length() reach
+    # the answer lo + k, and the bisection of the 2^(m-1) - 1 offsets
+    # between the last two probes takes at most m - 1 more: 2 m in all, and
+    # one probe for k = 0 (tight at every power of two); capping a probe at
+    # hi - 1 only shortens the gap
+    hi, k = lo + size, min(k, size)
+    probes = []
+
+    def pred(x):
+        probes.append(x)
+        return x >= lo + k
+
+    assert coupling_mod._first_true(pred, lo, hi) == lo + k
+    assert len(probes) <= max(1, 2 * k.bit_length())
+    assert all(lo <= x < hi for x in probes)
+
+
+def _permutation_sum(rng, n, k, ties):
+    """A doubly stochastic n x n grid: k random permutations with integer
+    (tied) or continuous weights."""
+    w = rng.integers(1, 4, k).astype(float) if ties else rng.random(k) + 0.2
+    w /= w.sum()
+    s = np.zeros((n, n))
+    for wi in w:
+        s[np.arange(n), rng.permutation(n)] += wi
+    return s
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 16), st.booleans(), st.integers(0, 2**32 - 1))
+def test_birkhoff_resume_equals_cold_matchings(n, k, ties, seed):
+    s = _permutation_sum(np.random.default_rng(seed), n, k, ties)
+    assert repr(birkhoff_decompose(s).terms) == repr(birkhoff_cold(s))
+
+
+def test_birkhoff_resume_equals_cold_matchings_up_to_n_40():
+    rng = rng_stream(43)
+    for ties in (False, True):
+        for n in range(1, 41):
+            s = _permutation_sum(rng, n, max(1, n // 2), ties)
+            assert repr(birkhoff_decompose(s).terms) == repr(birkhoff_cold(s))
+
+
+def test_birkhoff_resume_still_rejects_a_support_without_perfect_matching():
+    # sums within tol of 1, but the residual after the diagonal sits on one cell
+    s = [[1.0, 1e-10], [0.0, 1.0]]
+    with pytest.raises(AssertionError, match="no perfect matching"):
+        birkhoff_cold(s)
+    with pytest.raises(DegenerateSupportError, match="no perfect matching"):
+        birkhoff_decompose(s)
+
+
+def test_birkhoff_logs_its_terms_and_matched_rows(caplog):
+    s = _permutation_sum(rng_stream(44), 30, 15, False)
+    with caplog.at_level(logging.DEBUG, logger="mmsdist"):
+        dec = birkhoff_decompose(s)
+        birkhoff_decompose(np.eye(3))
+        birkhoff_decompose(np.zeros((0, 0)))
+    lines = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("birkhoff")]
+    rows = int(re.fullmatch(rf"birkhoff: n = 30, {dec.size} terms, (\d+) rows matched", lines[0]).group(1))
+    # the first term matches every row, each later one at least the row it resumes at
+    assert 30 + dec.size - 1 <= rows < 30 * dec.size
+    assert lines[1:] == ["birkhoff: n = 3, 1 terms, 3 rows matched", "birkhoff: n = 0, 1 terms, 0 rows matched"]

@@ -140,7 +140,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_ensemble(args) -> int:
     space = fileio.read_model_space(args.space, tol=args.tol)
-    ens = enumerate_matrix_ensemble(space, args.n, **_given(args, "budget"))
+    ens = enumerate_matrix_ensemble(space, args.n, tol=args.tol, **_given(args, "budget"))
     _emit(
         {
             "n": ens.n,

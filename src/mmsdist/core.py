@@ -84,7 +84,8 @@ class DegenerateSupportError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# small helpers
+# small helpers and the input checks: one per kind of object, each taking
+# the caller's tol and raising ValueError that names the argument (``what``)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -93,20 +94,51 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_entries(a: np.ndarray, what: str, tol: float | None = None) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} has a non-finite entry (NaN or inf)")
+    if tol is not None and a.size and float(a.min()) < -tol:
+        raise ValueError(f"{what} has a negative entry: {float(a.min())}")
+
+
 def as_prob_vector(x, tol: float = DEFAULT_TOL, what: str = "mass vector") -> np.ndarray:
-    """Validate and return a probability vector (finite, nonnegative, sums
-    to 1)."""
+    """A probability vector: 1-d, finite, none below -tol, summing to 1 within tol."""
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"{what} must be 1-dimensional")
-    if not np.isfinite(v).all():
-        raise ValueError(f"{what} has a non-finite entry")
-    if v.size and float(v.min()) < -tol:
-        raise ValueError(f"{what} has a negative entry: {float(v.min())}")
+    _check_entries(v, what, tol)
     s = float(v.sum())
     if abs(s - 1.0) > tol:
         raise ValueError(f"{what} sums to {s}, expected 1 within {tol}")
     return v
+
+
+def as_ground_grid(d, tol: float = DEFAULT_TOL, what: str = "distance grid") -> np.ndarray:
+    """A grid of distances or masses: 2-d, finite, no entry below -tol."""
+    a = np.asarray(d, dtype=float)
+    if a.ndim != 2:
+        raise ValueError(f"expected a 2-d {what}, got shape {a.shape}")
+    _check_entries(a, what, tol)
+    return a
+
+
+def as_symmetric_grid(m, tol: float = DEFAULT_TOL, what: str = "matrix") -> np.ndarray:
+    """Square grids (one, or a stack along axis 0): finite, each symmetric within tol."""
+    a = np.asarray(m, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"{what} is not square: shape {a.shape}")
+    _check_entries(a, what)
+    if a.size and float(np.abs(a - np.swapaxes(a, -1, -2)).max()) > tol:
+        raise ValueError(f"{what} is not symmetric within {tol}")
+    return a
+
+
+def as_point_cloud(coords, what: str = "point cloud") -> np.ndarray:
+    """Points as the rows of a 2-d array (1-d is one column): at least one, all finite."""
+    c = np.asarray(coords, dtype=float)
+    if not (c.ndim in (1, 2) and c.size and np.isfinite(c).all()):
+        raise ValueError(f"{what} needs points with finite coordinates")
+    return c[:, None] if c.ndim == 1 else c
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +250,8 @@ class FiniteMMS:
     Zero distances between distinct points are allowed (pseudo-metric), and
     so are zero masses; comparisons in the Prokhorov style are insensitive
     to zero-mass points.  ``coords`` optionally records an ambient Euclidean
-    realisation (used by the net-based bounds when present).  ``tol`` is
-    the tolerance of the mass check; it is not stored.
+    realisation (a point cloud, used by the net-based bounds when present).
+    ``tol`` is the tolerance of the mass check; it is not stored.
     """
 
     labels: tuple
@@ -241,6 +273,7 @@ class FiniteMMS:
             c = _readonly(self.coords)
             if c.ndim == 0 or c.shape[0] != self.dist.n:
                 raise ValueError("coords row count does not match point count")
+            as_point_cloud(c, "coords")
             object.__setattr__(self, "coords", c)
 
     @property
@@ -314,8 +347,9 @@ class MatrixEnsemble:
     """Finitely supported distribution over distance matrices of one size."""
 
     atoms: tuple  # of (DistanceMatrix, probability)
+    tol: InitVar[float] = DEFAULT_TOL  # of the probability check; not stored
 
-    def __post_init__(self):
+    def __post_init__(self, tol):
         atoms = tuple((m, float(p)) for m, p in self.atoms)
         object.__setattr__(self, "atoms", atoms)
         if not atoms:
@@ -323,7 +357,7 @@ class MatrixEnsemble:
         n = atoms[0][0].n
         if any(m.n != n for m, _ in atoms):
             raise ValueError("ensemble atoms must share one dimension")
-        as_prob_vector([p for _, p in atoms], what="atom probability vector")
+        as_prob_vector([p for _, p in atoms], tol, "atom probability vector")
 
     @property
     def n(self) -> int:

@@ -32,7 +32,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Coupling, DegenerateSupportError, as_prob_vector
+from .core import DEFAULT_TOL, Coupling, DegenerateSupportError, as_ground_grid, as_prob_vector
 
 __all__ = [
     "ProkhorovResult",
@@ -97,16 +97,6 @@ class EpsMatching:
 # the concentration functional
 
 
-def _ground_grid(dist, tol):
-    """Ground distances as a float array, all finite and none below -tol."""
-    d = np.asarray(dist, dtype=float)
-    if not np.isfinite(d).all():
-        raise ValueError("distance grid has a non-finite entry (NaN or inf)")
-    if d.size and float(d.min()) < -tol:
-        raise ValueError(f"negative distance {float(d.min())}")
-    return d
-
-
 def delta_of_coupling(c: Coupling, tol: float = DEFAULT_TOL) -> float:
     """Least r >= 0 with coupling mass >= 1 - r on pairs at distance <= r.
 
@@ -116,7 +106,7 @@ def delta_of_coupling(c: Coupling, tol: float = DEFAULT_TOL) -> float:
     rounded, and exactly 0 for a coupling with all its mass at distance 0.
     """
     mass = as_prob_vector(c.mass.ravel(), tol, "coupling mass")
-    dist = _ground_grid(c.ground_dist, tol)
+    dist = as_ground_grid(c.ground_dist, tol, "coupling distance grid")
     return _delta(_scaled_masses(mass, ())[0], dist.ravel().tolist())
 
 
@@ -342,11 +332,9 @@ class _ProkhorovTo:
     counts the max-flows solved, one per level probed."""
 
     def __init__(self, q, dist, tol: float = DEFAULT_TOL):
-        qv = as_prob_vector(q, tol, "second marginal")
-        self.d = np.asarray(dist, dtype=float)
-        self.Q, self.one = _dyadic(qv)
-        self._fit(len(self.d) if self.d.ndim else 0)
-        _ground_grid(self.d, tol)
+        self.Q, self.one = _dyadic(as_prob_vector(q, tol, "second marginal"))
+        self.d = as_ground_grid(dist, tol)
+        self._fit(len(self.d))
         self.D = self.d.tolist()
         self.levels = sorted({x for row in self.D for x in row})
         if not self.levels or self.levels[0] > 0.0:
@@ -488,14 +476,11 @@ def _max_matching(rows, n_r, before=None, first_row=0):
 
 
 def epsilon_matching(dist_grid, epsilon: float) -> EpsMatching:
-    """Maximum-cardinality matching among pairs at distance < epsilon."""
+    """Maximum-cardinality matching among pairs at distance < epsilon; the
+    grid is checked as a ground grid at ``DEFAULT_TOL``."""
     if not epsilon > 0:  # NaN fails this too
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    d = np.asarray(dist_grid, dtype=float)
-    if d.ndim != 2:
-        raise ValueError(f"expected a 2-d distance grid, got shape {d.shape}")
-    if not np.isfinite(d).all():
-        raise ValueError("distance grid has a non-finite entry")
+    d = as_ground_grid(dist_grid)
     _, match_l = _max_matching((d < epsilon).tolist(), d.shape[1])
     pairs = tuple((i, j) for i, j in enumerate(match_l) if j != -1)
     return EpsMatching(pairs=pairs, epsilon=float(epsilon))
@@ -521,16 +506,11 @@ def birkhoff_decompose(s, tol: float = DEFAULT_TOL) -> BirkhoffDecomposition:
     a = np.array(s, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square grid, got shape {a.shape}")
+    as_ground_grid(a, tol, "grid")
+    sums = np.concatenate([a.sum(axis=1), a.sum(axis=0)])
+    if float(np.abs(sums - 1.0).max(initial=0.0)) > tol:  # the empty grid passes
+        raise ValueError("grid is not doubly stochastic within tolerance")
     n = a.shape[0]
-    if n:  # the empty grid is the zero-residual corner case below
-        if not np.isfinite(a).all():
-            raise ValueError("grid has a non-finite entry")
-        if float(a.min()) < -tol:
-            raise ValueError(f"negative entry {float(a.min())}")
-        rows = a.sum(axis=1)
-        cols = a.sum(axis=0)
-        if float(np.abs(rows - 1.0).max()) > tol or float(np.abs(cols - 1.0).max()) > tol:
-            raise ValueError("grid is not doubly stochastic within tolerance")
 
     terms = []
     idx = np.arange(n)

@@ -217,8 +217,8 @@ def check_hoelder_small_n(
         raise ValueError("epsilon must lie in (0, 1/4)")
     x, y = sharp_pair(0.25, epsilon)
     ghp = ghp_upper_bound(x, y, "identify", tol=tol)
-    ens_x = enumerate_matrix_ensemble(ModelSpace.finite(x), n, budget)
-    ens_y = enumerate_matrix_ensemble(ModelSpace.finite(y), n, budget)
+    ens_x = enumerate_matrix_ensemble(ModelSpace.finite(x), n, budget, tol)
+    ens_y = enumerate_matrix_ensemble(ModelSpace.finite(y), n, budget, tol)
     grid = _ensemble_cross_grid(ens_x, ens_y, True, tol, budget)
     dp = prokhorov_distance(ens_x.probabilities(), ens_y.probabilities(), grid, tol=tol).value
     observed = {"dp_ensemble": dp, "ghp_upper": ghp.upper, "atoms_x": ens_x.size, "atoms_y": ens_y.size}
@@ -325,8 +325,8 @@ def check_sharp_exponent(
             raise BudgetError(f"2^{n} exceeds the budget")
         _check_exact_limit(n)
         x, y = sharp_pair(c, epsilon)
-        ens_x = enumerate_matrix_ensemble(ModelSpace.finite(x), n, budget)
-        ens_y = enumerate_matrix_ensemble(ModelSpace.finite(y), n, budget)
+        ens_x = enumerate_matrix_ensemble(ModelSpace.finite(x), n, budget, tol)
+        ens_y = enumerate_matrix_ensemble(ModelSpace.finite(y), n, budget, tol)
         grid = _ensemble_cross_grid(ens_x, ens_y, True, tol, budget)
     except (BudgetError, SizeLimitError) as exc:
         notes.append(f"{exc}; exact ensemble step skipped")
@@ -381,7 +381,7 @@ def check_sampling_convergence(
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
     if space is None:
         space = ModelSpace.finite(four_point_square())
-    base = space.atom_space()
+    base = space.atom_space(tol)
     p = base.mass
     dp_to_model = _ProkhorovTo(p, base.dist.entries, tol)
     exceed = 0
@@ -430,8 +430,8 @@ def check_group_invariance(
         space1 = ModelSpace.finite(two_point_space(0.5, 0.1, "x"))
     if space2 is None:
         space2 = ModelSpace.finite(two_point_space(1.0, 0.1, "y"))
-    ens1 = enumerate_matrix_ensemble(space1, n, budget)
-    ens2 = enumerate_matrix_ensemble(space2, n, budget)
+    ens1 = enumerate_matrix_ensemble(space1, n, budget, tol)
+    ens2 = enumerate_matrix_ensemble(space2, n, budget, tol)
     p1, p2 = ens1.probabilities(), ens2.probabilities()
     grid_dm = _ensemble_cross_grid(ens1, ens2, False, tol, budget)
     grid_dpi = _ensemble_cross_grid(ens1, ens2, True, tol, budget)

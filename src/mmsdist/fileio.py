@@ -127,5 +127,5 @@ def read_model_space(path, tol: float = DEFAULT_TOL):
             raise ValueError(f"{path}: euclideanPoints model space needs a 'coords' field")
         mass = obj.get("mass")
         mass = None if mass is None else _array(mass, "mass")
-        return ModelSpace.euclidean_points(_array(obj["coords"], "coords"), mass)
+        return ModelSpace.euclidean_points(_array(obj["coords"], "coords"), mass, tol)
     raise ValueError(f"unknown model space kind: {kind!r}")

@@ -28,6 +28,7 @@ from .core import (
     FiniteMMS,
     GluingError,
     _euclidean_grid,
+    as_ground_grid,
     theta_map,
 )
 from .coupling import (
@@ -229,9 +230,11 @@ def _net_bound(x: FiniteMMS, y: FiniteMMS, tol: float, cross=None) -> GhpBound:
             cross = _euclidean_grid(x.coords, y.coords)
         except ValueError as exc:
             raise StrategyError(str(exc)) from None
-    cross = np.asarray(cross, dtype=float)
-    if cross.shape != (x.n, y.n):
-        raise StrategyError(f"cross grid shape {cross.shape} does not match spaces")
+    if np.shape(cross) != (x.n, y.n):
+        raise StrategyError(f"cross grid shape {np.shape(cross)} does not match spaces")
+    # checked once; an entry within tol below 0 reads as 0
+    cross = as_ground_grid(cross, tol, "cross grid")
+    cross = np.where(cross < 0.0, 0.0, cross)
     # sorted distinct positive entries (np.unique would import numpy.ma);
     # when none of them admits a pair (the match is strict, so the largest
     # admits all but the pairs at it), one level that admits every pair
@@ -331,7 +334,5 @@ def ghp_bounds_uniform(
     mass is coupled beyond it.  Requires the exact search, hence
     n <= exact_limit.
     """
-    if a.n != b.n:
-        raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
     pi = dpi_distance(a.entries, b.entries, mode="exact", exact_limit=exact_limit, tol=tol)
     return _permutation_bound(theta_map(a), theta_map(b), tol, exact_limit, pi=pi)

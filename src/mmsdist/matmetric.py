@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, SizeLimitError
+from .core import DEFAULT_TOL, SizeLimitError, as_symmetric_grid
 
 __all__ = [
     "DPI_EXACT_LIMIT",
@@ -235,26 +235,11 @@ def min_vertex_cover(n: int, edges, max_size: int | None = None, *, lower: int =
 # the exclusion-tolerant distance
 
 
-def _checked(m, what, tol):
-    """``m`` (one square grid, or a stack of them along axis 0) as a float
-    array, after checking that every entry is finite and each grid is
-    symmetric within tol; raises ValueError otherwise."""
-    m = np.asarray(m, dtype=float)
-    if not np.isfinite(m).all():
-        raise ValueError(f"{what} has a non-finite entry")
-    if m.size and float(np.abs(m - np.swapaxes(m, -1, -2)).max()) > tol:
-        raise ValueError(f"{what} is not symmetric within {tol}")
-    return m
-
-
 def _check_symmetric_pair(a, b, tol):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"first matrix is not square: shape {a.shape}")
+    a, b = as_symmetric_grid(a, tol, "first matrix"), as_symmetric_grid(b, tol, "second matrix")
     if b.shape != a.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return _checked(a, "first matrix", tol), _checked(b, "second matrix", tol)
+    return a, b
 
 
 def _row_gaps(ar, b_list, perm, k):
@@ -621,7 +606,7 @@ def _relabelling_classes(mats, tol: float):
     reps: list = []
     sorted_reps: list = []
     calls = 0
-    for i, rows in enumerate(_checked(mats, "ensemble atom", tol).tolist()):
+    for i, rows in enumerate(as_symmetric_grid(mats, tol, "ensemble atom").tolist()):
         srt = [tuple(sorted(r)) for r in rows]
         bucket = buckets.setdefault(tuple(sorted(srt)), [])
         prev = _twin_prev(rows) if bucket else None
@@ -653,7 +638,7 @@ def _cross_grid(mats_x, mats_y, quotient: bool, tol: float):
     on every pair.
     """
     if not quotient:
-        rows_x, rows_y = (_checked(m, "ensemble atom", tol).tolist() for m in (mats_x, mats_y))
+        rows_x, rows_y = (as_symmetric_grid(m, tol, "ensemble atom").tolist() for m in (mats_x, mats_y))
         return np.array([[_aligned_scan(a, b, range(len(a)))[1] for b in rows_y] for a in rows_x])
     label_x, rows_x, calls_x = _relabelling_classes(mats_x, tol)
     label_y, rows_y, calls_y = _relabelling_classes(mats_y, tol)

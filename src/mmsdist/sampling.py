@@ -21,6 +21,7 @@ from .core import (
     DistanceMatrix,
     FiniteMMS,
     MatrixEnsemble,
+    as_point_cloud,
     as_prob_vector,
 )
 
@@ -71,21 +72,17 @@ class ModelSpace:
         return ModelSpace(kind="interval")
 
     @staticmethod
-    def euclidean_points(coords, mass=None) -> "ModelSpace":
+    def euclidean_points(coords, mass=None, tol: float = DEFAULT_TOL) -> "ModelSpace":
         """Weighted point cloud (rows are points; 1-D coordinates are one
         column); the weights, uniform by default, must be a probability
-        vector within ``DEFAULT_TOL``, as :class:`FiniteMMS` masses are."""
-        c = np.asarray(coords, dtype=float)
-        if not (c.ndim and c.size and np.isfinite(c).all()):
-            raise ValueError("point cloud needs points with finite coordinates")
-        if c.ndim == 1:
-            c = c[:, None]
-        m = np.full(len(c), 1.0 / len(c)) if mass is None else as_prob_vector(mass, DEFAULT_TOL, "weights")
+        vector within ``tol``, as :class:`FiniteMMS` masses are."""
+        c = as_point_cloud(coords)
+        m = np.full(len(c), 1.0 / len(c)) if mass is None else as_prob_vector(mass, tol, "weights")
         if m.shape != (len(c),):
             raise ValueError(f"{m.size} weights for {len(c)} points")
         return ModelSpace(kind="euclideanPoints", coords=c, weights=m)
 
-    def atom_space(self) -> FiniteMMS:
+    def atom_space(self, tol: float = DEFAULT_TOL) -> FiniteMMS:
         """The underlying finite space, for the finitely supported kinds."""
         if self.kind == "finite":
             return self.space
@@ -95,6 +92,7 @@ class ModelSpace:
                 dist=DistanceMatrix.from_points(self.coords),
                 mass=self.weights,
                 coords=self.coords,
+                tol=tol,
             )
         raise ValueError(f"model space of kind {self.kind!r} has no finite atom set")
 
@@ -142,7 +140,7 @@ def empirical_space(space: ModelSpace, n: int, seed: int, stream: int = 0) -> Fi
 
 
 def enumerate_matrix_ensemble(
-    space: ModelSpace, n: int, budget: int = 10**6
+    space: ModelSpace, n: int, budget: int = 10**6, tol: float = DEFAULT_TOL
 ) -> MatrixEnsemble:
     """Exact distribution of the labelled distance matrix of n i.i.d. draws
     from a finitely supported model space.
@@ -153,7 +151,7 @@ def enumerate_matrix_ensemble(
     """
     if n < 1:
         raise ValueError("need at least one sample point")
-    base = space.atom_space()
+    base = space.atom_space(tol)
     support = [i for i in range(base.n) if base.mass[i] > 0.0]
     k = len(support)
     if k == 0:
@@ -175,4 +173,4 @@ def enumerate_matrix_ensemble(
             acc[key] = [m, prob]
             order.append(key)
     atoms = tuple((DistanceMatrix(acc[key][0]), acc[key][1]) for key in order)
-    return MatrixEnsemble(atoms=atoms)
+    return MatrixEnsemble(atoms=atoms, tol=tol)

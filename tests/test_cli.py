@@ -175,6 +175,16 @@ def test_ghp_command_on_1d_coordinates(files, capsys):
     assert "coordinate dimensions differ" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["entropy", "ghp"])
+def test_space_file_with_non_finite_coords_is_an_error(files, capsys, command):
+    # entropy exited 0 with the value "inf", and ghp reported "first matrix
+    # has a non-finite entry"
+    bad = _write(files["dir"] / "nanc.json", '{"coords": [[0, 0], [1, NaN]]}')
+    assert main([command, bad, files["x"]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "coords needs points with finite coordinates" in err
+
+
 def test_sample_text_reads_back_as_its_json(files, capsys):
     argv = ["sample", files["space"], "--n", "4", "--seed", "3", "--count", "3"]
     code, text = _run(capsys, argv)

@@ -313,6 +313,18 @@ def test_glue_rejects_a_bridge_length_that_is_not_finite_and_nonnegative(t):
         glue_by_relation(x, x, [(0, 0)], t)
 
 
+@pytest.mark.parametrize(
+    "cross, message",
+    [([[-1.0]], "cross grid has a negative entry: -1.0"), ([[np.nan]], "cross grid has a non-finite entry")],
+)
+def test_net_rejects_a_cross_grid_that_is_not_a_ground_grid(cross, message):
+    # [[-1.0]] raised "bridge length -1.0 is not finite and nonnegative",
+    # about a bridge the caller never gave
+    x = _space("a", [[0.0]])
+    with pytest.raises(ValueError, match=message):
+        ghp_upper_bound(x, x, "net", cross=cross)
+
+
 @pytest.mark.parametrize("rel", [[(2, 0)], [(0, 2)], [(-1, 0)], [(0, 0), (0, -1)], [(0.9, 1.7)]])
 def test_glue_rejects_a_relation_index_outside_the_spaces(rel):
     # an index >= n raised IndexError, -1 silently named the last point,

@@ -797,6 +797,27 @@ def test_exact_search_equals_the_scan_per_node_search(pair):
     assert repr(dpi_distance(a, b)) == repr(dpi_exact_scan(a, b))
 
 
+@settings(max_examples=200, deadline=None)
+@given(_exact_pair())
+def test_exact_search_decides_nothing_before_its_first_incumbent(pair):
+    # the cost law: with no incumbent every prefix passes, so the search
+    # runs straight to its first leaf and scans it before any _below call
+    calls: list = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matmetric, "_below", counted("below", matmetric._below))
+        mp.setattr(matmetric, "_scan_pairs", counted("scan", matmetric._scan_pairs))
+        dpi_distance(*pair)
+    assert calls[:1] == (["scan"] if len(pair[0]) else [])
+
+
 def test_exact_witness_at_n8_is_pinned():
     # recorded with the scan-per-node search
     rng = rng_stream(42)

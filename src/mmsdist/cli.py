@@ -125,6 +125,8 @@ def _cmd_ghp(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     space = fileio.read_model_space(args.space, tol=args.tol)
     mats = []
     for k in range(args.count):

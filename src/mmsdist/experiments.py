@@ -98,9 +98,9 @@ def write_report_csv(report: ExperimentReport, path) -> None:
 # instance builders
 
 
-def random_euclidean_dmatrix(rng: np.random.Generator, n: int, dim: int = 2, scale: float = 1.0) -> DistanceMatrix:
-    """Distance matrix of n uniform random points in [0, scale]^dim."""
-    pts = rng.random((n, dim)) * scale
+def random_euclidean_dmatrix(rng: np.random.Generator, n: int) -> DistanceMatrix:
+    """Distance matrix of n uniform random points in the unit square."""
+    pts = rng.random((n, 2))
     return validate_distance_matrix(DistanceMatrix.from_points(pts).entries)
 
 
@@ -124,10 +124,10 @@ def sharp_pair(c: float, epsilon: float):
     )
 
 
-def four_point_square(side: float = 1.0) -> FiniteMMS:
-    """Uniform measure on the corners of a square (the default sampling
-    ground space)."""
-    pts = np.array([[0.0, 0.0], [side, 0.0], [0.0, side], [side, side]])
+def four_point_square() -> FiniteMMS:
+    """Uniform measure on the corners of the unit square (the default
+    sampling ground space)."""
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     return FiniteMMS(
         labels=("a", "b", "c", "d"),
         dist=DistanceMatrix.from_points(pts),
@@ -136,21 +136,20 @@ def four_point_square(side: float = 1.0) -> FiniteMMS:
     )
 
 
-def _ensemble_cross_grid(ens_x, ens_y, quotient: bool, tol: float, budget: int):
-    """Grid of exact dpi (``quotient``) or dm between two ensembles' atoms,
-    built by :func:`matmetric._cross_grid`; raises :class:`BudgetError`
-    before allocating when it has more than ``budget`` cells, ValueError
-    when the ensembles differ in size and :class:`SizeLimitError` before
-    classifying any atom when a dpi grid's matrices exceed the exact
-    limit."""
+def _ensemble_grids(space_x, space_y, n: int, quotients, budget: int, tol: float):
+    """Exact ensembles of n draws from ``space_x`` and ``space_y``, and one
+    :func:`matmetric._cross_grid` of their atoms per entry of ``quotients``
+    (True: exact dpi, False: dm).  Each guard runs once, before the work it
+    protects: the exact limit when any grid is dpi, before enumerating; the
+    k^n tuple budget in :func:`enumerate_matrix_ensemble`; the grid budget
+    (:class:`BudgetError`) before any grid is built."""
+    if any(quotients):
+        _check_exact_limit(n)
+    ens_x, ens_y = (enumerate_matrix_ensemble(s, n, budget, tol) for s in (space_x, space_y))
     if ens_x.size * ens_y.size > budget:
         raise BudgetError(f"{ens_x.size} x {ens_y.size} grid exceeds the budget of {budget}")
-    if ens_x.n != ens_y.n:
-        raise ValueError(f"dimension mismatch: {ens_x.n} vs {ens_y.n}")
-    if quotient:
-        _check_exact_limit(ens_x.n)
     ax, ay = ([m.entries for m in ens.matrices()] for ens in (ens_x, ens_y))
-    return _cross_grid(ax, ay, quotient, tol)
+    return ens_x, ens_y, [_cross_grid(ax, ay, q, tol) for q in quotients]
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +215,8 @@ def check_hoelder_small_n(
     if not 0.0 < epsilon < 0.25:
         raise ValueError("epsilon must lie in (0, 1/4)")
     x, y = sharp_pair(0.25, epsilon)
+    ens_x, ens_y, (grid,) = _ensemble_grids(ModelSpace.finite(x), ModelSpace.finite(y), n, (True,), budget, tol)
     ghp = ghp_upper_bound(x, y, "identify", tol=tol)
-    ens_x = enumerate_matrix_ensemble(ModelSpace.finite(x), n, budget, tol)
-    ens_y = enumerate_matrix_ensemble(ModelSpace.finite(y), n, budget, tol)
-    grid = _ensemble_cross_grid(ens_x, ens_y, True, tol, budget)
     dp = prokhorov_distance(ens_x.probabilities(), ens_y.probabilities(), grid, tol=tol).value
     observed = {"dp_ensemble": dp, "ghp_upper": ghp.upper, "atoms_x": ens_x.size, "atoms_y": ens_y.size}
     bound = {"sqrt_eps": math.sqrt(epsilon), "sqrt_ghp_upper": math.sqrt(ghp.upper)}
@@ -296,10 +293,10 @@ def check_sharp_exponent(
     first sampled matrix is nonzero already exceeds C*eps^alpha, which
     certifies the same lower bound for the ensemble distance (below the
     threshold no row may be excluded, forcing both matrices to vanish).
-    The exact ensemble distance is compared too when the 2^n sample tuples
-    and the atoms_x x atoms_y dpi grid both fit the budget and n is within
-    the exact dpi limit; else a note says why.  The budget and the limit are
-    checked before the ensembles are enumerated.
+    The exact ensemble distance is compared too when n is within the exact
+    dpi limit and the 2^n sample tuples and the atoms_x x atoms_y dpi grid
+    both fit the budget; else a note names the first of these that fails.
+    The limit is checked before the ensembles are enumerated.
     """
     if not 0.5 < alpha < 1.0:
         raise ValueError("alpha must lie in (1/2, 1)")
@@ -321,13 +318,8 @@ def check_sharp_exponent(
     passed = {"marginal_exceeds_threshold": p_nonzero > threshold}
     notes = []
     try:
-        if 2**n > budget:
-            raise BudgetError(f"2^{n} exceeds the budget")
-        _check_exact_limit(n)
         x, y = sharp_pair(c, epsilon)
-        ens_x = enumerate_matrix_ensemble(ModelSpace.finite(x), n, budget, tol)
-        ens_y = enumerate_matrix_ensemble(ModelSpace.finite(y), n, budget, tol)
-        grid = _ensemble_cross_grid(ens_x, ens_y, True, tol, budget)
+        ens_x, ens_y, (grid,) = _ensemble_grids(ModelSpace.finite(x), ModelSpace.finite(y), n, (True,), budget, tol)
     except (BudgetError, SizeLimitError) as exc:
         notes.append(f"{exc}; exact ensemble step skipped")
     else:
@@ -430,11 +422,8 @@ def check_group_invariance(
         space1 = ModelSpace.finite(two_point_space(0.5, 0.1, "x"))
     if space2 is None:
         space2 = ModelSpace.finite(two_point_space(1.0, 0.1, "y"))
-    ens1 = enumerate_matrix_ensemble(space1, n, budget, tol)
-    ens2 = enumerate_matrix_ensemble(space2, n, budget, tol)
+    ens1, ens2, (grid_dm, grid_dpi) = _ensemble_grids(space1, space2, n, (False, True), budget, tol)
     p1, p2 = ens1.probabilities(), ens2.probabilities()
-    grid_dm = _ensemble_cross_grid(ens1, ens2, False, tol, budget)
-    grid_dpi = _ensemble_cross_grid(ens1, ens2, True, tol, budget)
     dp_dm = prokhorov_distance(p1, p2, grid_dm, tol=tol).value
     dp_dpi = prokhorov_distance(p1, p2, grid_dpi, tol=tol).value
     observed = {"dp_under_dm": dp_dm, "dp_under_dpi": dp_dpi, "gap": abs(dp_dm - dp_dpi)}

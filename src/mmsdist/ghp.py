@@ -300,16 +300,14 @@ def ghp_upper_bound(
 def best_ghp_upper_bound(
     x: FiniteMMS,
     y: FiniteMMS,
-    strategies=STRATEGIES,
     tol: float = DEFAULT_TOL,
     exact_limit: int = DPI_EXACT_LIMIT,
-    cross=None,
 ) -> GhpBound:
     """Smallest upper bound over the applicable strategies."""
     best = None
-    for s in strategies:
+    for s in STRATEGIES:
         try:
-            b = ghp_upper_bound(x, y, s, tol=tol, exact_limit=exact_limit, cross=cross)
+            b = ghp_upper_bound(x, y, s, tol=tol, exact_limit=exact_limit)
         except (StrategyError, GluingError):
             continue
         if best is None or b.upper < best.upper:

@@ -98,7 +98,12 @@ class ModelSpace:
 
 
 def sample_indices(mass, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n atom indices from a discrete mass vector (cdf inversion)."""
+    """Draw n atom indices from a discrete mass vector (cdf inversion).
+
+    ``mass`` must be a probability vector already checked by
+    :func:`core.as_prob_vector`, as every mass of a :class:`FiniteMMS` or a
+    :class:`ModelSpace` is: this checks nothing, so a NaN, negative or
+    unnormalised mass gives meaningless indices, not an error."""
     cum = np.cumsum(np.asarray(mass, dtype=float))
     u = rng.random(n)
     idx = np.searchsorted(cum, u, side="right")

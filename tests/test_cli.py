@@ -197,6 +197,15 @@ def test_sample_text_reads_back_as_its_json(files, capsys):
         assert fileio.read_matrix(path).tolist() == want
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+def test_sample_rejects_a_count_below_one(files, capsys, count, fmt):
+    assert main(["sample", files["space"], "--n", "2", "--count", count, *fmt]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --count must be at least 1, got {count}\n"
+
+
 def test_sample_and_ensemble_commands(files, capsys):
     code, out = _run(
         capsys, ["sample", files["space"], "--n", "3", "--seed", "1", "--count", "2"]

@@ -8,7 +8,6 @@ import pytest
 from mmsdist import (
     DistanceMatrix,
     FiniteMMS,
-    MatrixEnsemble,
     ModelSpace,
     SizeLimitError,
     dm_distance,
@@ -69,7 +68,10 @@ def test_sharp_window_and_example():
     assert r.all_passed()
     assert 0.18 < r.observed["p_matrix_nonzero"] < 0.19
     assert r.bound["c_eps_alpha"] == pytest.approx(0.01**0.75)
-    assert any("budget" in note for note in r.notes)
+    # 2^20 tuples exceed the budget too, but the limit is checked first
+    assert r.notes == (
+        f"exact permutation search limited to n <= {DPI_EXACT_LIMIT}, got 20; exact ensemble step skipped",
+    )
 
 
 def test_sharp_exact_branch():
@@ -245,6 +247,20 @@ def test_sharp_defaults_skip_before_enumerating(monkeypatch):
     assert r.notes[0].endswith("exact ensemble step skipped")
 
 
+@pytest.mark.parametrize(
+    "check",
+    [lambda n: check_group_invariance(n=n), lambda n: check_hoelder_small_n(0.1, n)],
+    ids=["gpaction", "hoelder"],
+)
+def test_dpi_limit_raises_before_enumerating(monkeypatch, check):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ensembles enumerated although a dpi grid is over the limit")
+
+    monkeypatch.setattr(experiments, "enumerate_matrix_ensemble", refuse)
+    with pytest.raises(SizeLimitError, match=f"limited to n <= {DPI_EXACT_LIMIT}, got {DPI_EXACT_LIMIT + 1}"):
+        check(DPI_EXACT_LIMIT + 1)
+
+
 def test_hoelder_above_dpi_limit_raises_before_classifying(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("atoms classified although the dpi grid is over the limit")
@@ -273,21 +289,13 @@ def _three_point_model(d01, d02, d12, mass):
     ],
 )
 def test_class_grid_equals_per_atom_dpi(x, y, n):
-    ens_x = enumerate_matrix_ensemble(x, n)
-    ens_y = enumerate_matrix_ensemble(y, n)
-    for distance in (dpi_distance, dm_distance):
-        grid = experiments._ensemble_cross_grid(ens_x, ens_y, distance is dpi_distance, 1e-9, 10**6)
+    ens_x, ens_y, grids = experiments._ensemble_grids(x, y, n, (True, False), 10**6, 1e-9)
+    for grid, distance in zip(grids, (dpi_distance, dm_distance)):
         per_atom = np.array(
             [[distance(a.entries, b.entries).value for b in ens_y.matrices()] for a in ens_x.matrices()]
         )
         assert grid.shape == (ens_x.size, ens_y.size)
         assert grid.tobytes() == per_atom.tobytes()
-
-
-def _with_atom(ens, entries):
-    """``ens`` with one more atom, of probability 1/2, appended last."""
-    atoms = [(m, p / 2) for m, p in ens.atoms] + [(DistanceMatrix(entries), 0.5)]
-    return MatrixEnsemble(tuple(atoms))
 
 
 @pytest.mark.parametrize("distance", [dm_distance, dpi_distance])
@@ -297,20 +305,19 @@ def test_cross_grid_checks_every_atom_before_any_distance(monkeypatch, distance)
 
     monkeypatch.setattr(matmetric, "_aligned_scan", refuse)
     monkeypatch.setattr(matmetric, "_dpi_exact", refuse)
-    ens_x = enumerate_matrix_ensemble(_two_point_model(0.5, 0.1, "x"), 3)
-    ens_y = enumerate_matrix_ensemble(_two_point_model(1.0, 0.1, "y"), 3)
+    atoms_x = [m.entries for m in enumerate_matrix_ensemble(_two_point_model(0.5, 0.1, "x"), 3).matrices()]
+    atoms_y = [m.entries for m in enumerate_matrix_ensemble(_two_point_model(1.0, 0.1, "y"), 3).matrices()]
     skew = np.zeros((3, 3))
     skew[0, 1] = 1e-6
     bad = {
-        "non-finite": _with_atom(ens_y, np.diag([0.0, math.nan, 0.0])),
-        "not symmetric within 1e-09": _with_atom(ens_y, skew),
-        "dimension mismatch": enumerate_matrix_ensemble(_two_point_model(1.0, 0.1, "y"), 4),
+        "non-finite": atoms_y + [np.diag([0.0, math.nan, 0.0])],
+        "not symmetric within 1e-09": atoms_y + [skew],
     }
-    for message, ens in bad.items():
+    for message, atoms in bad.items():
         with pytest.raises(ValueError, match=message):
-            experiments._ensemble_cross_grid(ens_x, ens, distance is dpi_distance, 1e-9, 10**6)
+            matmetric._cross_grid(atoms_x, atoms, distance is dpi_distance, 1e-9)
         with pytest.raises(ValueError, match=message):
-            experiments._ensemble_cross_grid(ens, ens_x, distance is dpi_distance, 1e-9, 10**6)
+            matmetric._cross_grid(atoms, atoms_x, distance is dpi_distance, 1e-9)
 
 
 def test_class_holds_atoms_of_different_multisets():

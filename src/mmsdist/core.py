@@ -14,7 +14,7 @@ Conventions used across the package:
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -344,10 +344,17 @@ class Coupling:
 
 @dataclass(frozen=True, eq=False)
 class MatrixEnsemble:
-    """Finitely supported distribution over distance matrices of one size."""
+    """Finitely supported distribution over distance matrices of one size.
+
+    An ensemble from :func:`sampling.enumerate_matrix_ensemble` also carries
+    its orbit record: ``orbits[i]`` is the atom of atom i's first sample
+    tuple sorted, an exact relabelling of atom i that never comes later.
+    A hand-built ensemble has ``orbits = None``.
+    """
 
     atoms: tuple  # of (DistanceMatrix, probability)
     tol: InitVar[float] = DEFAULT_TOL  # of the probability check; not stored
+    orbits: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self, tol):
         atoms = tuple((m, float(p)) for m, p in self.atoms)

@@ -475,12 +475,12 @@ def _max_matching(rows, n_r, before=None, first_row=0):
     return n_r - match_r.count(-1), match_l
 
 
-def epsilon_matching(dist_grid, epsilon: float) -> EpsMatching:
+def epsilon_matching(dist_grid, epsilon: float, tol: float = DEFAULT_TOL) -> EpsMatching:
     """Maximum-cardinality matching among pairs at distance < epsilon; the
-    grid is checked as a ground grid at ``DEFAULT_TOL``."""
+    grid is checked as a ground grid at ``tol``."""
     if not epsilon > 0:  # NaN fails this too
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    d = as_ground_grid(dist_grid)
+    d = as_ground_grid(dist_grid, tol)
     _, match_l = _max_matching((d < epsilon).tolist(), d.shape[1])
     pairs = tuple((i, j) for i, j in enumerate(match_l) if j != -1)
     return EpsMatching(pairs=pairs, epsilon=float(epsilon))

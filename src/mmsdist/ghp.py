@@ -247,7 +247,7 @@ def _net_bound(x: FiniteMMS, y: FiniteMMS, tol: float, cross=None) -> GhpBound:
     # keeps the first, so each distinct matching is glued once
     seen = set()
     for eps in candidates:
-        matching = epsilon_matching(cross, eps)
+        matching = epsilon_matching(cross, eps, tol)
         if not matching.pairs or matching.pairs in seen:
             continue
         seen.add(matching.pairs)

@@ -588,9 +588,9 @@ def dpi_distance(
     raise ValueError(f"unknown mode {mode!r}: expected 'exact' or 'heuristic'")
 
 
-def _relabelling_classes(mats, tol: float):
-    """Partition equal-size grids, each checked and converted to lists once,
-    into classes of grids equal up to relabelling.
+def _relabelling_classes(mats, tol: float, orbits=None):
+    """Partition equal-size grids, each checked once, into classes of grids
+    equal up to relabelling.
 
     The grids are bucketed by an invariant of simultaneous row/column
     permutation (the sorted multiset of sorted rows; cheap but not
@@ -598,15 +598,29 @@ def _relabelling_classes(mats, tol: float):
     :func:`_is_relabelling` places its rows on the class representative's
     with ``==`` alone, that is, when their exact dpi is 0.0.  The invariant
     reads full rows, so on a grid asymmetric within tol it may only split a
-    class.  Returns the class of every grid, the representative (first
-    member, as nested lists) of every class and the relabelling tests made.
+    class.
+
+    With an orbit record (:attr:`core.MatrixEnsemble.orbits`), a grid whose
+    record is an earlier grid takes that grid's class untested: it is an
+    exact relabelling of that grid, and an exact relabelling of the
+    candidate changes no test's verdict against any representative (the
+    permutations compose), so the tests would have put it in that class.
+    Only the grids whose record is themselves are converted to lists,
+    bucketed and tested.  Returns the class of every grid, the
+    representative (first member, as nested lists) of every class and the
+    relabelling tests made.
     """
+    grids = as_symmetric_grid(mats, tol, "ensemble atom")
     buckets: dict = {}
-    labels = np.empty(len(mats), dtype=int)
+    labels = np.empty(len(grids), dtype=int)
     reps: list = []
     sorted_reps: list = []
     calls = 0
-    for i, rows in enumerate(as_symmetric_grid(mats, tol, "ensemble atom").tolist()):
+    for i, grid in enumerate(grids):
+        if orbits is not None and orbits[i] != i:
+            labels[i] = labels[orbits[i]]
+            continue
+        rows = grid.tolist()
         srt = [tuple(sorted(r)) for r in rows]
         bucket = buckets.setdefault(tuple(sorted(srt)), [])
         prev = _twin_prev(rows) if bucket else None
@@ -623,11 +637,12 @@ def _relabelling_classes(mats, tol: float):
     return labels, reps, calls
 
 
-def _cross_grid(mats_x, mats_y, quotient: bool, tol: float):
+def _cross_grid(mats_x, mats_y, quotient: bool, tol: float, orbits=(None, None)):
     """Exact dpi (``quotient``; the caller checks the size limit) or dm of
     every grid of ``mats_x`` against every grid of ``mats_y``, all of one
     size, bit-identical to per-pair :func:`dpi_distance` or
-    :func:`dm_distance` calls.
+    :func:`dm_distance` calls.  ``orbits`` holds the two sides' orbit
+    records (or None), which the dpi classes use.
 
     Every grid is checked (ValueError when non-finite or asymmetric beyond
     tol) and converted to lists once, before any distance, and the cells
@@ -640,8 +655,8 @@ def _cross_grid(mats_x, mats_y, quotient: bool, tol: float):
     if not quotient:
         rows_x, rows_y = (as_symmetric_grid(m, tol, "ensemble atom").tolist() for m in (mats_x, mats_y))
         return np.array([[_aligned_scan(a, b, range(len(a)))[1] for b in rows_y] for a in rows_x])
-    label_x, rows_x, calls_x = _relabelling_classes(mats_x, tol)
-    label_y, rows_y, calls_y = _relabelling_classes(mats_y, tol)
+    label_x, rows_x, calls_x = _relabelling_classes(mats_x, tol, orbits[0])
+    label_y, rows_y, calls_y = _relabelling_classes(mats_y, tol, orbits[1])
     log.debug(
         "dpi grid: %d x %d atoms -> %d x %d classes, "
         "%d relabelling tests, %d class-pair dpi calls",

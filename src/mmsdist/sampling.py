@@ -9,7 +9,7 @@ when trials are distributed across workers.
 
 from __future__ import annotations
 
-import itertools
+import logging
 import sys
 from dataclasses import dataclass
 
@@ -32,6 +32,8 @@ __all__ = [
     "sample_indices",
     "enumerate_matrix_ensemble",
 ]
+
+log = logging.getLogger("mmsdist")
 
 
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
@@ -150,32 +152,50 @@ def enumerate_matrix_ensemble(
     """Exact distribution of the labelled distance matrix of n i.i.d. draws
     from a finitely supported model space.
 
-    Iterates every tuple over the support (k^n of them, capped by
-    ``budget``), accumulates the product probabilities and merges identical
-    matrices.  Atom order is first occurrence in lexicographic tuple order.
+    One vectorised pass over all k^n tuples of support points (capped by
+    ``budget``): their index array is built arithmetically in lexicographic
+    order, every sample matrix is gathered by one fancy index (as small
+    integer codes, one per distinct distance by its bytes, so equal codes
+    mean equal bytes), each tuple's probability is one product along the
+    tuple, and identical matrices merge with their probabilities summed in
+    tuple order.  Atom order is first occurrence in tuple order.
+
+    The ensemble carries its orbit record (:attr:`MatrixEnsemble.orbits`):
+    for each atom, the atom of its first tuple sorted.  Sorting a tuple
+    relabels its matrix exactly, and the sorted tuple comes no later in
+    lexicographic order, so that atom is an exact relabelling of this one
+    and comes no later in atom order.
     """
     if n < 1:
         raise ValueError("need at least one sample point")
     base = space.atom_space(tol)
-    support = [i for i in range(base.n) if base.mass[i] > 0.0]
-    k = len(support)
+    support = np.flatnonzero(base.mass > 0.0)
+    k = support.size
     if k == 0:
         raise ValueError("model space has empty support")
     if k**n > budget:
         raise BudgetError(f"{k}^{n} tuples exceed the budget of {budget}")
     d = base.dist.entries
-    masses = base.mass
-    acc: dict = {}
-    order: list = []
-    for tup in itertools.product(support, repeat=n):
-        idx = np.array(tup)
-        m = d[np.ix_(idx, idx)]
-        prob = float(np.prod(masses[idx]))
-        key = m.tobytes()
-        if key in acc:
-            acc[key][1] += prob
-        else:
-            acc[key] = [m, prob]
-            order.append(key)
-    atoms = tuple((DistanceMatrix(acc[key][0]), acc[key][1]) for key in order)
-    return MatrixEnsemble(atoms=atoms, tol=tol)
+    seen: dict = {}  # one small code per distinct distance, by its bytes
+    codes = [seen.setdefault(v, len(seen)) for v in d.view(np.int64).ravel().tolist()]
+    code = np.array(codes, np.min_scalar_type(len(seen) - 1)).reshape(d.shape)
+    place = k ** np.arange(n - 1, -1, -1)
+    digits = np.arange(k**n)[:, None] // place % k  # row t: the digits of t in base k
+    idx = support[digits]  # row t: the points of tuple t
+    keys = code[idx[:, :, None], idx[:, None, :]].reshape(k**n, -1)
+    keys = keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize))).ravel()
+    probs = base.mass[idx].prod(axis=1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # the distinct matrices in order of first occurrence
+    atom_of = np.argsort(order)[inverse]  # the atom of every tuple
+    first = first[order]  # the first tuple of every atom
+    orbits = atom_of[np.sort(digits[first], axis=1) @ place].tolist()
+    mats = d[idx[first, :, None], idx[first, None, :]]
+    atoms = tuple(zip(map(DistanceMatrix, mats), np.bincount(atom_of, weights=probs).tolist()))
+    ens = MatrixEnsemble(atoms=atoms, tol=tol)
+    object.__setattr__(ens, "orbits", tuple(orbits))
+    log.debug(
+        "ensemble: n = %d, %d tuples -> %d atoms, %d orbit representatives",
+        n, k**n, len(atoms), sum(i == j for i, j in enumerate(orbits)),
+    )
+    return ens

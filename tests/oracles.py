@@ -488,3 +488,36 @@ def birkhoff_cold(s):
     if not terms:
         terms.append((1.0, tuple(range(n))))
     return tuple(terms)
+
+
+def enumerate_matrix_ensemble_loop(space, n: int, budget: int = 10**6, tol: float = 1e-9):
+    """The per-tuple enumeration that the vectorised pass replaced: one
+    index array, gather and product per tuple, merged in a dict by matrix
+    bytes in tuple order."""
+    from mmsdist.core import BudgetError, DistanceMatrix, MatrixEnsemble
+
+    if n < 1:
+        raise ValueError("need at least one sample point")
+    base = space.atom_space(tol)
+    support = [i for i in range(base.n) if base.mass[i] > 0.0]
+    k = len(support)
+    if k == 0:
+        raise ValueError("model space has empty support")
+    if k**n > budget:
+        raise BudgetError(f"{k}^{n} tuples exceed the budget of {budget}")
+    d = base.dist.entries
+    masses = base.mass
+    acc: dict = {}
+    order: list = []
+    for tup in itertools.product(support, repeat=n):
+        idx = np.array(tup)
+        m = d[np.ix_(idx, idx)]
+        prob = float(np.prod(masses[idx]))
+        key = m.tobytes()
+        if key in acc:
+            acc[key][1] += prob
+        else:
+            acc[key] = [m, prob]
+            order.append(key)
+    atoms = tuple((DistanceMatrix(acc[key][0]), acc[key][1]) for key in order)
+    return MatrixEnsemble(atoms=atoms, tol=tol)

@@ -718,6 +718,13 @@ def test_birkhoff_of_the_empty_grid_is_the_empty_permutation():
     assert dec.reconstruct().shape == (0, 0)
 
 
+def test_epsilon_matching_checks_its_grid_at_the_callers_tol():
+    grid = [[-1e-7, 1.0], [1.0, 0.0]]
+    assert epsilon_matching(grid, 0.5, tol=1e-6).pairs == ((0, 0), (1, 1))
+    with pytest.raises(ValueError, match="distance grid has a negative entry: -1e-07"):
+        epsilon_matching(grid, 0.5)
+
+
 def test_epsilon_matching_rejects_nan_epsilon():
     # used to return an empty matching
     with pytest.raises(ValueError, match="positive"):

@@ -1,16 +1,25 @@
+import itertools
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmsdist import (
     BudgetError,
     DistanceMatrix,
+    FiniteMMS,
+    MatrixEnsemble,
     ModelSpace,
     check_distance_matrix,
     empirical_space,
     enumerate_matrix_ensemble,
 )
+from mmsdist import matmetric
 from mmsdist.experiments import two_point_space
 from mmsdist.sampling import rng_stream, sample_indices
+from oracles import enumerate_matrix_ensemble_loop
 
 
 def test_single_sample():
@@ -175,3 +184,145 @@ def test_euclidean_points_checks_its_input(coords, mass, message):
     with pytest.raises(ValueError, match=message):
         ModelSpace.euclidean_points(coords, mass)
 
+
+
+# ---------------------------------------------------------------------------
+# the vectorised enumeration and its orbit record
+
+TOL = 1e-9
+
+
+@st.composite
+def _ensemble_spaces(draw, max_tuples=256):
+    """A space of k = 1-4 points and a sample size n = 1-5 with k^n <=
+    max_tuples.  Kinds: random points; a half-step lattice with repeated
+    points; a regular polygon (ties up to rounding); random points with
+    zero masses; random points whose grid is asymmetric within tol."""
+    kind = draw(st.sampled_from(["random", "lattice", "polygon", "zero mass", "asymmetric"]))
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, max(m for m in range(1, 6) if k**m <= max_tuples)))
+    if kind == "lattice":
+        pts = np.array(draw(st.lists(st.integers(0, 2), min_size=2 * k, max_size=2 * k)), float).reshape(k, 2) / 2
+    elif kind == "polygon":
+        angle = 2 * np.pi * np.arange(k) / k
+        pts = np.column_stack([np.cos(angle), np.sin(angle)])
+    else:
+        unit = st.floats(0.0, 1.0, allow_subnormal=False)
+        pts = np.array(draw(st.lists(unit, min_size=2 * k, max_size=2 * k))).reshape(k, 2)
+    d = DistanceMatrix.from_points(pts).entries.copy()
+    if kind == "asymmetric":
+        skew = st.floats(-TOL / 2, TOL / 2, allow_subnormal=False)
+        d += np.array(draw(st.lists(skew, min_size=k * k, max_size=k * k))).reshape(k, k) * (1 - np.eye(k))
+        d = np.abs(d)
+    low = 0 if kind == "zero mass" else 1
+    weights = np.array(draw(st.lists(st.integers(low, 4), min_size=k, max_size=k)), float)
+    if not weights.any():
+        weights[draw(st.integers(0, k - 1))] = 1.0
+    space = FiniteMMS(labels=tuple(f"p{i}" for i in range(k)), dist=DistanceMatrix(d), mass=weights / weights.sum())
+    return ModelSpace.finite(space), n
+
+
+def _bytes(ens):
+    return [(m.entries.tobytes(), repr(p)) for m, p in ens.atoms]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ensemble_spaces())
+def test_enumeration_equals_the_per_tuple_loop(inst):
+    space, n = inst
+    ens = enumerate_matrix_ensemble(space, n)
+    assert ens.n == n
+    assert _bytes(ens) == _bytes(enumerate_matrix_ensemble_loop(space, n))
+
+
+def test_enumeration_keeps_matrices_apart_by_their_bytes():
+    # points 0 and 1 coincide at a stored -0.0, which equals 0.0 but has
+    # other bytes: the tuples 00 and 01 give two atoms, as in the loop
+    d = np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    space = ModelSpace.finite(FiniteMMS(labels=("a", "b", "c"), dist=DistanceMatrix(d), mass=np.full(3, 1 / 3)))
+    ens = enumerate_matrix_ensemble(space, 2)
+    assert ens.size == 3
+    assert _bytes(ens) == _bytes(enumerate_matrix_ensemble_loop(space, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ensemble_spaces())
+def test_orbit_record_points_to_an_earlier_exact_relabelling(inst):
+    space, n = inst
+    ens = enumerate_matrix_ensemble(space, n)
+    mats = [m.entries for m in ens.matrices()]
+    assert len(ens.orbits) == ens.size
+    perms = [list(p) for p in itertools.permutations(range(n))]
+    for i, j in enumerate(ens.orbits):
+        assert 0 <= j <= i
+        assert any(np.array_equal(mats[i][np.ix_(p, p)], mats[j]) for p in perms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ensemble_spaces())
+def test_orbit_record_keeps_every_relabelling_class(inst):
+    space, n = inst
+    ens = enumerate_matrix_ensemble(space, n)
+    mats = [m.entries for m in ens.matrices()]
+    labels, reps, calls = matmetric._relabelling_classes(mats, TOL)
+    labels_r, reps_r, calls_r = matmetric._relabelling_classes(mats, TOL, ens.orbits)
+    assert labels_r.tolist() == labels.tolist()
+    assert reps_r == reps
+    assert calls_r <= calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ensemble_spaces(max_tuples=64), st.data())
+def test_orbit_record_leaves_both_cross_grids_unchanged(inst, data):
+    space_x, n = inst
+    space_y = data.draw(_ensemble_spaces(max_tuples=64).filter(lambda s: s[1] >= n)
+                        .map(lambda s: s[0]))
+    ens = [enumerate_matrix_ensemble(s, n) for s in (space_x, space_y)]
+    ax, ay = ([m.entries for m in e.matrices()] for e in ens)
+    orbits = ens[0].orbits, ens[1].orbits
+    for quotient in (True, False):
+        plain = matmetric._cross_grid(ax, ay, quotient, TOL)
+        assert matmetric._cross_grid(ax, ay, quotient, TOL, orbits).tobytes() == plain.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ensemble_spaces())
+def test_relabelling_tests_only_the_atoms_whose_record_is_themselves(inst):
+    # cost law: an atom whose record is an earlier atom takes its class untested
+    space, n = inst
+    ens = enumerate_matrix_ensemble(space, n)
+    mats = [m.entries for m in ens.matrices()]
+    atom = {m.tobytes(): i for i, m in enumerate(mats)}
+    tested = []
+    matcher = matmetric._is_relabelling
+
+    def counting(a_rows, a_sorted, b_rows, b_sorted, b_prev):
+        tested.append(atom[np.array(b_rows, float).tobytes()])
+        return matcher(a_rows, a_sorted, b_rows, b_sorted, b_prev)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matmetric, "_is_relabelling", counting)
+        calls = matmetric._relabelling_classes(mats, TOL, ens.orbits)[2]
+    assert len(tested) == calls
+    assert all(ens.orbits[i] == i for i in tested)
+
+
+def test_only_an_enumerated_ensemble_has_an_orbit_record():
+    m = DistanceMatrix(np.zeros((2, 2)))
+    hand_built = MatrixEnsemble(atoms=((m, 1.0),))
+    enumerated = enumerate_matrix_ensemble(ModelSpace.finite(two_point_space(1.0, 0.25, "x")), 2)
+    assert hand_built.orbits is None and enumerated.orbits == (0, 1)
+    # the record is not part of the value: reprs are those of the atoms alone
+    assert repr(enumerated) == repr(MatrixEnsemble(atoms=enumerated.atoms))
+
+
+def test_enumeration_logs_tuples_atoms_and_orbits(caplog):
+    # two points, three draws: 8 tuples and 4 matrices, since a tuple and its
+    # complement agree; the first tuples 000, 001, 010, 011 sort to atoms 0,
+    # 1, 1, 3 (the class search still finds that atom 3 relabels atom 1)
+    space = ModelSpace.finite(two_point_space(1.0, 0.25, "x"))
+    with caplog.at_level(logging.DEBUG, logger="mmsdist"):
+        ens = enumerate_matrix_ensemble(space, 3)
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("ensemble:")]
+    assert lines == ["ensemble: n = 3, 8 tuples -> 4 atoms, 3 orbit representatives"]
+    assert ens.orbits == (0, 1, 1, 3)

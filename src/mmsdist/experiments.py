@@ -150,7 +150,7 @@ def _ensemble_grids(space_x, space_y, n: int, quotients, budget: int, tol: float
         raise BudgetError(f"{ens_x.size} x {ens_y.size} grid exceeds the budget of {budget}")
     ax, ay = ([m.entries for m in ens.matrices()] for ens in (ens_x, ens_y))
     orbits = ens_x.orbits, ens_y.orbits
-    return ens_x, ens_y, [_cross_grid(ax, ay, q, tol, orbits) for q in quotients]
+    return ens_x, ens_y, _cross_grid(ax, ay, quotients, tol, orbits)
 
 
 # ---------------------------------------------------------------------------

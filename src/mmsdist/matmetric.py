@@ -18,15 +18,16 @@ diagonal included).  On grids symmetric only within tol, this choice moves
 dm by at most tol.
 
 The permutation quotient minimises over simultaneous row/column
-permutations of B, exactly (depth-first search with prefix pruning) up to a
-configurable size limit, or heuristically (greedy profile assignment plus
-2-swap local search) above it.  Both searches ask one question of an
-alignment, whether its dm is below the incumbent, and answer it with one
-budgeted vertex cover (:func:`_below`); only a full alignment that passes
-(a leaf of the exact search, an accepted swap) is scanned in full.  The
-exact search tries one row per class of twins of B (rows whose swap leaves
-B unchanged, as repeated sample points do), which cuts the search without
-changing the value or the witness.
+permutations of B, exactly (a lex-order walk over alignments with prefix
+pruning, :func:`_alignments`) up to a configurable size limit, or
+heuristically (greedy profile assignment plus 2-swap local search) above
+it.  Both searches ask one question of an alignment, whether its dm is
+below the incumbent, and answer it with one budgeted vertex cover
+(:func:`_below`); only a full alignment that passes (a leaf of the walk, an
+accepted swap) is scanned in full.  The walk tries one row per class of
+twins of B (rows whose swap leaves B unchanged, as repeated sample points
+do), which cuts the search without changing the value or the witness; the
+relabelling test of the dpi grids runs on the same walk.
 The grids of dm or dpi between two lists of grids (ensemble atoms) are
 built here too, the dpi grid on classes of grids equal up to relabelling.
 """
@@ -377,43 +378,58 @@ def _twin_prev(b_list):
     return prev
 
 
+def _alignments(n, prev, fits):
+    """Every alignment of A's n rows to B's rows whose every prefix fits, in
+    lex order.
+
+    Row k of A tries the rows of B in increasing order, and only the lowest
+    unused row of each twin class (``prev`` from :func:`_twin_prev`).  A
+    prefix is extended only when ``fits(perm, k + 1)`` holds, ``perm[:k +
+    1]`` being the prefix; a full alignment is yielded as the walk's own
+    list, which the walk goes on changing.  ``fits`` is asked afresh at each
+    prefix, so what it answers may change between yields.
+    """
+    perm = [-1] * n
+    used = [False] * n
+    k = j = 0  # row k of A tries rows j, j + 1, ... of B
+    while k >= 0:
+        if k == n:
+            yield perm
+            j = n
+        if j == n:  # row k fits nowhere further: move row k - 1 on
+            k -= 1
+            if k >= 0:
+                j = perm[k]
+                used[j] = False
+                j += 1
+            continue
+        if not used[j] and (prev[j] < 0 or used[prev[j]]):
+            perm[k] = j
+            if fits(perm, k + 1):
+                used[j] = True
+                k, j = k + 1, 0
+                continue
+        j += 1
+
+
 def _is_relabelling(a_rows, a_sorted, b_rows, b_sorted, b_prev) -> bool:
     """Whether B aligned by some permutation equals A entry for entry under
     the gap rule (a_kt == the aligned B entry for t <= k), that is, whether
     the exact dpi of A and B is 0.0.
 
-    The rows of A are placed in order.  Row j of B is tried for row k only
-    when its sorted row ``b_sorted[j]`` equals ``a_sorted[k]`` (necessary on
-    symmetric grids) and it is the lowest unused row of its twin class
-    (``b_prev`` from :func:`_twin_prev`), so a failing test stays small.
+    The walk of :func:`_alignments` (``b_prev`` from :func:`_twin_prev`)
+    places the rows of A in order, row j of B on row k only when its sorted
+    row ``b_sorted[j]`` equals ``a_sorted[k]`` (necessary on symmetric
+    grids) and its entries match, so a failing test stays small.
     """
-    n = len(a_rows)
-    perm = [-1] * n
-    used = [False] * n
-    k = j = 0  # row k of A tries rows j, j + 1, ... of B
-    while k < n:
-        if j == n:  # row k fits nowhere: move row k - 1 on
-            k -= 1
-            if k < 0:
-                return False
-            j = perm[k]
-            used[j] = False
-            j += 1
-            continue
+
+    def fits(perm, rows):
+        k = rows - 1
+        j = perm[k]
         ar, bj = a_rows[k], b_rows[j]
-        if (
-            not used[j]
-            and (b_prev[j] < 0 or used[b_prev[j]])
-            and b_sorted[j] == a_sorted[k]
-            and ar[k] == bj[j]
-            and all(ar[t] == bj[perm[t]] for t in range(k))
-        ):
-            perm[k] = j
-            used[j] = True
-            k, j = k + 1, 0
-        else:
-            j += 1
-    return True
+        return b_sorted[j] == a_sorted[k] and ar[k] == bj[j] and all(ar[t] == bj[perm[t]] for t in range(k))
+
+    return next(_alignments(len(a_rows), b_prev, fits), None) is not None
 
 
 def _check_exact_limit(n: int, limit: int = DPI_EXACT_LIMIT) -> None:
@@ -426,72 +442,37 @@ def _dpi_exact(a_list, b_list):
     """Exact permutation search over grids given as nested lists, which the
     caller has checked finite and symmetric within tol.
 
-    The search walks one memo tree.  Aligning row k of A to row j of B adds
-    the k + 1 gap pairs :func:`_row_gaps` builds; the node for that step is
-    keyed by their gap tuple under its parent, so prefixes with equal gap
-    tuples (chunk lengths are fixed per depth) share one node.  A prefix's
-    dm bounds every completion's from below, so a node is entered only when
-    its dm is below the incumbent, which :func:`_below` decides with one
-    budgeted vertex cover.  The node holds ``[incumbent, verdict,
-    children]``: no call is made while there is no incumbent, a failure
-    stays valid as the incumbent only falls, and a pass is decided again
-    once it has fallen.  Only a leaf that passes is scanned by
-    :func:`_scan_pairs`, for the new incumbent and its cover; the search
-    stops at an incumbent of 0, which nothing is below.
+    The search is the walk of :func:`_alignments`.  A prefix's dm bounds
+    every completion's from below, so a prefix fits when there is no
+    incumbent yet or its dm is below the incumbent, which :func:`_below`
+    decides with one budgeted vertex cover.  Each full alignment that fits
+    is scanned by :func:`_scan_pairs` for the new incumbent and its cover,
+    so the incumbent only falls and the first optimum in lex order is kept;
+    the search stops at an incumbent of 0, which nothing is below.  Twins
+    give equal gaps, and the lex-smallest optimum places each twin class in
+    increasing order, so the walk's twin rule moves no witness.
     """
     n = len(a_list)
     if not n:
         return PiWitness(0.0, (), DmWitness(0.0, (), 0.0), exact=True)
-    perm = [-1] * n
-    used = [False] * n
-    # twins give equal gaps, and the lex-smallest optimum places each twin
-    # class in increasing order, so only the lowest unused twin is tried
-    prev = _twin_prev(b_list)
-    best = math.inf
-    budget = best_perm = best_witness = None  # set with the first incumbent
-    pairs: list = []  # the prefix's gap pairs, extended and truncated in place
-    levels = [{}] + [None] * (n - 1)  # levels[k]: the children of the node row k extends
+    best, budget = math.inf, None  # budget is set with the first incumbent
     nodes = decisions = scans = 0
-    k = j = 0  # row k of A tries rows j, j + 1, ... of B
-    while True:
-        if j == n:  # depth k is done: back to depth k - 1
-            k -= 1
-            if k < 0:
-                break
-            j = perm[k]
-            used[j] = False
-            del pairs[-(k + 1) :]
-            j += 1
-            continue
-        if used[j] or (prev[j] >= 0 and not used[prev[j]]):
-            j += 1
-            continue
-        perm[k] = j
-        chunk = _row_gaps(a_list[k], b_list, perm, k)
-        pairs.extend(chunk)
-        key = tuple(g for _, _, g in chunk)
-        node = levels[k].get(key)
-        if node is None:
-            nodes += 1
-            node = levels[k][key] = [math.inf, True, {}]  # every dm is below inf
-        if node[1] and node[0] != best:  # a pass holds at its own incumbent only
-            decisions += 1
-            node[:2] = best, _below(a_list, b_list, perm, k + 1, best, budget)
-        if node[1]:
-            if k == n - 1:
-                scans += 1
-                best, cover = _scan_pairs(pairs, n)
-                best_perm, best_witness = tuple(perm), _witness(pairs, best, cover)
-                if not best:  # no dm is below 0
-                    break
-                budget = _share_budget(best, n)
-            else:
-                used[j] = True
-                levels[k + 1] = node[2]
-                k, j = k + 1, 0
-                continue
-        del pairs[-(k + 1) :]
-        j += 1
+
+    def fits(perm, rows):
+        nonlocal nodes, decisions
+        nodes += 1
+        if budget is None:  # every dm is below inf
+            return True
+        decisions += 1
+        return _below(a_list, b_list, perm, rows, best, budget)
+
+    for perm in _alignments(n, _twin_prev(b_list), fits):
+        scans += 1
+        pairs, best, cover = _aligned_scan(a_list, b_list, perm)
+        best_perm, best_witness = tuple(perm), _witness(pairs, best, cover)
+        if not best:  # no dm is below 0
+            break
+        budget = _share_budget(best, n)
     log.debug(
         "dpi exact: n = %d, %d nodes, %d decision calls, %d leaves scanned",
         n, nodes, decisions, scans,
@@ -588,9 +569,10 @@ def dpi_distance(
     raise ValueError(f"unknown mode {mode!r}: expected 'exact' or 'heuristic'")
 
 
-def _relabelling_classes(mats, tol: float, orbits=None):
-    """Partition equal-size grids, each checked once, into classes of grids
-    equal up to relabelling.
+def _relabelling_classes(grids, orbits=None):
+    """Partition a stack of equal-size grids, which the caller has checked
+    finite and symmetric within tol, into classes of grids equal up to
+    relabelling.
 
     The grids are bucketed by an invariant of simultaneous row/column
     permutation (the sorted multiset of sorted rows; cheap but not
@@ -610,7 +592,6 @@ def _relabelling_classes(mats, tol: float, orbits=None):
     representative (first member, as nested lists) of every class and the
     relabelling tests made.
     """
-    grids = as_symmetric_grid(mats, tol, "ensemble atom")
     buckets: dict = {}
     labels = np.empty(len(grids), dtype=int)
     reps: list = []
@@ -637,31 +618,36 @@ def _relabelling_classes(mats, tol: float, orbits=None):
     return labels, reps, calls
 
 
-def _cross_grid(mats_x, mats_y, quotient: bool, tol: float, orbits=(None, None)):
-    """Exact dpi (``quotient``; the caller checks the size limit) or dm of
-    every grid of ``mats_x`` against every grid of ``mats_y``, all of one
-    size, bit-identical to per-pair :func:`dpi_distance` or
-    :func:`dm_distance` calls.  ``orbits`` holds the two sides' orbit
-    records (or None), which the dpi classes use.
+def _cross_grid(mats_x, mats_y, quotients, tol: float, orbits=(None, None)):
+    """One grid per entry of ``quotients``: exact dpi (True; the caller
+    checks the size limit) or dm (False) of every grid of ``mats_x``
+    against every grid of ``mats_y``, all of one size, bit-identical to
+    per-pair :func:`dpi_distance` or :func:`dm_distance` calls.  ``orbits``
+    holds the two sides' orbit records (or None), which the dpi classes
+    use.
 
-    Every grid is checked (ValueError when non-finite or asymmetric beyond
-    tol) and converted to lists once, before any distance, and the cells
-    run the private paths without building witnesses.  dpi is invariant
-    under relabelling either grid, so its grid is one exact dpi per pair of
+    Each side is checked once (ValueError when a grid is non-finite or
+    asymmetric beyond tol), before any distance, and the cells run the
+    private paths without building witnesses.  dpi is invariant under
+    relabelling either grid, so its grid is one exact dpi per pair of
     :func:`_relabelling_classes`, copied to every pair of the two classes
     (relabelling only permutes the same float gaps).  dm is not, and runs
     on every pair.
     """
-    if not quotient:
-        rows_x, rows_y = (as_symmetric_grid(m, tol, "ensemble atom").tolist() for m in (mats_x, mats_y))
-        return np.array([[_aligned_scan(a, b, range(len(a)))[1] for b in rows_y] for a in rows_x])
-    label_x, rows_x, calls_x = _relabelling_classes(mats_x, tol, orbits[0])
-    label_y, rows_y, calls_y = _relabelling_classes(mats_y, tol, orbits[1])
-    log.debug(
-        "dpi grid: %d x %d atoms -> %d x %d classes, "
-        "%d relabelling tests, %d class-pair dpi calls",
-        len(mats_x), len(mats_y), len(rows_x), len(rows_y),
-        calls_x + calls_y, len(rows_x) * len(rows_y),
-    )
-    small = [[_dpi_exact(a, b).value for b in rows_y] for a in rows_x]
-    return np.array(small)[np.ix_(label_x, label_y)]
+    sides = [as_symmetric_grid(m, tol, "ensemble atom") for m in (mats_x, mats_y)]
+
+    def grid(quotient):
+        if not quotient:
+            rows_x, rows_y = (g.tolist() for g in sides)
+            return np.array([[_aligned_scan(a, b, range(len(a)))[1] for b in rows_y] for a in rows_x])
+        (label_x, rows_x, calls_x), (label_y, rows_y, calls_y) = map(_relabelling_classes, sides, orbits)
+        log.debug(
+            "dpi grid: %d x %d atoms -> %d x %d classes, "
+            "%d relabelling tests, %d class-pair dpi calls",
+            len(label_x), len(label_y), len(rows_x), len(rows_y),
+            calls_x + calls_y, len(rows_x) * len(rows_y),
+        )
+        small = [[_dpi_exact(a, b).value for b in rows_y] for a in rows_x]
+        return np.array(small)[np.ix_(label_x, label_y)]
+
+    return [grid(q) for q in quotients]

@@ -315,9 +315,23 @@ def test_cross_grid_checks_every_atom_before_any_distance(monkeypatch, distance)
     }
     for message, atoms in bad.items():
         with pytest.raises(ValueError, match=message):
-            matmetric._cross_grid(atoms_x, atoms, distance is dpi_distance, 1e-9)
+            matmetric._cross_grid(atoms_x, atoms, (distance is dpi_distance,), 1e-9)
         with pytest.raises(ValueError, match=message):
-            matmetric._cross_grid(atoms, atoms_x, distance is dpi_distance, 1e-9)
+            matmetric._cross_grid(atoms, atoms_x, (distance is dpi_distance,), 1e-9)
+
+
+def test_group_invariance_checks_each_side_once(monkeypatch):
+    # the dm and the dpi grid of the check read one checked stack per side
+    checked = []
+    check = matmetric.as_symmetric_grid
+
+    def spy(m, tol, what):
+        checked.append(what)
+        return check(m, tol, what)
+
+    monkeypatch.setattr(matmetric, "as_symmetric_grid", spy)
+    check_group_invariance(n=4)
+    assert checked == ["ensemble atom"] * 2
 
 
 def test_class_holds_atoms_of_different_multisets():
@@ -326,7 +340,7 @@ def test_class_holds_atoms_of_different_multisets():
     space = _three_point_model(1.0, 1.5, 2.0, [0.5, 0.3, 0.2]).space
     d = space.dist.entries
     mats = [d[np.ix_(t, t)] for t in ([0, 0, 1], [0, 1, 1], [0, 0, 2])]
-    labels, reps, calls = matmetric._relabelling_classes(mats, 1e-9)
+    labels, reps, calls = matmetric._relabelling_classes(np.array(mats))
     assert labels.tolist() == [0, 0, 1]
     assert len(reps) == 2 and calls == 1
 
@@ -347,7 +361,7 @@ def test_invariant_collision_stays_split():
     relabelled = cycle[np.ix_(perm, perm)]
     assert np.array_equal(np.sort(cycle, axis=1), np.sort(triangles, axis=1))
     assert dpi_distance(cycle, triangles).value > 0.0
-    labels, reps, calls = matmetric._relabelling_classes([cycle, triangles, relabelled], 1e-9)
+    labels, reps, calls = matmetric._relabelling_classes(np.array([cycle, triangles, relabelled]))
     assert labels.tolist() == [0, 1, 0]
     assert len(reps) == 2 and calls == 2
 

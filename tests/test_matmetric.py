@@ -1,4 +1,5 @@
 import gc
+import itertools
 import logging
 import math
 import re
@@ -21,6 +22,7 @@ from mmsdist import (
 from mmsdist import matmetric
 from mmsdist.matmetric import (
     PiWitness,
+    _alignments,
     _is_relabelling,
     _relabelling_classes,
     _scan_pairs,
@@ -496,8 +498,8 @@ def test_twin_pruning_on_grids_asymmetric_within_tol():
 
 
 def test_exact_search_scans_each_prefix_once(monkeypatch):
-    # equal gap prefixes share one memo node, and the depth n - 1 scan is
-    # the full alignment's dm, so no leaf scans its prefix a second time
+    # only a full alignment whose dm is below the incumbent is scanned, so
+    # no scan sees the gap pairs of an earlier one
     scanned: list = []
 
     def spy(pairs, denom):
@@ -515,6 +517,32 @@ def test_exact_search_scans_each_prefix_once(monkeypatch):
         w = dpi_distance(a, b, mode="exact")
         assert scanned and len(set(scanned)) == len(scanned)
         assert repr(w) == repr(_dpi_exact_unpruned(a, b))
+
+
+_GRID_KINDS = st.sampled_from(["random", "lattice", "equilateral", "zero"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(_GRID_KINDS, _GRID_KINDS), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_exact_search_scans_at_most_one_leaf_per_dm_value(kinds, n, seed):
+    # the cost law: a leaf is scanned only when its dm is below the
+    # incumbent, so the scanned values strictly decrease and there are no
+    # more of them than distinct dm values over all alignments
+    rng = rng_stream(seed)
+    a, b = (_sampled(rng, kind, n) for kind in kinds)
+    values = {dm_distance(a, b[np.ix_(p, p)]).value for p in itertools.permutations(range(n))}
+    scanned: list = []
+
+    def spy(pairs, denom):
+        out = _scan_pairs(pairs, denom)
+        scanned.append(out[0])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matmetric, "_scan_pairs", spy)
+        dpi_distance(a, b, mode="exact")
+    assert all(x > y for x, y in zip(scanned, scanned[1:]))
+    assert set(scanned) <= values and len(scanned) <= len(values)
 
 
 def _matches(a, b):
@@ -560,7 +588,7 @@ def _three_point_space(d01, d02, d12):
 @pytest.mark.parametrize("sides, n", [((1.0, 1.5, 2.0), 4), ((1.0, 1.0, 2.0), 4), ((1.0, 1.0, 1.0), 5)])
 def test_relabelling_classes_match_the_unpruned_search(sides, n):
     mats = [m.entries for m in enumerate_matrix_ensemble(_three_point_space(*sides), n).matrices()]
-    labels = _relabelling_classes(mats, 1e-9)[0]
+    labels = _relabelling_classes(np.array(mats))[0]
     assert labels.tolist() == _reference_labels(mats)
 
 
@@ -604,6 +632,53 @@ def test_matcher_on_twin_rich_relabellings(inst):
     expected = _dpi_exact_unpruned(a, b).value == 0.0
     assert _matches(a, b) == expected
     assert _matches(a[np.ix_(p, p)], b[np.ix_(q, q)]) == expected
+
+
+def _twins(b):
+    """twins[i][j]: whether swapping rows and columns i and j leaves B
+    unchanged."""
+    n = len(b)
+
+    def swapped(i, j):
+        s = list(range(n))
+        s[i], s[j] = j, i
+        return b[np.ix_(s, s)]
+
+    return [[np.array_equal(swapped(i, j), b) for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_twin_rich_pair())
+def test_alignment_walk_places_each_twin_class_in_increasing_order(inst):
+    _, b, _ = inst
+    n = len(b)
+    walked = [tuple(p) for p in _alignments(n, _twin_prev(b.tolist()), lambda perm, rows: True)]
+    twins = _twins(b)
+    expected = [
+        p
+        for p in itertools.permutations(range(n))
+        if all(p.index(i) < p.index(j) for i in range(n) for j in range(i + 1, n) if twins[i][j])
+    ]
+    sizes = {}
+    for j in range(n):
+        first = twins[j].index(True)  # the lowest row of j's class
+        sizes[first] = sizes.get(first, 0) + 1
+    assert walked == expected
+    assert len(walked) == math.factorial(n) // math.prod(math.factorial(c) for c in sizes.values())
+
+
+def test_alignment_walk_extends_no_rejected_prefix():
+    b = _random_symmetric(rng_stream(34), 4, with_diagonal=True)
+    asked = []
+
+    def fits(perm, rows):
+        asked.append(tuple(perm[:rows]))
+        return perm[:rows] != [1, 0]
+
+    walked = [tuple(p) for p in _alignments(4, _twin_prev(b.tolist()), fits)]
+    assert walked == [p for p in itertools.permutations(range(4)) if p[:2] != (1, 0)]
+    assert (1, 0) in asked and not [p for p in asked if len(p) > 2 and p[:2] == (1, 0)]
+    assert len(set(asked)) == len(asked)
 
 
 # ---------------------------------------------------------------------------

@@ -264,8 +264,8 @@ def test_orbit_record_keeps_every_relabelling_class(inst):
     space, n = inst
     ens = enumerate_matrix_ensemble(space, n)
     mats = [m.entries for m in ens.matrices()]
-    labels, reps, calls = matmetric._relabelling_classes(mats, TOL)
-    labels_r, reps_r, calls_r = matmetric._relabelling_classes(mats, TOL, ens.orbits)
+    labels, reps, calls = matmetric._relabelling_classes(np.array(mats))
+    labels_r, reps_r, calls_r = matmetric._relabelling_classes(np.array(mats), ens.orbits)
     assert labels_r.tolist() == labels.tolist()
     assert reps_r == reps
     assert calls_r <= calls
@@ -280,9 +280,9 @@ def test_orbit_record_leaves_both_cross_grids_unchanged(inst, data):
     ens = [enumerate_matrix_ensemble(s, n) for s in (space_x, space_y)]
     ax, ay = ([m.entries for m in e.matrices()] for e in ens)
     orbits = ens[0].orbits, ens[1].orbits
-    for quotient in (True, False):
-        plain = matmetric._cross_grid(ax, ay, quotient, TOL)
-        assert matmetric._cross_grid(ax, ay, quotient, TOL, orbits).tobytes() == plain.tobytes()
+    plain = matmetric._cross_grid(ax, ay, (True, False), TOL)
+    with_orbits = matmetric._cross_grid(ax, ay, (True, False), TOL, orbits)
+    assert [g.tobytes() for g in with_orbits] == [g.tobytes() for g in plain]
 
 
 @settings(max_examples=150, deadline=None)
@@ -302,7 +302,7 @@ def test_relabelling_tests_only_the_atoms_whose_record_is_themselves(inst):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matmetric, "_is_relabelling", counting)
-        calls = matmetric._relabelling_classes(mats, TOL, ens.orbits)[2]
+        calls = matmetric._relabelling_classes(np.array(mats), ens.orbits)[2]
     assert len(tested) == calls
     assert all(ens.orbits[i] == i for i in tested)
 

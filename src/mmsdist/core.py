@@ -94,6 +94,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_tol(tol: float) -> None:
+    """Raise ValueError unless tol is finite and >= 0 (every comparison
+    with a NaN tol is false, which turns a check off)."""
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+
+
 def _check_entries(a: np.ndarray, what: str, tol: float | None = None) -> None:
     if not np.isfinite(a).all():
         raise ValueError(f"{what} has a non-finite entry (NaN or inf)")
@@ -103,6 +110,7 @@ def _check_entries(a: np.ndarray, what: str, tol: float | None = None) -> None:
 
 def as_prob_vector(x, tol: float = DEFAULT_TOL, what: str = "mass vector") -> np.ndarray:
     """A probability vector: 1-d, finite, none below -tol, summing to 1 within tol."""
+    check_tol(tol)
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"{what} must be 1-dimensional")
@@ -115,6 +123,7 @@ def as_prob_vector(x, tol: float = DEFAULT_TOL, what: str = "mass vector") -> np
 
 def as_ground_grid(d, tol: float = DEFAULT_TOL, what: str = "distance grid") -> np.ndarray:
     """A grid of distances or masses: 2-d, finite, no entry below -tol."""
+    check_tol(tol)
     a = np.asarray(d, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d {what}, got shape {a.shape}")
@@ -124,6 +133,7 @@ def as_ground_grid(d, tol: float = DEFAULT_TOL, what: str = "distance grid") -> 
 
 def as_symmetric_grid(m, tol: float = DEFAULT_TOL, what: str = "matrix") -> np.ndarray:
     """Square grids (one, or a stack along axis 0): finite, each symmetric within tol."""
+    check_tol(tol)
     a = np.asarray(m, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{what} is not square: shape {a.shape}")
@@ -192,8 +202,10 @@ def check_distance_matrix(entries, tol: float = DEFAULT_TOL) -> list[Violation]:
     diagonal, and the triangle inequality at tolerance ``tol``.  A grid
     with NaN or inf entries reports only those, since comparisons with them
     say nothing about the other axioms.  An empty list means the grid is a
-    valid (pseudo-)distance matrix.
+    valid (pseudo-)distance matrix.  A tol that is not finite and >= 0
+    raises ValueError.
     """
+    check_tol(tol)
     a = np.asarray(entries, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return [Violation("non_square", tuple(a.shape), "input grid is not square")]
@@ -330,6 +342,7 @@ class Coupling:
 
     def check_marginals(self, p, q, tol: float = DEFAULT_TOL) -> None:
         """Raise if the marginals differ from the supplied vectors beyond tol."""
+        check_tol(tol)
         gap_r = float(np.abs(self.row_marginal() - np.asarray(p, float)).max())
         gap_c = float(np.abs(self.col_marginal() - np.asarray(q, float)).max())
         if max(gap_r, gap_c) > tol:

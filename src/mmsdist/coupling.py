@@ -107,7 +107,7 @@ def delta_of_coupling(c: Coupling, tol: float = DEFAULT_TOL) -> float:
     """
     mass = as_prob_vector(c.mass.ravel(), tol, "coupling mass")
     dist = as_ground_grid(c.ground_dist, tol, "coupling distance grid")
-    return _delta(_scaled_masses(mass, ())[0], dist.ravel().tolist())
+    return _delta(_dyadic(mass)[0], dist.ravel().tolist())
 
 
 def _delta(masses, dist):

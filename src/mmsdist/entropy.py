@@ -1,12 +1,14 @@
 """Relative entropy between finite metric measure spaces: Kullback-Leibler
-divergence minimised over exhaustively enumerated isometric embeddings."""
+divergence minimised over exhaustively enumerated isometric embeddings,
+listed by the lex-order walk that exact dpi runs on, without its twin rule."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .core import DEFAULT_TOL, FiniteMMS, as_prob_vector
+from .core import DEFAULT_TOL, FiniteMMS, as_prob_vector, check_tol
+from .matmetric import _alignments
 
 __all__ = [
     "EmbeddingSet",
@@ -56,34 +58,20 @@ def _kl(pairs) -> float:
 
 def find_isometric_embeddings(y: FiniteMMS, x: FiniteMMS, tol: float = DEFAULT_TOL) -> EmbeddingSet:
     """All injective maps from y's points into x's preserving pairwise
-    distances within tol, by backtracking with partial-distance pruning."""
+    distances within tol, in lex order: the walk of exact dpi, each point's
+    image checked against the images of the points before it."""
+    check_tol(tol)
+    if y.n > x.n:
+        return EmbeddingSet(maps=())
     dy = y.dist.entries.tolist()
     dx = x.dist.entries.tolist()
-    m, n = y.n, x.n
-    found: list = []
-    if m > n:
-        return EmbeddingSet(maps=())
-    cur = [-1] * m
-    used = [False] * n
 
-    def dfs(k: int) -> None:
-        if k == m:
-            found.append(tuple(cur))
-            return
-        row = dy[k]
-        for cand in range(n):
-            if used[cand]:
-                continue
-            drow = dx[cand]
-            if all(abs(row[t] - drow[cur[t]]) <= tol for t in range(k)):
-                cur[k] = cand
-                used[cand] = True
-                dfs(k + 1)
-                used[cand] = False
-        cur[k] = -1
+    def fits(perm, rows):
+        k = rows - 1
+        row, drow = dy[k], dx[perm[k]]
+        return all(abs(row[t] - drow[perm[t]]) <= tol for t in range(k))
 
-    dfs(0)
-    return EmbeddingSet(maps=tuple(found))
+    return EmbeddingSet(maps=tuple(map(tuple, _alignments(y.n, [-1] * x.n, fits))))
 
 
 def relative_entropy_witness(y: FiniteMMS, x: FiniteMMS, tol: float = DEFAULT_TOL) -> tuple:

@@ -29,6 +29,7 @@ from .core import (
     GluingError,
     _euclidean_grid,
     as_ground_grid,
+    check_tol,
     theta_map,
 )
 from .coupling import (
@@ -154,8 +155,9 @@ def glue_by_relation(x: FiniteMMS, y: FiniteMMS, relation, t: float, tol: float 
     relation is too distorted for this t and a :class:`GluingError` is
     raised.  An empty relation, an index that is not an integer or lies
     outside either space, or a t that is negative, NaN or infinite raises
-    ValueError.
+    ValueError, and so does a tol that is not finite and >= 0.
     """
+    check_tol(tol)
     return _glue(x, y, [(i, j, t) for i, j in relation], tol)
 
 
@@ -286,8 +288,10 @@ def ghp_upper_bound(
       grid (from ``cross`` or the spaces' coordinates), bridges the best
       matching and solves the optimal coupling.
 
-    Raises :class:`StrategyError` when the strategy does not apply.
+    Raises :class:`StrategyError` when the strategy does not apply, and
+    ValueError for a tol that is not finite and >= 0.
     """
+    check_tol(tol)
     if strategy == "permutation":
         return _permutation_bound(x, y, tol, exact_limit)
     if strategy == "identify":

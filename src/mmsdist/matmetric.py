@@ -27,7 +27,9 @@ below the incumbent, and answer it with one budgeted vertex cover
 accepted swap) is scanned in full.  The walk tries one row per class of
 twins of B (rows whose swap leaves B unchanged, as repeated sample points
 do), which cuts the search without changing the value or the witness; the
-relabelling test of the dpi grids runs on the same walk.
+relabelling test of the dpi grids runs on the same walk.  The walk maps m
+rows of A into the rows of B, so :mod:`entropy` lists the isometric
+embeddings of a smaller space on it too, with no twin rule.
 The grids of dm or dpi between two lists of grids (ensemble atoms) are
 built here too, the dpi grid on classes of grids equal up to relabelling.
 """
@@ -378,22 +380,23 @@ def _twin_prev(b_list):
     return prev
 
 
-def _alignments(n, prev, fits):
-    """Every alignment of A's n rows to B's rows whose every prefix fits, in
-    lex order.
+def _alignments(m, prev, fits):
+    """Every injective map of A's m rows into B's ``len(prev)`` rows whose
+    every prefix fits, in lex order.
 
     Row k of A tries the rows of B in increasing order, and only the lowest
-    unused row of each twin class (``prev`` from :func:`_twin_prev`).  A
-    prefix is extended only when ``fits(perm, k + 1)`` holds, ``perm[:k +
-    1]`` being the prefix; a full alignment is yielded as the walk's own
-    list, which the walk goes on changing.  ``fits`` is asked afresh at each
-    prefix, so what it answers may change between yields.
+    unused row of each twin class (``prev`` from :func:`_twin_prev`; all -1
+    tries every row).  A prefix is extended only when ``fits(perm, k + 1)``
+    holds, ``perm[:k + 1]`` being the prefix; a full map is yielded as the
+    walk's own list, which the walk goes on changing.  ``fits`` is asked
+    afresh at each prefix, so what it answers may change between yields.
     """
-    perm = [-1] * n
+    n = len(prev)
+    perm = [-1] * m
     used = [False] * n
     k = j = 0  # row k of A tries rows j, j + 1, ... of B
     while k >= 0:
-        if k == n:
+        if k == m:
             yield perm
             j = n
         if j == n:  # row k fits nowhere further: move row k - 1 on

@@ -9,6 +9,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "mmsdist"
 
 # (importing module, imported module) -> the private names it may import
 ALLOWED = {
+    ("entropy", "matmetric"): {"_alignments"},
     ("experiments", "coupling"): {"_ProkhorovTo"},
     ("experiments", "matmetric"): {"_check_exact_limit", "_cross_grid"},
     ("ghp", "core"): {"_euclidean_grid"},

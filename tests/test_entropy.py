@@ -1,4 +1,6 @@
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -91,6 +93,29 @@ def test_embeddings_match_bruteforce():
         y = _uniform(DistanceMatrix(x.dist.entries[np.ix_(sub, sub)]))
         emb = find_isometric_embeddings(y, x)
         assert list(emb.maps) == embeddings_bruteforce(y, x, 1e-9)
+    # jittered planar lattice points at tol > 0, with m = n among them
+    for _ in range(30):
+        nx = int(rng.integers(1, 7))
+        ny = int(rng.integers(1, nx + 1)) if rng.random() < 0.5 else nx
+        xpts = rng.integers(0, 3, size=(nx, 2)) + rng.uniform(-1e-3, 1e-3, size=(nx, 2))
+        ypts = xpts[rng.permutation(nx)[:ny]] + rng.uniform(-1e-3, 1e-3, size=(ny, 2))
+        x, y = _uniform(DistanceMatrix.from_points(xpts)), _uniform(DistanceMatrix.from_points(ypts))
+        for tol in (1e-3, 5e-3):
+            assert list(find_isometric_embeddings(y, x, tol).maps) == embeddings_bruteforce(y, x, tol)
+
+
+def test_embeddings_past_the_recursion_limit():
+    # the search keeps no frame per point: with the recursion limit lowered
+    # to 100 frames above this test's own, a 300-point space still embeds
+    # in itself, by the identity alone
+    x = _uniform(DistanceMatrix.from_points(rng_stream(65).random((300, 2))))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        maps = find_isometric_embeddings(x, x).maps
+    finally:
+        sys.setrecursionlimit(limit)
+    assert maps == (tuple(range(300)),)
 
 
 def test_relative_entropy_self_is_zero():

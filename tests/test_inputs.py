@@ -26,11 +26,13 @@ from mmsdist import (
     empirical_space,
     enumerate_matrix_ensemble,
     epsilon_matching,
+    find_isometric_embeddings,
     ghp_upper_bound,
     glue_by_relation,
     kl_divergence,
     min_vertex_cover,
     prokhorov_distance,
+    relative_entropy,
     theta_map,
     validate_distance_matrix,
 )
@@ -401,6 +403,58 @@ DEFINED = {
 def test_degenerate_input_keeps_its_defined_answer(name):
     call, want = DEFINED[name]
     assert repr(call()) == want
+
+
+# ---------------------------------------------------------------------------
+# a tol that is not finite and >= 0, at every entry point above that takes
+# one, on input that is valid at any tol
+
+_D2 = [[0.0, 1.0], [1.0, 0.0]]
+
+TOL_CALLS = {
+    "dm": lambda tol: dm_distance(_D2, _D2, tol),
+    "exact dpi": lambda tol: dpi_distance(_D2, _D2, tol=tol),
+    "heuristic dpi": lambda tol: dpi_distance(_D2, _D2, mode="heuristic", tol=tol),
+    "prokhorov": lambda tol: prokhorov_distance([0.5, 0.5], [0.5, 0.5], _D2, tol),
+    "delta": lambda tol: delta_of_coupling(Coupling(np.eye(2) / 2, _D2), tol),
+    "marginals": lambda tol: Coupling(np.eye(2) / 2, _D2).check_marginals([0.5, 0.5], [0.5, 0.5], tol),
+    "birkhoff": lambda tol: birkhoff_decompose(np.eye(2), tol),
+    "matching": lambda tol: epsilon_matching(_D2, 0.5, tol),
+    "kl": lambda tol: kl_divergence([0.5, 0.5], [0.5, 0.5], tol),
+    "embeddings": lambda tol: find_isometric_embeddings(_space(2), _space(2), tol),
+    "relative entropy": lambda tol: relative_entropy(_space(2), _space(2), tol),
+    "space": lambda tol: FiniteMMS(("p0", "p1"), DistanceMatrix(_D2), [0.5, 0.5], tol=tol),
+    "ensemble": lambda tol: MatrixEnsemble(((DistanceMatrix(_D2), 1.0),), tol=tol),
+    "metric": lambda tol: validate_distance_matrix(_D2, tol),
+    "point cloud": lambda tol: ModelSpace.euclidean_points(np.zeros((2, 2)), [0.5, 0.5], tol),
+    "ensemble enumeration": lambda tol: enumerate_matrix_ensemble(ModelSpace.finite(_space(2)), 2, tol=tol),
+    "permutation bound": lambda tol: ghp_upper_bound(_space(2), _space(2), "permutation", tol),
+    "identify bound": lambda tol: ghp_upper_bound(_space(2), _space(2), "identify", tol),
+    "net bound": lambda tol: ghp_upper_bound(_space(2), _space(2), "net", tol, cross=_D2),
+    "glue": lambda tol: glue_by_relation(_space(2), _space(2), [(0, 0)], 0.5, tol),
+}
+
+BAD_TOLS = [np.nan, np.inf, -1.0]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+@pytest.mark.parametrize("name", list(TOL_CALLS))
+def test_bad_tol_raises_an_error_naming_tol(name, tol):
+    TOL_CALLS[name](1e-9)  # valid at a valid tol
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        TOL_CALLS[name](tol)
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_cli_rejects_a_bad_tol(tmp_path, capsys, tol):
+    # a NaN tol passed an asymmetric matrix and marginals summing to 0.4
+    a = tmp_path / "a.mat"
+    a.write_text("2\n0 1\n2 0\n")
+    p = tmp_path / "p.json"
+    p.write_text("[0.2, 0.2]")
+    for argv in (["dm", str(a), str(a)], ["prokhorov", str(p), str(p), str(a)]):
+        assert main(["--tol", str(tol), *argv]) == 2
+        assert "tol must be finite and >= 0" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .core import (
     DistanceMatrix,
     FiniteMMS,
     SizeLimitError,
+    check_tol,
     validate_distance_matrix,
 )
 from .coupling import _ProkhorovTo, prokhorov_distance
@@ -149,8 +150,8 @@ def _ensemble_grids(space_x, space_y, n: int, quotients, budget: int, tol: float
     if ens_x.size * ens_y.size > budget:
         raise BudgetError(f"{ens_x.size} x {ens_y.size} grid exceeds the budget of {budget}")
     ax, ay = ([m.entries for m in ens.matrices()] for ens in (ens_x, ens_y))
-    orbits = ens_x.orbits, ens_y.orbits
-    return ens_x, ens_y, _cross_grid(ax, ay, quotients, tol, orbits)
+    orbits, tuples = (ens_x.orbits, ens_y.orbits), (ens_x.tuples, ens_y.tuples)
+    return ens_x, ens_y, _cross_grid(ax, ay, quotients, tol, orbits, tuples)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +300,7 @@ def check_sharp_exponent(
     both fit the budget; else a note names the first of these that fails.
     The limit is checked before the ensembles are enumerated.
     """
+    check_tol(tol)
     if not 0.5 < alpha < 1.0:
         raise ValueError("alpha must lie in (1/2, 1)")
     n_default, lo, hi = sharp_window(c, alpha, epsilon)

@@ -31,7 +31,8 @@ relabelling test of the dpi grids runs on the same walk.  The walk maps m
 rows of A into the rows of B, so :mod:`entropy` lists the isometric
 embeddings of a smaller space on it too, with no twin rule.
 The grids of dm or dpi between two lists of grids (ensemble atoms) are
-built here too, the dpi grid on classes of grids equal up to relabelling.
+built here too, the dpi grid on classes of grids equal up to relabelling
+and the dm grid on joint relabelling orbits of sample tuples.
 """
 
 from __future__ import annotations
@@ -621,28 +622,61 @@ def _relabelling_classes(grids, orbits=None):
     return labels, reps, calls
 
 
-def _cross_grid(mats_x, mats_y, quotients, tol: float, orbits=(None, None)):
+def _dm_grid(sides, tuples):
+    """dm of every grid of one checked stack against every grid of another,
+    one :func:`_aligned_scan` per joint sample orbit.
+
+    With both sides' tuple records (:attr:`core.MatrixEnsemble.tuples`),
+    grid i of the first side is the matrix of the sample tuple ``t_i`` and
+    grid j of the second that of ``u_j``, so the pair (i, j) draws the
+    joint cells ``t_i * k_y + u_j`` (k_y above every entry of the second
+    record).  Two pairs whose sorted cells are equal are one joint
+    relabelling of each other: their gaps are the same floats on relabelled
+    pairs, provided every grid equals its transpose exactly (the gap rule
+    reads the lower triangle), and so they have the same dm.  Then each
+    distinct sorted row of cells is scanned once and its value copied to
+    every pair that has it.  Without both records, or when some grid is
+    not exactly symmetric, every pair is scanned.
+    """
+    nx, ny = (len(g) for g in sides)
+    rows_x, rows_y = (g.tolist() for g in sides)
+    tx, ty = tuples
+    if tx is None or ty is None or not all(np.array_equal(g, g.swapaxes(1, 2)) for g in sides):
+        scans = [(i, j) for i in range(nx) for j in range(ny)]
+        orbit = np.arange(nx * ny)
+        log.debug("dm grid: %d x %d atoms -> %d pairs, each scanned", nx, ny, len(scans))
+    else:
+        cells = (tx[:, None, :] * (int(ty.max()) + 1) + ty[None, :, :]).reshape(nx * ny, -1)
+        _, first, orbit = np.unique(np.sort(cells, axis=1), axis=0, return_index=True, return_inverse=True)
+        scans = [divmod(p, ny) for p in first.tolist()]
+        log.debug("dm grid: %d x %d atoms -> %d joint orbits", nx, ny, len(scans))
+    values = np.array([_aligned_scan(rows_x[i], rows_y[j], range(len(rows_x[i])))[1] for i, j in scans])
+    return values[orbit.ravel()].reshape(nx, ny)
+
+
+def _cross_grid(mats_x, mats_y, quotients, tol: float, orbits=(None, None), tuples=(None, None)):
     """One grid per entry of ``quotients``: exact dpi (True; the caller
     checks the size limit) or dm (False) of every grid of ``mats_x``
     against every grid of ``mats_y``, all of one size, bit-identical to
     per-pair :func:`dpi_distance` or :func:`dm_distance` calls.  ``orbits``
-    holds the two sides' orbit records (or None), which the dpi classes
-    use.
+    and ``tuples`` hold the two sides' orbit and tuple records (or None),
+    which the dpi classes and the dm orbits use.
 
     Each side is checked once (ValueError when a grid is non-finite or
     asymmetric beyond tol), before any distance, and the cells run the
     private paths without building witnesses.  dpi is invariant under
     relabelling either grid, so its grid is one exact dpi per pair of
     :func:`_relabelling_classes`, copied to every pair of the two classes
-    (relabelling only permutes the same float gaps).  dm is not, and runs
-    on every pair.
+    (relabelling only permutes the same float gaps).  dm is invariant only
+    under relabelling both grids by one permutation, and only on exactly
+    symmetric grids, so its grid is one scan per joint sample orbit
+    (:func:`_dm_grid`), or one per pair without that.
     """
     sides = [as_symmetric_grid(m, tol, "ensemble atom") for m in (mats_x, mats_y)]
 
     def grid(quotient):
         if not quotient:
-            rows_x, rows_y = (g.tolist() for g in sides)
-            return np.array([[_aligned_scan(a, b, range(len(a)))[1] for b in rows_y] for a in rows_x])
+            return _dm_grid(sides, tuples)
         (label_x, rows_x, calls_x), (label_y, rows_y, calls_y) = map(_relabelling_classes, sides, orbits)
         log.debug(
             "dpi grid: %d x %d atoms -> %d x %d classes, "

@@ -23,6 +23,7 @@ from .core import (
     MatrixEnsemble,
     as_point_cloud,
     as_prob_vector,
+    check_tol,
 )
 
 __all__ = [
@@ -78,6 +79,7 @@ class ModelSpace:
         """Weighted point cloud (rows are points; 1-D coordinates are one
         column); the weights, uniform by default, must be a probability
         vector within ``tol``, as :class:`FiniteMMS` masses are."""
+        check_tol(tol)
         c = as_point_cloud(coords)
         m = np.full(len(c), 1.0 / len(c)) if mass is None else as_prob_vector(mass, tol, "weights")
         if m.shape != (len(c),):
@@ -160,11 +162,15 @@ def enumerate_matrix_ensemble(
     tuple, and identical matrices merge with their probabilities summed in
     tuple order.  Atom order is first occurrence in tuple order.
 
-    The ensemble carries its orbit record (:attr:`MatrixEnsemble.orbits`):
-    for each atom, the atom of its first tuple sorted.  Sorting a tuple
-    relabels its matrix exactly, and the sorted tuple comes no later in
-    lexicographic order, so that atom is an exact relabelling of this one
-    and comes no later in atom order.
+    The ensemble carries two records of its atoms' first tuples.  The orbit
+    record (:attr:`MatrixEnsemble.orbits`) holds, for each atom, the atom
+    of its first tuple sorted.  Sorting a tuple relabels its matrix
+    exactly, and the sorted tuple comes no later in lexicographic order, so
+    that atom is an exact relabelling of this one and comes no later in
+    atom order.  The tuple record (:attr:`MatrixEnsemble.tuples`) holds the
+    first tuples themselves, as positions among the k support points (an
+    atoms x n int array): atom i is the matrix of the support points
+    ``tuples[i]``.
     """
     if n < 1:
         raise ValueError("need at least one sample point")
@@ -189,11 +195,14 @@ def enumerate_matrix_ensemble(
     order = np.argsort(first)  # the distinct matrices in order of first occurrence
     atom_of = np.argsort(order)[inverse]  # the atom of every tuple
     first = first[order]  # the first tuple of every atom
-    orbits = atom_of[np.sort(digits[first], axis=1) @ place].tolist()
+    tuples = digits[first]
+    tuples.setflags(write=False)
+    orbits = atom_of[np.sort(tuples, axis=1) @ place].tolist()
     mats = d[idx[first, :, None], idx[first, None, :]]
     atoms = tuple(zip(map(DistanceMatrix, mats), np.bincount(atom_of, weights=probs).tolist()))
     ens = MatrixEnsemble(atoms=atoms, tol=tol)
     object.__setattr__(ens, "orbits", tuple(orbits))
+    object.__setattr__(ens, "tuples", tuples)
     log.debug(
         "ensemble: n = %d, %d tuples -> %d atoms, %d orbit representatives",
         n, k**n, len(atoms), sum(i == j for i, j in enumerate(orbits)),

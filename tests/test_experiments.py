@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmsdist import (
     DistanceMatrix,
     FiniteMMS,
+    MatrixEnsemble,
     ModelSpace,
     SizeLimitError,
     dm_distance,
@@ -318,6 +321,124 @@ def test_cross_grid_checks_every_atom_before_any_distance(monkeypatch, distance)
             matmetric._cross_grid(atoms_x, atoms, (distance is dpi_distance,), 1e-9)
         with pytest.raises(ValueError, match=message):
             matmetric._cross_grid(atoms, atoms_x, (distance is dpi_distance,), 1e-9)
+
+
+@st.composite
+def _small_spaces(draw):
+    """A model space of 1-3 points with integer weights, zeros allowed:
+    lattice points (ties and coincident points), random points, or random
+    points whose grid is asymmetric within tol (5e-10 added above the
+    diagonal)."""
+    kind = draw(st.sampled_from(["lattice", "random", "asymmetric"]))
+    k = draw(st.integers(1, 3))
+    if kind == "lattice":
+        pts = np.array(draw(st.lists(st.integers(0, 2), min_size=2 * k, max_size=2 * k)), float) / 2
+    else:
+        pts = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=2 * k, max_size=2 * k)))
+    d = DistanceMatrix.from_points(pts.reshape(k, 2)).entries.copy()
+    if kind == "asymmetric":
+        d[np.triu_indices(k, 1)] += 5e-10
+    weights = np.array(draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)), float)
+    if not weights.any():
+        weights[draw(st.integers(0, k - 1))] = 1.0
+    space = FiniteMMS(tuple(f"p{i}" for i in range(k)), DistanceMatrix(d), weights / weights.sum())
+    return ModelSpace.finite(space)
+
+
+@st.composite
+def _small_space_pairs(draw):
+    """Two spaces of :func:`_small_spaces` and a sample size of 1-5 whose
+    tuples number at most 32 on either side."""
+    x, y = draw(_small_spaces()), draw(_small_spaces())
+    k = max(s.space.n for s in (x, y))
+    return x, y, draw(st.integers(1, max(n for n in range(1, 6) if k**n <= 32)))
+
+
+class _DmGridLog(logging.Handler):
+    """The ``dm grid`` lines logged, and the :func:`matmetric._aligned_scan`
+    calls made, while in use."""
+
+    def __enter__(self):
+        self.lines, self.scans = [], 0
+        scan, logger = matmetric._aligned_scan, logging.getLogger("mmsdist")
+
+        def counting(*args):
+            self.scans += 1
+            return scan(*args)
+
+        self._patch = pytest.MonkeyPatch()
+        self._patch.setattr(matmetric, "_aligned_scan", counting)
+        self._level = logger.level
+        logger.setLevel(logging.DEBUG)
+        logger.addHandler(self)
+        return self
+
+    def __exit__(self, *exc):
+        logger = logging.getLogger("mmsdist")
+        logger.removeHandler(self)
+        logger.setLevel(self._level)
+        self._patch.undo()
+
+    def emit(self, record):
+        if record.getMessage().startswith("dm grid"):
+            self.lines.append(record.getMessage())
+
+
+def _exactly_symmetric(*ensembles):
+    return all(np.array_equal(m.entries, m.entries.T) for e in ensembles for m in e.matrices())
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_space_pairs())
+def test_dm_grid_equals_per_pair_dm(inst):
+    # bit for bit, whether the grid scans one pair per joint sample orbit
+    # (exactly symmetric atoms) or every pair (asymmetric within tol, or an
+    # ensemble built by hand, which has no tuple record)
+    x, y, n = inst
+    with _DmGridLog() as log:
+        ens_x, ens_y, (grid,) = experiments._ensemble_grids(x, y, n, (False,), 10**6, 1e-9)
+    per_pair = np.array([[dm_distance(a.entries, b.entries).value for b in ens_y.matrices()] for a in ens_x.matrices()])
+    assert grid.shape == (ens_x.size, ens_y.size)
+    assert grid.tobytes() == per_pair.tobytes()
+    path = "joint orbits" if _exactly_symmetric(ens_x, ens_y) else "pairs, each scanned"
+    assert log.lines[0].endswith(path)
+
+    hand_built = [MatrixEnsemble(atoms=e.atoms) for e in (ens_x, ens_y)]
+    assert [e.tuples for e in hand_built] == [None, None]
+    ax, ay = ([m.entries for m in e.matrices()] for e in hand_built)
+    with _DmGridLog() as log:
+        (plain,) = matmetric._cross_grid(ax, ay, (False,), 1e-9, tuples=tuple(e.tuples for e in hand_built))
+    assert plain.tobytes() == grid.tobytes()
+    assert log.lines == [f"dm grid: {ens_x.size} x {ens_y.size} atoms -> {grid.size} pairs, each scanned"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_space_pairs())
+def test_dm_grid_scans_once_per_joint_orbit(inst):
+    # cost law: Z scans for Z joint orbits, and Z is at most the number of
+    # pairs and the number of multisets of n joint cells
+    x, y, n = inst
+    with _DmGridLog() as log:
+        ens_x, ens_y, _ = experiments._ensemble_grids(x, y, n, (False,), 10**6, 1e-9)
+    nx, ny = ens_x.size, ens_y.size
+    if not _exactly_symmetric(ens_x, ens_y):
+        assert log.lines == [f"dm grid: {nx} x {ny} atoms -> {nx * ny} pairs, each scanned"]
+        assert log.scans == nx * ny
+        return
+    c = np.count_nonzero(x.space.mass) * np.count_nonzero(y.space.mass)
+    z = log.scans
+    assert log.lines == [f"dm grid: {nx} x {ny} atoms -> {z} joint orbits"]
+    assert z <= min(nx * ny, math.comb(n + c - 1, n))
+
+
+def test_gpaction_dm_grid_logs_its_joint_orbits(caplog):
+    # 2 x 2 joint cells and 4 draws: every atom's first tuple starts at
+    # point 0, so a pair's cells are (0, 0) and any multiset of 3 of the 4
+    # cells, C(6, 3) = 20 joint orbits for the 8 x 8 atom pairs
+    with caplog.at_level(logging.DEBUG, logger="mmsdist"):
+        check_group_invariance(n=4)
+    lines = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("dm grid")]
+    assert lines == ["dm grid: 8 x 8 atoms -> 20 joint orbits"]
 
 
 def test_group_invariance_checks_each_side_once(monkeypatch):

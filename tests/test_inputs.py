@@ -37,6 +37,7 @@ from mmsdist import (
     validate_distance_matrix,
 )
 from mmsdist.cli import main
+from mmsdist.experiments import check_sharp_exponent
 
 
 def _bad(draw):
@@ -427,6 +428,8 @@ TOL_CALLS = {
     "ensemble": lambda tol: MatrixEnsemble(((DistanceMatrix(_D2), 1.0),), tol=tol),
     "metric": lambda tol: validate_distance_matrix(_D2, tol),
     "point cloud": lambda tol: ModelSpace.euclidean_points(np.zeros((2, 2)), [0.5, 0.5], tol),
+    "uniform point cloud": lambda tol: ModelSpace.euclidean_points(np.zeros((2, 2)), tol=tol),
+    "sharp check": lambda tol: check_sharp_exponent(tol=tol),
     "ensemble enumeration": lambda tol: enumerate_matrix_ensemble(ModelSpace.finite(_space(2)), 2, tol=tol),
     "permutation bound": lambda tol: ghp_upper_bound(_space(2), _space(2), "permutation", tol),
     "identify bound": lambda tol: ghp_upper_bound(_space(2), _space(2), "identify", tol),
@@ -452,7 +455,8 @@ def test_cli_rejects_a_bad_tol(tmp_path, capsys, tol):
     a.write_text("2\n0 1\n2 0\n")
     p = tmp_path / "p.json"
     p.write_text("[0.2, 0.2]")
-    for argv in (["dm", str(a), str(a)], ["prokhorov", str(p), str(p), str(a)]):
+    # check sharp at its defaults skips the exact step, so it compares no tol
+    for argv in (["dm", str(a), str(a)], ["prokhorov", str(p), str(p), str(a)], ["check", "sharp"]):
         assert main(["--tol", str(tol), *argv]) == 2
         assert "tol must be finite and >= 0" in capsys.readouterr().err
 

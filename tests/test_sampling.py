@@ -260,6 +260,22 @@ def test_orbit_record_points_to_an_earlier_exact_relabelling(inst):
 
 @settings(max_examples=150, deadline=None)
 @given(_ensemble_spaces())
+def test_tuple_record_draws_each_atom(inst):
+    # atom i is, byte for byte, the matrix of the support points tuples[i],
+    # and its record is the first tuple in lex order that draws it
+    space, n = inst
+    ens = enumerate_matrix_ensemble(space, n)
+    d = space.space.dist.entries
+    support = np.flatnonzero(space.space.mass > 0.0)
+    assert ens.tuples.shape == (ens.size, n) and not ens.tuples.flags.writeable
+    drawn = {}
+    for t in itertools.product(range(support.size), repeat=n):
+        drawn.setdefault(d[np.ix_(support[list(t)], support[list(t)])].tobytes(), list(t))
+    assert [drawn[m.entries.tobytes()] for m in ens.matrices()] == ens.tuples.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ensemble_spaces())
 def test_orbit_record_keeps_every_relabelling_class(inst):
     space, n = inst
     ens = enumerate_matrix_ensemble(space, n)
@@ -312,6 +328,7 @@ def test_only_an_enumerated_ensemble_has_an_orbit_record():
     hand_built = MatrixEnsemble(atoms=((m, 1.0),))
     enumerated = enumerate_matrix_ensemble(ModelSpace.finite(two_point_space(1.0, 0.25, "x")), 2)
     assert hand_built.orbits is None and enumerated.orbits == (0, 1)
+    assert hand_built.tuples is None and enumerated.tuples.tolist() == [[0, 0], [0, 1]]
     # the record is not part of the value: reprs are those of the atoms alone
     assert repr(enumerated) == repr(MatrixEnsemble(atoms=enumerated.atoms))
 

@@ -360,17 +360,14 @@ class MatrixEnsemble:
     """Finitely supported distribution over distance matrices of one size.
 
     An ensemble from :func:`sampling.enumerate_matrix_ensemble` also carries
-    two records of its atoms' first sample tuples.  ``orbits[i]`` is the
-    atom of atom i's first tuple sorted, an exact relabelling of atom i
-    that never comes later.  ``tuples[i]`` is that first tuple itself, as
-    positions among the space's support points (a read-only atoms x n int
-    array), so atom i is the matrix of those points.  A hand-built ensemble
-    has ``orbits = tuples = None``.
+    one record, its atoms' first sample tuples: ``tuples[i]`` is atom i's
+    first tuple, as positions among the space's support points (a
+    read-only atoms x n int array), so atom i is the matrix of those
+    points.  A hand-built ensemble has ``tuples = None``.
     """
 
     atoms: tuple  # of (DistanceMatrix, probability)
     tol: InitVar[float] = DEFAULT_TOL  # of the probability check; not stored
-    orbits: tuple | None = field(default=None, init=False, repr=False)
     tuples: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self, tol):

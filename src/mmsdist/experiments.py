@@ -139,7 +139,7 @@ def four_point_square() -> FiniteMMS:
 
 def _ensemble_grids(space_x, space_y, n: int, quotients, budget: int, tol: float):
     """Exact ensembles of n draws from ``space_x`` and ``space_y``, and one
-    :func:`matmetric._cross_grid` of their atoms per entry of ``quotients``
+    :func:`matmetric._cross_grid` of the two per entry of ``quotients``
     (True: exact dpi, False: dm).  Each guard runs once, before the work it
     protects: the exact limit when any grid is dpi, before enumerating; the
     k^n tuple budget in :func:`enumerate_matrix_ensemble`; the grid budget
@@ -149,9 +149,7 @@ def _ensemble_grids(space_x, space_y, n: int, quotients, budget: int, tol: float
     ens_x, ens_y = (enumerate_matrix_ensemble(s, n, budget, tol) for s in (space_x, space_y))
     if ens_x.size * ens_y.size > budget:
         raise BudgetError(f"{ens_x.size} x {ens_y.size} grid exceeds the budget of {budget}")
-    ax, ay = ([m.entries for m in ens.matrices()] for ens in (ens_x, ens_y))
-    orbits, tuples = (ens_x.orbits, ens_y.orbits), (ens_x.tuples, ens_y.tuples)
-    return ens_x, ens_y, _cross_grid(ax, ay, quotients, tol, orbits, tuples)
+    return ens_x, ens_y, _cross_grid(ens_x, ens_y, quotients, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +214,8 @@ def check_hoelder_small_n(
     """
     if not 0.0 < epsilon < 0.25:
         raise ValueError("epsilon must lie in (0, 1/4)")
+    if mc_trials < 0:
+        raise ValueError(f"mc_trials must be >= 0, got {mc_trials}")
     x, y = sharp_pair(0.25, epsilon)
     ens_x, ens_y, (grid,) = _ensemble_grids(ModelSpace.finite(x), ModelSpace.finite(y), n, (True,), budget, tol)
     ghp = ghp_upper_bound(x, y, "identify", tol=tol)

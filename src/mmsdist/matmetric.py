@@ -30,9 +30,9 @@ do), which cuts the search without changing the value or the witness; the
 relabelling test of the dpi grids runs on the same walk.  The walk maps m
 rows of A into the rows of B, so :mod:`entropy` lists the isometric
 embeddings of a smaller space on it too, with no twin rule.
-The grids of dm or dpi between two lists of grids (ensemble atoms) are
-built here too, the dpi grid on classes of grids equal up to relabelling
-and the dm grid on joint relabelling orbits of sample tuples.
+The grids of dm or dpi between two ensembles' atoms are built here too,
+on classes of grids equal up to relabelling (dpi) and on joint sample
+orbits (dm); both find orbits by :func:`_sample_orbits` on the tuples.
 """
 
 from __future__ import annotations
@@ -573,7 +573,16 @@ def dpi_distance(
     raise ValueError(f"unknown mode {mode!r}: expected 'exact' or 'heuristic'")
 
 
-def _relabelling_classes(grids, orbits=None):
+def _sample_orbits(keys):
+    """For each row of an int array (sample tuples, or joint cells), the
+    first row whose sorted entries equal its own: sorting relabels draws."""
+    srt = np.sort(keys, axis=1)
+    rows = srt.view(np.dtype((np.void, srt.shape[1] * srt.itemsize))).ravel().tolist()
+    first: dict = {}
+    return [first.setdefault(r, p) for p, r in enumerate(rows)]
+
+
+def _relabelling_classes(grids, tuples=None):
     """Partition a stack of equal-size grids, which the caller has checked
     finite and symmetric within tol, into classes of grids equal up to
     relabelling.
@@ -586,24 +595,25 @@ def _relabelling_classes(grids, orbits=None):
     reads full rows, so on a grid asymmetric within tol it may only split a
     class.
 
-    With an orbit record (:attr:`core.MatrixEnsemble.orbits`), a grid whose
-    record is an earlier grid takes that grid's class untested: it is an
-    exact relabelling of that grid, and an exact relabelling of the
-    candidate changes no test's verdict against any representative (the
-    permutations compose), so the tests would have put it in that class.
-    Only the grids whose record is themselves are converted to lists,
-    bucketed and tested.  Returns the class of every grid, the
-    representative (first member, as nested lists) of every class and the
-    relabelling tests made.
+    With a tuple record (:attr:`core.MatrixEnsemble.tuples`), a grid whose
+    sample orbit (:func:`_sample_orbits`) starts at an earlier grid takes
+    that grid's class untested: both relabel the sorted tuple's matrix
+    exactly, and an exact relabelling of the candidate changes no test's
+    verdict against any representative (the permutations compose), so the
+    tests would have put it in that class.  Only the grids that start their
+    orbit (all, without a record) are converted, bucketed and tested.
+    Returns the class of every grid, the representative (first member, as
+    nested lists) of every class and the relabelling tests made.
     """
+    orbit = range(len(grids)) if tuples is None else _sample_orbits(tuples)
     buckets: dict = {}
     labels = np.empty(len(grids), dtype=int)
     reps: list = []
     sorted_reps: list = []
     calls = 0
     for i, grid in enumerate(grids):
-        if orbits is not None and orbits[i] != i:
-            labels[i] = labels[orbits[i]]
+        if orbit[i] != i:
+            labels[i] = labels[orbit[i]]
             continue
         rows = grid.tolist()
         srt = [tuple(sorted(r)) for r in rows]
@@ -633,34 +643,33 @@ def _dm_grid(sides, tuples):
     record).  Two pairs whose sorted cells are equal are one joint
     relabelling of each other: their gaps are the same floats on relabelled
     pairs, provided every grid equals its transpose exactly (the gap rule
-    reads the lower triangle), and so they have the same dm.  Then each
-    distinct sorted row of cells is scanned once and its value copied to
-    every pair that has it.  Without both records, or when some grid is
-    not exactly symmetric, every pair is scanned.
+    reads the lower triangle), and so they have the same dm: the first
+    pair of each joint orbit (:func:`_sample_orbits`) is scanned, and its
+    value copied to the rest.  Without both records, or when some grid is
+    not exactly symmetric, every pair is its own orbit.
     """
     nx, ny = (len(g) for g in sides)
     rows_x, rows_y = (g.tolist() for g in sides)
     tx, ty = tuples
     if tx is None or ty is None or not all(np.array_equal(g, g.swapaxes(1, 2)) for g in sides):
-        scans = [(i, j) for i in range(nx) for j in range(ny)]
-        orbit = np.arange(nx * ny)
-        log.debug("dm grid: %d x %d atoms -> %d pairs, each scanned", nx, ny, len(scans))
+        orbit, path = range(nx * ny), "pairs, each scanned"
     else:
         cells = (tx[:, None, :] * (int(ty.max()) + 1) + ty[None, :, :]).reshape(nx * ny, -1)
-        _, first, orbit = np.unique(np.sort(cells, axis=1), axis=0, return_index=True, return_inverse=True)
-        scans = [divmod(p, ny) for p in first.tolist()]
-        log.debug("dm grid: %d x %d atoms -> %d joint orbits", nx, ny, len(scans))
-    values = np.array([_aligned_scan(rows_x[i], rows_y[j], range(len(rows_x[i])))[1] for i, j in scans])
-    return values[orbit.ravel()].reshape(nx, ny)
+        orbit, path = _sample_orbits(cells), "joint orbits"
+    values: list = []
+    for p, o in enumerate(orbit):
+        a, b = rows_x[p // ny], rows_y[p % ny]
+        values.append(values[o] if o < p else _aligned_scan(a, b, range(len(a)))[1])
+    log.debug("dm grid: %d x %d atoms -> %d %s", nx, ny, len(set(orbit)), path)
+    return np.array(values).reshape(nx, ny)
 
 
-def _cross_grid(mats_x, mats_y, quotients, tol: float, orbits=(None, None), tuples=(None, None)):
+def _cross_grid(ens_x, ens_y, quotients, tol: float):
     """One grid per entry of ``quotients``: exact dpi (True; the caller
-    checks the size limit) or dm (False) of every grid of ``mats_x``
-    against every grid of ``mats_y``, all of one size, bit-identical to
-    per-pair :func:`dpi_distance` or :func:`dm_distance` calls.  ``orbits``
-    and ``tuples`` hold the two sides' orbit and tuple records (or None),
-    which the dpi classes and the dm orbits use.
+    checks the size limit) or dm (False) of every atom of the ensemble
+    ``ens_x`` against every atom of ``ens_y``, all of one size,
+    bit-identical to per-pair :func:`dpi_distance` or :func:`dm_distance`
+    calls; the dpi classes and the dm orbits read the two tuple records.
 
     Each side is checked once (ValueError when a grid is non-finite or
     asymmetric beyond tol), before any distance, and the cells run the
@@ -672,12 +681,13 @@ def _cross_grid(mats_x, mats_y, quotients, tol: float, orbits=(None, None), tupl
     symmetric grids, so its grid is one scan per joint sample orbit
     (:func:`_dm_grid`), or one per pair without that.
     """
-    sides = [as_symmetric_grid(m, tol, "ensemble atom") for m in (mats_x, mats_y)]
+    sides = [as_symmetric_grid([m.entries for m in e.matrices()], tol, "ensemble atom") for e in (ens_x, ens_y)]
+    tuples = ens_x.tuples, ens_y.tuples
 
     def grid(quotient):
         if not quotient:
             return _dm_grid(sides, tuples)
-        (label_x, rows_x, calls_x), (label_y, rows_y, calls_y) = map(_relabelling_classes, sides, orbits)
+        (label_x, rows_x, calls_x), (label_y, rows_y, calls_y) = map(_relabelling_classes, sides, tuples)
         log.debug(
             "dpi grid: %d x %d atoms -> %d x %d classes, "
             "%d relabelling tests, %d class-pair dpi calls",

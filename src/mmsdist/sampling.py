@@ -38,7 +38,11 @@ log = logging.getLogger("mmsdist")
 
 
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
-    """Philox generator for the given (seed, stream) pair."""
+    """Philox generator for the given (seed, stream) pair, each an integer
+    in [0, 2**64)."""
+    for name, value in (("seed", seed), ("stream", stream)):
+        if not (isinstance(value, (int, np.integer)) and 0 <= int(value) < 2**64):
+            raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -162,15 +166,11 @@ def enumerate_matrix_ensemble(
     tuple, and identical matrices merge with their probabilities summed in
     tuple order.  Atom order is first occurrence in tuple order.
 
-    The ensemble carries two records of its atoms' first tuples.  The orbit
-    record (:attr:`MatrixEnsemble.orbits`) holds, for each atom, the atom
-    of its first tuple sorted.  Sorting a tuple relabels its matrix
-    exactly, and the sorted tuple comes no later in lexicographic order, so
-    that atom is an exact relabelling of this one and comes no later in
-    atom order.  The tuple record (:attr:`MatrixEnsemble.tuples`) holds the
-    first tuples themselves, as positions among the k support points (an
-    atoms x n int array): atom i is the matrix of the support points
-    ``tuples[i]``.
+    The ensemble carries one record, its atoms' first tuples
+    (:attr:`MatrixEnsemble.tuples`), as positions among the k support
+    points (an atoms x n int array): atom i is the matrix of the support
+    points ``tuples[i]``.  Sorting a tuple relabels its matrix exactly, so
+    atoms whose tuples sort alike are relabellings of one another.
     """
     if n < 1:
         raise ValueError("need at least one sample point")
@@ -197,14 +197,9 @@ def enumerate_matrix_ensemble(
     first = first[order]  # the first tuple of every atom
     tuples = digits[first]
     tuples.setflags(write=False)
-    orbits = atom_of[np.sort(tuples, axis=1) @ place].tolist()
     mats = d[idx[first, :, None], idx[first, None, :]]
     atoms = tuple(zip(map(DistanceMatrix, mats), np.bincount(atom_of, weights=probs).tolist()))
     ens = MatrixEnsemble(atoms=atoms, tol=tol)
-    object.__setattr__(ens, "orbits", tuple(orbits))
     object.__setattr__(ens, "tuples", tuples)
-    log.debug(
-        "ensemble: n = %d, %d tuples -> %d atoms, %d orbit representatives",
-        n, k**n, len(atoms), sum(i == j for i, j in enumerate(orbits)),
-    )
+    log.debug("ensemble: n = %d, %d tuples -> %d atoms", n, k**n, len(atoms))
     return ens

@@ -308,7 +308,7 @@ def test_cross_grid_checks_every_atom_before_any_distance(monkeypatch, distance)
 
     monkeypatch.setattr(matmetric, "_aligned_scan", refuse)
     monkeypatch.setattr(matmetric, "_dpi_exact", refuse)
-    atoms_x = [m.entries for m in enumerate_matrix_ensemble(_two_point_model(0.5, 0.1, "x"), 3).matrices()]
+    ens_x = enumerate_matrix_ensemble(_two_point_model(0.5, 0.1, "x"), 3)
     atoms_y = [m.entries for m in enumerate_matrix_ensemble(_two_point_model(1.0, 0.1, "y"), 3).matrices()]
     skew = np.zeros((3, 3))
     skew[0, 1] = 1e-6
@@ -317,10 +317,11 @@ def test_cross_grid_checks_every_atom_before_any_distance(monkeypatch, distance)
         "not symmetric within 1e-09": atoms_y + [skew],
     }
     for message, atoms in bad.items():
+        ens = MatrixEnsemble(atoms=[(DistanceMatrix(a), 1 / len(atoms)) for a in atoms])
         with pytest.raises(ValueError, match=message):
-            matmetric._cross_grid(atoms_x, atoms, (distance is dpi_distance,), 1e-9)
+            matmetric._cross_grid(ens_x, ens, (distance is dpi_distance,), 1e-9)
         with pytest.raises(ValueError, match=message):
-            matmetric._cross_grid(atoms, atoms_x, (distance is dpi_distance,), 1e-9)
+            matmetric._cross_grid(ens, ens_x, (distance is dpi_distance,), 1e-9)
 
 
 @st.composite
@@ -405,9 +406,8 @@ def test_dm_grid_equals_per_pair_dm(inst):
 
     hand_built = [MatrixEnsemble(atoms=e.atoms) for e in (ens_x, ens_y)]
     assert [e.tuples for e in hand_built] == [None, None]
-    ax, ay = ([m.entries for m in e.matrices()] for e in hand_built)
     with _DmGridLog() as log:
-        (plain,) = matmetric._cross_grid(ax, ay, (False,), 1e-9, tuples=tuple(e.tuples for e in hand_built))
+        (plain,) = matmetric._cross_grid(*hand_built, (False,), 1e-9)
     assert plain.tobytes() == grid.tobytes()
     assert log.lines == [f"dm grid: {ens_x.size} x {ens_y.size} atoms -> {grid.size} pairs, each scanned"]
 

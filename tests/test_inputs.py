@@ -37,7 +37,8 @@ from mmsdist import (
     validate_distance_matrix,
 )
 from mmsdist.cli import main
-from mmsdist.experiments import check_sharp_exponent
+from mmsdist.experiments import check_hoelder_small_n, check_sharp_exponent
+from mmsdist.sampling import rng_stream
 
 
 def _bad(draw):
@@ -333,6 +334,20 @@ CASES.update({
         lambda d, n: partial(empirical_space, ModelSpace.interval(), 0, 0),
         "need at least one sample point",
     ),
+    # a negative seed ended in an OverflowError, a float one was truncated
+    "sampling: seed outside [0, 2**64)": (
+        lambda d, n: partial(empirical_space, ModelSpace.interval(), n, d(st.sampled_from([-1, 2**64, 1.5]))),
+        "seed must be an integer in [0, 2**64)",
+    ),
+    "sampling: stream outside [0, 2**64)": (
+        lambda d, n: partial(rng_stream, 0, d(st.sampled_from([-1, 2**64, 1.5]))),
+        "stream must be an integer in [0, 2**64)",
+    ),
+    # checks
+    "hoelder check: negative mc_trials": (
+        lambda d, n: partial(check_hoelder_small_n, n=n, mc_trials=-d(st.integers(1, 5))),
+        "mc_trials must be >= 0",
+    ),
     # gluings
     # named a bridge length before the cross grid was checked
     "net: negative cross grid": (
@@ -459,6 +474,32 @@ def test_cli_rejects_a_bad_tol(tmp_path, capsys, tol):
     for argv in (["dm", str(a), str(a)], ["prokhorov", str(p), str(p), str(a)], ["check", "sharp"]):
         assert main(["--tol", str(tol), *argv]) == 2
         assert "tol must be finite and >= 0" in capsys.readouterr().err
+
+
+def test_rng_stream_keys_philox_by_seed_and_stream():
+    # the check leaves every valid key's stream as it was
+    for seed, stream in [(0, 0), (7, 3), (2**64 - 1, 2**63), (np.uint64(5), np.int64(2))]:
+        want = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+        assert rng_stream(seed, stream).integers(2**63, size=4).tolist() == want.integers(2**63, size=4).tolist()
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["check", "finspc", "--seed", "-1"], "seed must be an integer in [0, 2**64)"),
+        (["check", "sampconv", "--seed", "-1"], "seed must be an integer in [0, 2**64)"),
+        (["sample", "{space}", "--n", "2", "--seed", "-1"], "seed must be an integer in [0, 2**64)"),
+        (["check", "hoelder", "--mc-trials", "-3"], "mc_trials must be >= 0"),
+    ],
+    ids=["finspc seed", "sampconv seed", "sample seed", "hoelder mc_trials"],
+)
+def test_cli_rejects_a_bad_seed_or_trial_count(tmp_path, capsys, argv, text):
+    # a negative seed ended in an OverflowError traceback (exit 1), and
+    # check hoelder ran and reported "mc_trials": -3 (exit 0)
+    space = tmp_path / "space.json"
+    space.write_text('{"kind": "interval"}')
+    assert main([a.format(space=space) for a in argv]) == 2
+    assert text in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

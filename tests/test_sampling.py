@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import logging
 
@@ -248,13 +249,17 @@ def test_enumeration_keeps_matrices_apart_by_their_bytes():
 @settings(max_examples=150, deadline=None)
 @given(_ensemble_spaces())
 def test_orbit_record_points_to_an_earlier_exact_relabelling(inst):
+    # the orbit record is what the sample-orbit rule reads off the tuple
+    # record: each atom's first atom whose tuple sorts alike
     space, n = inst
     ens = enumerate_matrix_ensemble(space, n)
     mats = [m.entries for m in ens.matrices()]
-    assert len(ens.orbits) == ens.size
+    orbit = matmetric._sample_orbits(ens.tuples)
+    assert len(orbit) == ens.size
     perms = [list(p) for p in itertools.permutations(range(n))]
-    for i, j in enumerate(ens.orbits):
+    for i, j in enumerate(orbit):
         assert 0 <= j <= i
+        assert sorted(ens.tuples[i]) == sorted(ens.tuples[j])
         assert any(np.array_equal(mats[i][np.ix_(p, p)], mats[j]) for p in perms)
 
 
@@ -281,7 +286,7 @@ def test_orbit_record_keeps_every_relabelling_class(inst):
     ens = enumerate_matrix_ensemble(space, n)
     mats = [m.entries for m in ens.matrices()]
     labels, reps, calls = matmetric._relabelling_classes(np.array(mats))
-    labels_r, reps_r, calls_r = matmetric._relabelling_classes(np.array(mats), ens.orbits)
+    labels_r, reps_r, calls_r = matmetric._relabelling_classes(np.array(mats), ens.tuples)
     assert labels_r.tolist() == labels.tolist()
     assert reps_r == reps
     assert calls_r <= calls
@@ -290,21 +295,23 @@ def test_orbit_record_keeps_every_relabelling_class(inst):
 @settings(max_examples=60, deadline=None)
 @given(_ensemble_spaces(max_tuples=64), st.data())
 def test_orbit_record_leaves_both_cross_grids_unchanged(inst, data):
+    # the enumerated ensembles, which carry the tuple record, and the same
+    # atoms built by hand, which do not, give the same bytes
     space_x, n = inst
     space_y = data.draw(_ensemble_spaces(max_tuples=64).filter(lambda s: s[1] >= n)
                         .map(lambda s: s[0]))
     ens = [enumerate_matrix_ensemble(s, n) for s in (space_x, space_y)]
-    ax, ay = ([m.entries for m in e.matrices()] for e in ens)
-    orbits = ens[0].orbits, ens[1].orbits
-    plain = matmetric._cross_grid(ax, ay, (True, False), TOL)
-    with_orbits = matmetric._cross_grid(ax, ay, (True, False), TOL, orbits)
-    assert [g.tobytes() for g in with_orbits] == [g.tobytes() for g in plain]
+    hand_built = [MatrixEnsemble(atoms=e.atoms) for e in ens]
+    plain = matmetric._cross_grid(*hand_built, (True, False), TOL)
+    with_record = matmetric._cross_grid(*ens, (True, False), TOL)
+    assert [g.tobytes() for g in with_record] == [g.tobytes() for g in plain]
 
 
 @settings(max_examples=150, deadline=None)
 @given(_ensemble_spaces())
 def test_relabelling_tests_only_the_atoms_whose_record_is_themselves(inst):
-    # cost law: an atom whose record is an earlier atom takes its class untested
+    # cost law: an atom whose sample orbit starts at an earlier atom takes
+    # that atom's class untested
     space, n = inst
     ens = enumerate_matrix_ensemble(space, n)
     mats = [m.entries for m in ens.matrices()]
@@ -318,28 +325,31 @@ def test_relabelling_tests_only_the_atoms_whose_record_is_themselves(inst):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matmetric, "_is_relabelling", counting)
-        calls = matmetric._relabelling_classes(np.array(mats), ens.orbits)[2]
+        calls = matmetric._relabelling_classes(np.array(mats), ens.tuples)[2]
+    orbit = matmetric._sample_orbits(ens.tuples)
     assert len(tested) == calls
-    assert all(ens.orbits[i] == i for i in tested)
+    assert all(orbit[i] == i for i in tested)
 
 
-def test_only_an_enumerated_ensemble_has_an_orbit_record():
+def test_only_an_enumerated_ensemble_has_a_tuple_record():
     m = DistanceMatrix(np.zeros((2, 2)))
     hand_built = MatrixEnsemble(atoms=((m, 1.0),))
     enumerated = enumerate_matrix_ensemble(ModelSpace.finite(two_point_space(1.0, 0.25, "x")), 2)
-    assert hand_built.orbits is None and enumerated.orbits == (0, 1)
+    assert [f.name for f in dataclasses.fields(MatrixEnsemble) if not f.init] == ["tuples"]
     assert hand_built.tuples is None and enumerated.tuples.tolist() == [[0, 0], [0, 1]]
+    assert matmetric._sample_orbits(enumerated.tuples) == [0, 1]
     # the record is not part of the value: reprs are those of the atoms alone
     assert repr(enumerated) == repr(MatrixEnsemble(atoms=enumerated.atoms))
 
 
-def test_enumeration_logs_tuples_atoms_and_orbits(caplog):
+def test_enumeration_logs_tuples_and_atoms(caplog):
     # two points, three draws: 8 tuples and 4 matrices, since a tuple and its
-    # complement agree; the first tuples 000, 001, 010, 011 sort to atoms 0,
-    # 1, 1, 3 (the class search still finds that atom 3 relabels atom 1)
+    # complement agree; the first tuples 000, 001, 010, 011 sort to the
+    # orbits of atoms 0, 1, 1, 3 (the class search still finds that atom 3
+    # relabels atom 1)
     space = ModelSpace.finite(two_point_space(1.0, 0.25, "x"))
     with caplog.at_level(logging.DEBUG, logger="mmsdist"):
         ens = enumerate_matrix_ensemble(space, 3)
     lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("ensemble:")]
-    assert lines == ["ensemble: n = 3, 8 tuples -> 4 atoms, 3 orbit representatives"]
-    assert ens.orbits == (0, 1, 1, 3)
+    assert lines == ["ensemble: n = 3, 8 tuples -> 4 atoms"]
+    assert matmetric._sample_orbits(ens.tuples) == [0, 1, 1, 3]

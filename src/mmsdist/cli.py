@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import math
 import sys
@@ -162,21 +163,24 @@ def _cmd_entropy(args) -> int:
     return 0
 
 
-# check name -> (experiments function, the keyword options it takes)
+# check name -> the experiments function it runs
 CHECKS = {
-    "finspc": ("check_finspc_sandwich", ("n", "trials", "seed")),
-    "hoelder": ("check_hoelder_small_n", ("epsilon", "n", "seed", "mc_trials", "budget")),
-    "sharp": ("check_sharp_exponent", ("c", "alpha", "epsilon", "n", "budget")),
-    "sampconv": ("check_sampling_convergence", ("space", "epsilon", "n", "trials", "seed")),
-    "gpaction": ("check_group_invariance", ("space1", "space2", "n", "budget")),
+    "finspc": experiments.check_finspc_sandwich,
+    "hoelder": experiments.check_hoelder_small_n,
+    "sharp": experiments.check_sharp_exponent,
+    "sampconv": experiments.check_sampling_convergence,
+    "gpaction": experiments.check_group_invariance,
 }
 
+# the keyword options of each check: its function's parameters but tol
+_OPTIONS = {name: [k for k in inspect.signature(f).parameters if k != "tol"] for name, f in CHECKS.items()}
+
 # every option some check takes, in the order a stray one is reported
-_CHECK_OPTIONS = dict.fromkeys(k for _, options in CHECKS.values() for k in options)
+_CHECK_OPTIONS = dict.fromkeys(k for options in _OPTIONS.values() for k in options)
 
 
 def _cmd_check(args) -> int:
-    name, options = CHECKS[args.which]
+    options = _OPTIONS[args.which]
     if args.which == "gpaction" and "space" in args:
         args.space1 = args.space
         del args.space
@@ -188,7 +192,7 @@ def _cmd_check(args) -> int:
     for key in ("space", "space1", "space2"):
         if key in opts:
             opts[key] = fileio.read_model_space(opts[key], tol=args.tol)
-    report = getattr(experiments, name)(tol=args.tol, **opts)
+    report = CHECKS[args.which](tol=args.tol, **opts)
     print(report.to_json())
     if args.out:
         experiments.write_report(report, args.out)

@@ -31,8 +31,9 @@ relabelling test of the dpi grids runs on the same walk.  The walk maps m
 rows of A into the rows of B, so :mod:`entropy` lists the isometric
 embeddings of a smaller space on it too, with no twin rule.
 The grids of dm or dpi between two ensembles' atoms are built here too,
-on classes of grids equal up to relabelling (dpi) and on joint sample
-orbits (dm); both find orbits by :func:`_sample_orbits` on the tuples.
+each as one distance per orbit of a first-member map over the atom pairs,
+filled in one scatter: the orbits come from classes of grids equal up to
+relabelling (dpi) or from joint sample orbits (dm, :func:`_sample_orbits`).
 """
 
 from __future__ import annotations
@@ -575,93 +576,55 @@ def dpi_distance(
 
 def _sample_orbits(keys):
     """For each row of an int array (sample tuples, or joint cells), the
-    first row whose sorted entries equal its own: sorting relabels draws."""
+    first row whose sorted entries equal its own: sorting relabels draws.
+    This is a first-member map: ``first[i] <= i`` is the first row of i's
+    orbit."""
     srt = np.sort(keys, axis=1)
     rows = srt.view(np.dtype((np.void, srt.shape[1] * srt.itemsize))).ravel().tolist()
     first: dict = {}
     return [first.setdefault(r, p) for p, r in enumerate(rows)]
 
 
-def _relabelling_classes(grids, tuples=None):
-    """Partition a stack of equal-size grids, which the caller has checked
-    finite and symmetric within tol, into classes of grids equal up to
-    relabelling.
+def _relabelling_classes(grids, orbit):
+    """Partition equal-size grids, given as nested lists, which the caller
+    has checked finite and symmetric within tol, into classes of grids
+    equal up to relabelling.
 
     The grids are bucketed by an invariant of simultaneous row/column
     permutation (the sorted multiset of sorted rows; cheap but not
     complete), and a grid joins a class of its bucket only when
-    :func:`_is_relabelling` places its rows on the class representative's
+    :func:`_is_relabelling` places its rows on the class's first grid's
     with ``==`` alone, that is, when their exact dpi is 0.0.  The invariant
     reads full rows, so on a grid asymmetric within tol it may only split a
     class.
 
-    With a tuple record (:attr:`core.MatrixEnsemble.tuples`), a grid whose
-    sample orbit (:func:`_sample_orbits`) starts at an earlier grid takes
-    that grid's class untested: both relabel the sorted tuple's matrix
-    exactly, and an exact relabelling of the candidate changes no test's
-    verdict against any representative (the permutations compose), so the
-    tests would have put it in that class.  Only the grids that start their
-    orbit (all, without a record) are converted, bucketed and tested.
-    Returns the class of every grid, the representative (first member, as
-    nested lists) of every class and the relabelling tests made.
+    ``orbit`` is a first-member map of sample orbits (``range(len(grids))``,
+    or :func:`_sample_orbits` of a tuple record).  A grid whose orbit starts
+    at an earlier grid takes that grid's class untested: both relabel the
+    sorted tuple's matrix exactly, and an exact relabelling of the candidate
+    changes no test's verdict (the permutations compose).  Only the grids
+    that start their orbit are bucketed and tested.  Returns the
+    first-member map of the classes and the relabelling tests made.
     """
-    orbit = range(len(grids)) if tuples is None else _sample_orbits(tuples)
     buckets: dict = {}
-    labels = np.empty(len(grids), dtype=int)
-    reps: list = []
-    sorted_reps: list = []
-    calls = 0
-    for i, grid in enumerate(grids):
+    first = np.empty(len(grids), dtype=int)
+    tests = 0
+    for i, rows in enumerate(grids):
         if orbit[i] != i:
-            labels[i] = labels[orbit[i]]
+            first[i] = first[orbit[i]]
             continue
-        rows = grid.tolist()
         srt = [tuple(sorted(r)) for r in rows]
         bucket = buckets.setdefault(tuple(sorted(srt)), [])
         prev = _twin_prev(rows) if bucket else None
-        for k in bucket:
-            calls += 1
-            if _is_relabelling(reps[k], sorted_reps[k], rows, srt, prev):
-                labels[i] = k
+        for k, k_rows, k_srt in bucket:
+            tests += 1
+            if _is_relabelling(k_rows, k_srt, rows, srt, prev):
+                first[i] = k
                 break
         else:
-            labels[i] = len(reps)
-            bucket.append(len(reps))
-            reps.append(rows)
-            sorted_reps.append(srt)
-    return labels, reps, calls
-
-
-def _dm_grid(sides, tuples):
-    """dm of every grid of one checked stack against every grid of another,
-    one :func:`_aligned_scan` per joint sample orbit.
-
-    With both sides' tuple records (:attr:`core.MatrixEnsemble.tuples`),
-    grid i of the first side is the matrix of the sample tuple ``t_i`` and
-    grid j of the second that of ``u_j``, so the pair (i, j) draws the
-    joint cells ``t_i * k_y + u_j`` (k_y above every entry of the second
-    record).  Two pairs whose sorted cells are equal are one joint
-    relabelling of each other: their gaps are the same floats on relabelled
-    pairs, provided every grid equals its transpose exactly (the gap rule
-    reads the lower triangle), and so they have the same dm: the first
-    pair of each joint orbit (:func:`_sample_orbits`) is scanned, and its
-    value copied to the rest.  Without both records, or when some grid is
-    not exactly symmetric, every pair is its own orbit.
-    """
-    nx, ny = (len(g) for g in sides)
-    rows_x, rows_y = (g.tolist() for g in sides)
-    tx, ty = tuples
-    if tx is None or ty is None or not all(np.array_equal(g, g.swapaxes(1, 2)) for g in sides):
-        orbit, path = range(nx * ny), "pairs, each scanned"
-    else:
-        cells = (tx[:, None, :] * (int(ty.max()) + 1) + ty[None, :, :]).reshape(nx * ny, -1)
-        orbit, path = _sample_orbits(cells), "joint orbits"
-    values: list = []
-    for p, o in enumerate(orbit):
-        a, b = rows_x[p // ny], rows_y[p % ny]
-        values.append(values[o] if o < p else _aligned_scan(a, b, range(len(a)))[1])
-    log.debug("dm grid: %d x %d atoms -> %d %s", nx, ny, len(set(orbit)), path)
-    return np.array(values).reshape(nx, ny)
+            first[i] = i
+            bucket.append((i, rows, srt))
+    return first, tests
 
 
 def _cross_grid(ens_x, ens_y, quotients, tol: float):
@@ -669,32 +632,52 @@ def _cross_grid(ens_x, ens_y, quotients, tol: float):
     checks the size limit) or dm (False) of every atom of the ensemble
     ``ens_x`` against every atom of ``ens_y``, all of one size,
     bit-identical to per-pair :func:`dpi_distance` or :func:`dm_distance`
-    calls; the dpi classes and the dm orbits read the two tuple records.
+    calls.
 
-    Each side is checked once (ValueError when a grid is non-finite or
-    asymmetric beyond tol), before any distance, and the cells run the
-    private paths without building witnesses.  dpi is invariant under
-    relabelling either grid, so its grid is one exact dpi per pair of
-    :func:`_relabelling_classes`, copied to every pair of the two classes
-    (relabelling only permutes the same float gaps).  dm is invariant only
+    Each side is checked (ValueError when a grid is non-finite or asymmetric
+    beyond tol) and converted to nested lists once, before any distance, and
+    the cells run the private paths without building witnesses.  Each grid
+    is one distance per orbit of a first-member map over the atom pairs
+    (pair (i, j) is ``i * ny + j``), scattered to the whole orbit.  dpi is
+    invariant under relabelling either grid, so its orbits are the products
+    of the two sides' :func:`_relabelling_classes`.  dm is invariant only
     under relabelling both grids by one permutation, and only on exactly
-    symmetric grids, so its grid is one scan per joint sample orbit
-    (:func:`_dm_grid`), or one per pair without that.
+    symmetric grids (the gap rule reads the lower triangle): pair (i, j)
+    draws the joint cells ``t_i * k_y + u_j`` of the two sample tuples
+    (:attr:`core.MatrixEnsemble.tuples`; k_y above every entry of ``u``),
+    and pairs whose sorted cells are equal (:func:`_sample_orbits`) are one
+    joint relabelling of each other.  Without both records, or when some
+    grid is not exactly symmetric, every pair is its own orbit.
     """
     sides = [as_symmetric_grid([m.entries for m in e.matrices()], tol, "ensemble atom") for e in (ens_x, ens_y)]
-    tuples = ens_x.tuples, ens_y.tuples
+    (nx, rows_x), (ny, rows_y) = ((len(g), g.tolist()) for g in sides)
+    tx, ty = ens_x.tuples, ens_y.tuples
 
     def grid(quotient):
-        if not quotient:
-            return _dm_grid(sides, tuples)
-        (label_x, rows_x, calls_x), (label_y, rows_y, calls_y) = map(_relabelling_classes, sides, tuples)
-        log.debug(
-            "dpi grid: %d x %d atoms -> %d x %d classes, "
-            "%d relabelling tests, %d class-pair dpi calls",
-            len(label_x), len(label_y), len(rows_x), len(rows_y),
-            calls_x + calls_y, len(rows_x) * len(rows_y),
-        )
-        small = [[_dpi_exact(a, b).value for b in rows_y] for a in rows_x]
-        return np.array(small)[np.ix_(label_x, label_y)]
+        if quotient:
+            (fx, tests_x), (fy, tests_y) = (
+                _relabelling_classes(rows, range(len(rows)) if t is None else _sample_orbits(t))
+                for rows, t in zip((rows_x, rows_y), (tx, ty))
+            )
+            orbit = fx[:, None] * ny + fy[None, :]
+            kx, ky = (len(set(f.tolist())) for f in (fx, fy))
+            log.debug(
+                "dpi grid: %d x %d atoms -> %d x %d classes, "
+                "%d relabelling tests, %d class-pair dpi calls",
+                nx, ny, kx, ky, tests_x + tests_y, kx * ky,
+            )
+        elif tx is None or ty is None or not all(np.array_equal(g, g.swapaxes(1, 2)) for g in sides):
+            orbit, path = range(nx * ny), "pairs, each scanned"
+        else:
+            cells = (tx[:, None, :] * (int(ty.max()) + 1) + ty[None, :, :]).reshape(nx * ny, -1)
+            orbit, path = _sample_orbits(cells), "joint orbits"
+        starts, at = np.unique(orbit, return_inverse=True)
+        pairs = [(rows_x[s // ny], rows_y[s % ny]) for s in starts.tolist()]
+        if quotient:
+            values = [_dpi_exact(a, b).value for a, b in pairs]
+        else:
+            log.debug("dm grid: %d x %d atoms -> %d %s", nx, ny, len(starts), path)
+            values = [_aligned_scan(a, b, range(len(a)))[1] for a, b in pairs]
+        return np.array(values)[at].reshape(nx, ny)
 
     return [grid(q) for q in quotients]

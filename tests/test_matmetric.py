@@ -588,8 +588,63 @@ def _three_point_space(d01, d02, d12):
 @pytest.mark.parametrize("sides, n", [((1.0, 1.5, 2.0), 4), ((1.0, 1.0, 2.0), 4), ((1.0, 1.0, 1.0), 5)])
 def test_relabelling_classes_match_the_unpruned_search(sides, n):
     mats = [m.entries for m in enumerate_matrix_ensemble(_three_point_space(*sides), n).matrices()]
-    labels = _relabelling_classes(np.array(mats))[0]
-    assert labels.tolist() == _reference_labels(mats)
+    first = _relabelling_classes(np.array(mats).tolist(), range(len(mats)))[0]
+    labels = _reference_labels(mats)
+    assert first.tolist() == [labels.index(k) for k in labels]
+
+
+@st.composite
+def _ensemble_pair(draw):
+    """The ensembles of two spaces of 1-3 uniform points at one sample size
+    n = 1-4, at most 27 tuples each; coordinates on a half-step lattice
+    (coincident points, ties) or in [0, 1.5]."""
+    n = draw(st.integers(1, 4))
+    coord = st.one_of(st.integers(0, 3).map(lambda v: v / 2), st.floats(0.0, 1.5))
+    ensembles = []
+    for _ in range(2):
+        k = draw(st.integers(1, 3 if n <= 3 else 2))
+        pts = np.array(draw(st.lists(coord, min_size=2 * k, max_size=2 * k))).reshape(k, 2)
+        space = FiniteMMS(tuple(f"p{i}" for i in range(k)), DistanceMatrix.from_points(pts), np.full(k, 1 / k))
+        ensembles.append(enumerate_matrix_ensemble(ModelSpace.finite(space), n))
+    return ensembles
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ensemble_pair())
+def test_dpi_grid_runs_one_dpi_per_pair_of_class_starts(ensembles):
+    # each side's classes are a first-member map of the unpruned partition,
+    # found by the tests counted, and the grid makes one exact dpi per pair
+    # of class starts
+    sides, tests, calls = [], [], []
+    split, matcher, search = matmetric._relabelling_classes, matmetric._is_relabelling, matmetric._dpi_exact
+
+    def spy_classes(grids, orbit):
+        out = split(grids, orbit)
+        sides.append((grids, *out))
+        return out
+
+    def spy_test(*args):
+        tests.append(1)
+        return matcher(*args)
+
+    def spy_dpi(a, b):
+        calls.append(1)
+        return search(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matmetric, "_relabelling_classes", spy_classes)
+        mp.setattr(matmetric, "_is_relabelling", spy_test)
+        mp.setattr(matmetric, "_dpi_exact", spy_dpi)
+        matmetric._cross_grid(*ensembles, (True,), 1e-9)
+    starts = []
+    for grids, first, _ in sides:
+        first = first.tolist()
+        assert all(first[i] <= i and first[first[i]] == first[i] for i in range(len(first)))
+        labels = _reference_labels([np.array(g) for g in grids])
+        assert first == [labels.index(k) for k in labels]
+        starts.append(sum(first[i] == i for i in range(len(first))))
+    assert len(sides) == 2 and len(tests) == sum(made for _, _, made in sides)
+    assert len(calls) == starts[0] * starts[1]
 
 
 @st.composite
@@ -647,6 +702,18 @@ def _twins(b):
     return [[np.array_equal(swapped(i, j), b) for j in range(n)] for i in range(n)]
 
 
+def _twin_ordered(b):
+    """The permutations that place each twin class of B in increasing
+    order, in lex order, by brute force."""
+    n = len(b)
+    twins = _twins(b)
+    return [
+        p
+        for p in itertools.permutations(range(n))
+        if all(p.index(i) < p.index(j) for i in range(n) for j in range(i + 1, n) if twins[i][j])
+    ]
+
+
 @settings(max_examples=100, deadline=None)
 @given(_twin_rich_pair())
 def test_alignment_walk_places_each_twin_class_in_increasing_order(inst):
@@ -654,17 +721,51 @@ def test_alignment_walk_places_each_twin_class_in_increasing_order(inst):
     n = len(b)
     walked = [tuple(p) for p in _alignments(n, _twin_prev(b.tolist()), lambda perm, rows: True)]
     twins = _twins(b)
-    expected = [
-        p
-        for p in itertools.permutations(range(n))
-        if all(p.index(i) < p.index(j) for i in range(n) for j in range(i + 1, n) if twins[i][j])
-    ]
+    expected = _twin_ordered(b)
     sizes = {}
     for j in range(n):
         first = twins[j].index(True)  # the lowest row of j's class
         sizes[first] = sizes.get(first, 0) + 1
     assert walked == expected
     assert len(walked) == math.factorial(n) // math.prod(math.factorial(c) for c in sizes.values())
+
+
+class _Logged(logging.Handler):
+    """The ``mmsdist`` debug lines starting with ``prefix`` logged while in
+    use (``caplog`` is function-scoped, which hypothesis rejects)."""
+
+    def __init__(self, prefix):
+        super().__init__()
+        self.prefix, self.lines = prefix, []
+
+    def __enter__(self):
+        logger = logging.getLogger("mmsdist")
+        self._level = logger.level
+        logger.setLevel(logging.DEBUG)
+        logger.addHandler(self)
+        return self
+
+    def __exit__(self, *exc):
+        logger = logging.getLogger("mmsdist")
+        logger.removeHandler(self)
+        logger.setLevel(self._level)
+
+    def emit(self, record):
+        if record.getMessage().startswith(self.prefix):
+            self.lines.append(record.getMessage())
+
+
+@settings(max_examples=100, deadline=None)
+@given(_twin_rich_pair(min_n=1))  # n = 0 logs no walk
+def test_exact_walk_reaches_only_twin_ordered_prefixes(inst):
+    # cost law: the walk asks each prefix once, and only prefixes that
+    # place each twin class of B in increasing order
+    a, b, _ = inst
+    with _Logged("dpi exact") as log:
+        dpi_distance(a, b)
+    (line,) = log.lines
+    prefixes = {p[:k] for p in _twin_ordered(b) for k in range(1, len(b) + 1)}
+    assert int(re.search(r"(\d+) nodes", line).group(1)) <= len(prefixes)
 
 
 def test_alignment_walk_extends_no_rejected_prefix():

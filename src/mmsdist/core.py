@@ -341,14 +341,17 @@ class Coupling:
         return self.mass.sum(axis=0)
 
     def check_marginals(self, p, q, tol: float = DEFAULT_TOL) -> None:
-        """Raise if the marginals differ from the supplied vectors beyond tol."""
+        """Raise if the marginals differ from the supplied vectors beyond tol
+        (a NaN differs from everything), or if p is not 1-d of the row count
+        or q not 1-d of the column count."""
         check_tol(tol)
-        gap_r = float(np.abs(self.row_marginal() - np.asarray(p, float)).max())
-        gap_c = float(np.abs(self.col_marginal() - np.asarray(q, float)).max())
-        if max(gap_r, gap_c) > tol:
-            raise ValueError(
-                f"coupling marginals off by {max(gap_r, gap_c)} (> {tol})"
-            )
+        for what, got, want in (("first", self.row_marginal(), p), ("second", self.col_marginal(), q)):
+            want = np.asarray(want, dtype=float)
+            if want.shape != got.shape:
+                raise ValueError(f"{what} marginal has shape {want.shape}, expected {got.shape}")
+            gap = float(np.abs(got - want).max(initial=0.0))
+            if not gap <= tol:  # NaN fails this too
+                raise ValueError(f"coupling {what} marginal off by {gap} (> {tol})")
 
 
 # ---------------------------------------------------------------------------

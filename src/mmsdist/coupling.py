@@ -11,17 +11,19 @@
 * Birkhoff decomposition of doubly stochastic grids,
 * maximum bipartite matching under a distance cap (augmenting paths).
 
-Both augmenting-path kernels skip work whose outcome is already fixed, and
-return what the plain searches return.  Edmonds-Karp fills its direct
-row -> column paths in one row-major sweep, as its BFS would one path at a
-time, before it searches longer paths.  Birkhoff peeling resumes Kuhn's
-matching at the first row whose support the last term changed, from the
-matching as it stood before that row.
+One greedy fill, each cell in turn taking all it can of both residual
+masses, runs over Edmonds-Karp's direct row -> column paths (row-major, as
+its BFS would fill them one path at a time, before it searches longer
+paths), over `ghp`'s matched pairs, and over the northwest-corner rows
+that spread leftover mass.  Both augmenting-path kernels skip work whose
+outcome is already fixed, and return what the plain searches return:
+Birkhoff peeling resumes Kuhn's matching at the first row whose support
+the last term changed, from the matching as it stood before that row.
 
 The Prokhorov flow, the concentration functional and the greedy net coupling
 of `ghp` run on Python ints (the masses over one power-of-two denominator),
 and one breakpoint search gives all three values, correctly rounded.  Every
-Prokhorov distance is solved on a grid prepared by `_ProkhorovTo`.
+Prokhorov distance is solved by `_ProkhorovTo.solve`.
 """
 
 from __future__ import annotations
@@ -157,26 +159,16 @@ def _max_mass_within(P, Q, D, level):
 
     While a direct path row -> column is left, the BFS augments along the
     first row with residual and its first near column with residual, so
-    that first phase is one row-major sweep of the near pairs, each taking
-    all it can of both residuals.  Residuals only fall, so no later path
-    makes a direct one again, and the BFS runs only on longer paths: the
-    flow and residuals are those of the plain BFS loop.
+    that first phase is :func:`_fill` over the rows' near columns in order.
+    Residuals only fall, so no later path makes a direct one again, and the
+    BFS runs only on longer paths: the flow and residuals are those of the
+    plain BFS loop.
     """
     r, c = len(P), len(Q)
     near = [[j for j, x in enumerate(row) if x <= level] for row in D]
     flow = [[0] * c for _ in range(r)]
     rres, cres = list(P), list(Q)
-    placed = 0
-    for i, cols in enumerate(near):
-        for j in cols:
-            if rres[i] <= 0:  # not a truth test: a mass within tol below 0 is a negative int
-                break
-            if cres[j] > 0:
-                take = min(rres[i], cres[j])
-                flow[i][j] = take
-                rres[i] -= take
-                cres[j] -= take
-                placed += take
+    placed = _fill(enumerate(near), rres, cres, flow)
     while True:
         # reached[i]: None unreached, -1 from the source, else the column
         reached = [-1 if x > 0 else None for x in rres]
@@ -218,37 +210,44 @@ def _max_mass_within(P, Q, D, level):
         placed += bottleneck
 
 
-def _northwest_fill(rres, cres, mass):
-    """Deterministically spread residual marginals into `mass` (in place)."""
-    i = j = 0
-    r, c = len(rres), len(cres)
-    while i < r and j < c:
-        if rres[i] <= 0:
-            i += 1
-            continue
-        if cres[j] <= 0:
+def _fill(rows, rres, cres, mass):
+    """Greedy fill: for each (row, columns) in turn, each column takes all
+    it can of both residual masses while both are positive, and the row
+    stops once it is spent.  Adds to ``mass`` and lowers the residuals in
+    place; returns the mass placed."""
+    placed = 0
+    for i, cols in rows:
+        for j in cols:
+            if rres[i] <= 0:  # not a truth test: a mass within tol below 0 is a negative int
+                break
+            if cres[j] > 0:
+                take = min(rres[i], cres[j])
+                mass[i][j] += take
+                rres[i] -= take
+                cres[j] -= take
+                placed += take
+    return placed
+
+
+def _northwest(rres, cres):
+    """Every row in order for :func:`_fill`, from the first column not yet
+    spent when its turn comes: the northwest-corner rule in O(r + c) steps."""
+    j, c = 0, len(cres)
+    for i in range(len(rres)):
+        while j < c and cres[j] <= 0:
             j += 1
-            continue
-        take = min(rres[i], cres[j])
-        mass[i][j] += take
-        rres[i] -= take
-        cres[j] -= take
+        yield i, range(j, c)
 
 
 def _greedy_delta(p, q, pairs, dist):
-    """delta_of_coupling over ``dist`` of the coupling of p and q in which
-    each listed (row, column) pair in turn takes all it can of both
-    residual masses and northwest-corner filling places the rest, on the
-    integer masses of :func:`_scaled_masses`."""
+    """delta_of_coupling over ``dist`` of the coupling of p and q that
+    :func:`_fill` builds on the integer masses of :func:`_scaled_masses`:
+    each listed (row, column) pair in turn as a one-column row, then the
+    northwest-corner rows for the rest."""
     rres, cres, _ = _scaled_masses(p, q)
     mass = [[0] * len(cres) for _ in rres]
-    for i, j in pairs:
-        take = min(rres[i], cres[j])
-        if take > 0:
-            mass[i][j] += take
-            rres[i] -= take
-            cres[j] -= take
-    _northwest_fill(rres, cres, mass)
+    _fill(((i, (j,)) for i, j in pairs), rres, cres, mass)
+    _fill(_northwest(rres, cres), rres, cres, mass)
     return _delta([x for row in mass for x in row], np.ravel(dist).tolist())
 
 
@@ -327,9 +326,10 @@ def _breakpoint(levels, unplaced, total):
 class _ProkhorovTo:
     """Prokhorov distances of many first marginals to one second marginal
     q over one grid: q's checks and integer masses, the grid's checks and
-    its sorted distinct levels (with 0) are prepared once.  ``self(p)`` is
-    ``prokhorov_distance(p, q, dist, tol).value`` bit for bit; ``flows``
-    counts the max-flows solved, one per level probed."""
+    its sorted distinct levels (with 0) are prepared once.  ``solve``, the
+    one entry, gives ``prokhorov_distance(p, q, dist, tol).value`` bit for
+    bit as its first item; ``flows`` counts the max-flows solved, one per
+    level probed."""
 
     def __init__(self, q, dist, tol: float = DEFAULT_TOL):
         self.Q, self.one = _dyadic(as_prob_vector(q, tol, "second marginal"))
@@ -339,7 +339,7 @@ class _ProkhorovTo:
         self.levels = sorted({x for row in self.D for x in row})
         if not self.levels or self.levels[0] > 0.0:
             self.levels.insert(0, 0.0)
-        self.tol, self.flows = tol, 0
+        self.flows = 0
 
     def _fit(self, rows):  # the grid must be rows x (the size of q)
         if self.d.shape != (rows, len(self.Q)):
@@ -365,9 +365,6 @@ class _ProkhorovTo:
         pick, value = _breakpoint(self.levels, unplaced, total)
         self.flows += len(flows)
         return value, pick, flows, max(one, self.one)
-
-    def __call__(self, p) -> float:
-        return self.solve(as_prob_vector(p, self.tol, "first marginal"))[0]
 
 
 def prokhorov_distance(
@@ -410,7 +407,7 @@ def prokhorov_distance(
         pv.size, len(to_q.Q), len(flows), len(to_q.levels),
     )
     mass, rres, cres = flows[pick]
-    _northwest_fill(rres, cres, mass)
+    _fill(_northwest(rres, cres), rres, cres, mass)
     coupling = Coupling(mass=np.array([[x / one for x in row] for row in mass]), ground_dist=to_q.d)
     # + 0.0 maps a -0.0 level to 0.0, as _breakpoint does for the value
     return ProkhorovResult(value=value, coupling=coupling, breakpoint=to_q.levels[pick] + 0.0)

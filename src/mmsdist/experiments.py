@@ -385,7 +385,7 @@ def check_sampling_convergence(
         rng = rng_stream(seed, t)
         idx = sample_indices(p, n, rng)
         counts = np.bincount(idx, minlength=base.n)
-        dp = dp_to_model(counts / n)
+        dp = dp_to_model.solve(counts / n)[0]
         dps[t] = dp
         if dp > 3.0 * epsilon:
             exceed += 1

@@ -32,7 +32,12 @@ def read_matrix(path) -> np.ndarray:
         tokens = fh.read().split()
     if not tokens:
         raise ValueError(f"{path}: empty matrix file")
-    n = int(tokens[0])
+    try:
+        n = int(tokens[0])
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise ValueError(f"{path}: the size line must be a non-negative integer, got {tokens[0]!r}")
     vals = [float(t) for t in tokens[1:]]
     if len(vals) != n * n:
         raise ValueError(f"{path}: expected {n * n} entries, found {len(vals)}")

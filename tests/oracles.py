@@ -423,6 +423,24 @@ def max_mass_within_bfs(P, Q, D, level):
         placed += bottleneck
 
 
+def northwest_fill(rres, cres, mass):
+    """Deterministically spread residual marginals into `mass` (in place):
+    the northwest-corner rule as a two-pointer walk, the reference for
+    `coupling._fill` over `coupling._northwest` rows."""
+    i = j = 0
+    r, c = len(rres), len(cres)
+    while i < r and j < c:
+        if rres[i] <= 0:
+            i += 1
+            continue
+        if cres[j] <= 0:
+            j += 1
+            continue
+        take = min(rres[i], cres[j])
+        mass[i][j] += take
+        rres[i] -= take
+        cres[j] -= take
+
 def max_matching_cold(allowed):
     """Kuhn's matching from scratch, rows in index order and free columns
     first: (number matched, column of each row or -1)."""

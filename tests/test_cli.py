@@ -359,6 +359,15 @@ def test_cli_error_paths(files, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("size", ["-1", "2.5"])
+def test_dm_rejects_a_bad_size_line_naming_the_file(files, capsys, size):
+    # "-1" failed with numpy's "can only specify one unknown dimension" and
+    # "2.5" with "invalid literal for int()", neither naming the file
+    bad = _write(files["dir"] / "bad.mat", f"{size}\n0\n")
+    assert main(["dm", files["a"], bad]) == 2
+    assert bad in capsys.readouterr().err
+
+
 def _outcomes(capsys, argvs):
     """(exit code, stdout, stderr) of ``main`` on each argv in turn; a
     parser exit counts by its code."""

@@ -25,6 +25,7 @@ from oracles import (
     delta_fraction_oracle,
     matching_bruteforce,
     max_mass_within_bfs,
+    northwest_fill,
     prokhorov_lp_oracle,
 )
 
@@ -447,12 +448,12 @@ def test_prepared_grid_equals_prokhorov_distance(inst):
     for grid in (d, np.where(d == 0, -0.0, d)):
         to_p = coupling_mod._ProkhorovTo(p, grid)
         for q in qs:
-            assert repr(to_p(q)) == repr(prokhorov_distance(q, p, grid).value)
+            assert repr(to_p.solve(q)[0]) == repr(prokhorov_distance(q, p, grid).value)
 
 
 def test_prepared_grid_on_the_smallest_grids():
     for level in (0.0, -0.0, 0.5):
-        got = coupling_mod._ProkhorovTo([1.0], [[level]])([1.0])
+        got = coupling_mod._ProkhorovTo([1.0], [[level]]).solve(np.array([1.0]))[0]
         assert repr(got) == repr(prokhorov_distance([1.0], [1.0], [[level]]).value)
     # no measure is empty, so only the search reaches the 0 x 0 grid: one
     # level, 0, at which the empty flow leaves nothing unplaced
@@ -467,7 +468,7 @@ def test_prepared_grid_on_the_smallest_grids():
 def test_prepared_grid_rejects_what_prokhorov_distance_rejects():
     d = np.ones((3, 2))
     with pytest.raises(ValueError, match=re.escape("does not match marginals (2, 2)")):
-        coupling_mod._ProkhorovTo([0.5, 0.5], d)([0.5, 0.5])
+        coupling_mod._ProkhorovTo([0.5, 0.5], d).solve(np.array([0.5, 0.5]))
     with pytest.raises(ValueError, match=re.escape("does not match marginals (2, 2)")):
         prokhorov_distance([0.5, 0.5], [0.5, 0.5], d)
     with pytest.raises(ValueError, match=re.escape("does not match marginals (3, 3)")):
@@ -475,7 +476,7 @@ def test_prepared_grid_rejects_what_prokhorov_distance_rejects():
     with pytest.raises(ValueError, match="non-finite"):
         coupling_mod._ProkhorovTo([1.0], [[math.nan]])
     with pytest.raises(ValueError, match="first marginal sums to 0.9"):
-        coupling_mod._ProkhorovTo([1.0, 0.0], d[:2])([0.4, 0.5])
+        prokhorov_distance([0.4, 0.5], [1.0, 0.0], d[:2])
 
 
 @pytest.mark.parametrize("exact", [False, True])
@@ -630,7 +631,7 @@ def _prokhorov_scan(p, q, d):
         if best is None or val < best[0]:
             best = val, v, witness
     val, v, (mass, rres, cres) = best
-    coupling_mod._northwest_fill(rres, cres, mass)
+    northwest_fill(rres, cres, mass)
     return max(0.0, float(val)), float(v), np.array([[x / one for x in row] for row in mass])
 
 
@@ -757,6 +758,30 @@ def test_prokhorov_triangle_inequality(inst):
 
 # ---------------------------------------------------------------------------
 # the augmenting-path kernels against the cold searches they shortcut
+
+
+@st.composite
+def _residuals(draw):
+    """Integer row and column residuals with zeros, negative ints (a mass
+    within tol below 0, scaled), unequal totals and 0 x c or r x 0 shapes,
+    and a starting mass grid of their shape."""
+    r, c = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    rres = draw(st.lists(st.integers(-3, 6), min_size=r, max_size=r))
+    cres = draw(st.lists(st.integers(-3, 6), min_size=c, max_size=c))
+    mass = [draw(st.lists(st.integers(0, 3), min_size=c, max_size=c)) for _ in range(r)]
+    return rres, cres, mass
+
+
+@settings(max_examples=300, deadline=None)
+@given(_residuals())
+def test_fill_over_northwest_rows_equals_the_two_pointer_walk(inst):
+    rres, cres, mass = inst
+    want = [list(rres), list(cres), [list(row) for row in mass]]
+    northwest_fill(*want)
+    before = sum(map(sum, mass))
+    placed = coupling_mod._fill(coupling_mod._northwest(rres, cres), rres, cres, mass)
+    assert [rres, cres, mass] == want
+    assert placed == sum(map(sum, mass)) - before
 
 
 @settings(max_examples=150, deadline=None)

@@ -89,6 +89,13 @@ def _negative(draw, p):
     return p
 
 
+def _marginals(draw, n, p, q):
+    """check_marginals of a diagonal coupling of a drawn mass m, against
+    p(m) and q(m)."""
+    m = _mass(draw, n)
+    return partial(Coupling(np.diag(m), _sym(draw, n)).check_marginals, p(m), q(m))
+
+
 def _space(n, mass=None, coords=None):
     d = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]).astype(float)
     m = np.full(n, 1.0 / n) if mass is None else mass
@@ -196,6 +203,28 @@ CASES.update({
     "delta: negative grid": (
         lambda d, n: partial(delta_of_coupling, Coupling(np.diag(_mass(d, n)), _with(d, _sym(d, n), -0.5))),
         "coupling distance grid has a negative entry",
+    ),
+    # a NaN gap passed (Python's max(0.0, nan) is 0.0), a length-1 marginal
+    # broadcast, and a longer one raised numpy's broadcast error
+    "marginals: NaN in the first marginal": (
+        lambda d, n: _marginals(d, n, lambda m: _with(d, m, np.nan), lambda m: m),
+        "coupling first marginal off by nan",
+    ),
+    "marginals: NaN in the second marginal": (
+        lambda d, n: _marginals(d, n, lambda m: m, lambda m: _with(d, m, np.nan)),
+        "coupling second marginal off by nan",
+    ),
+    "marginals: first marginal of length 1": (
+        lambda d, n: _marginals(d, n, lambda m: m[:1], lambda m: m),
+        "first marginal has shape (1,)",
+    ),
+    "marginals: second marginal one too long": (
+        lambda d, n: _marginals(d, n, lambda m: m, lambda m: np.append(m, 0.0)),
+        "second marginal has shape",
+    ),
+    "marginals: 2-d first marginal": (
+        lambda d, n: _marginals(d, n, lambda m: [m], lambda m: m),
+        "first marginal has shape (1,",
     ),
     "birkhoff: NaN or inf": (
         lambda d, n: partial(birkhoff_decompose, _with(d, np.eye(n), _bad(d))),

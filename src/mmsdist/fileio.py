@@ -38,7 +38,10 @@ def read_matrix(path) -> np.ndarray:
         n = -1
     if n < 0:
         raise ValueError(f"{path}: the size line must be a non-negative integer, got {tokens[0]!r}")
-    vals = [float(t) for t in tokens[1:]]
+    try:
+        vals = [float(t) for t in tokens[1:]]
+    except ValueError as exc:  # float's message names the token
+        raise ValueError(f"{path}: matrix entries must be numbers; {exc}") from None
     if len(vals) != n * n:
         raise ValueError(f"{path}: expected {n * n} entries, found {len(vals)}")
     return np.array(vals).reshape(n, n)

@@ -31,9 +31,9 @@ relabelling test of the dpi grids runs on the same walk.  The walk maps m
 rows of A into the rows of B, so :mod:`entropy` lists the isometric
 embeddings of a smaller space on it too, with no twin rule.
 The grids of dm or dpi between two ensembles' atoms are built here too,
-each as one distance per orbit of a first-member map over the atom pairs,
-filled in one scatter: the orbits come from classes of grids equal up to
-relabelling (dpi) or from joint sample orbits (dm, :func:`_sample_orbits`).
+each in one pass over a first-member map of the atom pairs, whose orbits
+come from classes of grids equal up to relabelling (dpi) or from joint
+sample orbits (dm, :func:`_sample_orbits`).
 """
 
 from __future__ import annotations
@@ -268,8 +268,9 @@ def _scan_pairs(pairs, denom):
     ``pairs`` lists (t, k, gap) for t <= k, row by row as
     :func:`_row_gaps` builds them, so the last pair has the largest k.
     Thresholds run over the distinct positive gaps in decreasing order
-    plus 0; at threshold t the pairs with gap > t must be covered.
-    Returns the minimum and an optimal cover.
+    plus 0; at threshold t the pairs with gap > t must be covered.  The
+    largest gap, which needs no cover, seeds the incumbent.  Returns the
+    minimum and an optimal cover.
     """
     if not pairs:
         return 0.0, ()  # no points
@@ -282,27 +283,18 @@ def _scan_pairs(pairs, denom):
             thresholds.append(g)
     thresholds.append(0.0)
 
-    inc = math.inf
-    ms, ms_inc = None, inc  # the largest cover size whose share is below ms_inc
-    best_cover: tuple = ()
+    inc, best_cover = thresholds[0], ()
     edges: list = []
     k = 0  # prefix of pos already in `edges`
     low = 0  # the last cover's size: edges only grow, so it bounds the next
-    for t in thresholds:
+    for t in thresholds[1:]:
         while k < len(pos) and pos[k][0] > t:
             edges.append((pos[k][1], pos[k][2]))
             k += 1
-        if t >= inc:
-            continue
-        if not edges:
-            cover: tuple | None = ()
-        else:
-            if ms_inc != inc:  # computed only for a call that needs it
-                ms, ms_inc = _share_budget(inc, denom), inc
-            cover = min_vertex_cover(nverts, edges, max_size=ms, lower=low)
-            if cover is None:
-                break  # covers only grow as t shrinks
-            low = len(cover)
+        cover = min_vertex_cover(nverts, edges, max_size=_share_budget(inc, denom), lower=low)
+        if cover is None:
+            break  # covers only grow as t shrinks
+        low = len(cover)
         share = len(cover) / denom
         val = max(t, share)
         if val < inc:
@@ -635,19 +627,20 @@ def _cross_grid(ens_x, ens_y, quotients, tol: float):
     calls.
 
     Each side is checked (ValueError when a grid is non-finite or asymmetric
-    beyond tol) and converted to nested lists once, before any distance, and
-    the cells run the private paths without building witnesses.  Each grid
-    is one distance per orbit of a first-member map over the atom pairs
-    (pair (i, j) is ``i * ny + j``), scattered to the whole orbit.  dpi is
-    invariant under relabelling either grid, so its orbits are the products
-    of the two sides' :func:`_relabelling_classes`.  dm is invariant only
-    under relabelling both grids by one permutation, and only on exactly
-    symmetric grids (the gap rule reads the lower triangle): pair (i, j)
-    draws the joint cells ``t_i * k_y + u_j`` of the two sample tuples
-    (:attr:`core.MatrixEnsemble.tuples`; k_y above every entry of ``u``),
-    and pairs whose sorted cells are equal (:func:`_sample_orbits`) are one
-    joint relabelling of each other.  Without both records, or when some
-    grid is not exactly symmetric, every pair is its own orbit.
+    beyond tol) and converted to nested lists once, before any distance.  A
+    dm cell builds no witness, and a dpi cell keeps only the ``.value`` of
+    :func:`_dpi_exact`.  Each grid is one pass over a first-member map of
+    the atom pairs (pair (i, j) is ``i * ny + j``): the first pair of an
+    orbit gets a distance, and every other pair copies it.  dpi is invariant
+    under relabelling either grid, so its map is ``fx[i] * ny + fy[j]`` of
+    the two sides' class maps (:func:`_relabelling_classes`).  dm is
+    invariant only under relabelling both grids by one permutation, and only
+    on exactly symmetric grids (the gap rule reads the lower triangle): pair
+    (i, j) draws the joint cells ``t_i * k_y + u_j`` of the two sample
+    tuples (:attr:`core.MatrixEnsemble.tuples`; k_y above every entry of
+    ``u``), and pairs whose sorted cells are equal (:func:`_sample_orbits`)
+    are one joint relabelling of each other.  Without both records, or when
+    some grid is not exactly symmetric, every pair is its own orbit.
     """
     sides = [as_symmetric_grid([m.entries for m in e.matrices()], tol, "ensemble atom") for e in (ens_x, ens_y)]
     (nx, rows_x), (ny, rows_y) = ((len(g), g.tolist()) for g in sides)
@@ -659,25 +652,27 @@ def _cross_grid(ens_x, ens_y, quotients, tol: float):
                 _relabelling_classes(rows, range(len(rows)) if t is None else _sample_orbits(t))
                 for rows, t in zip((rows_x, rows_y), (tx, ty))
             )
-            orbit = fx[:, None] * ny + fy[None, :]
+            orbit = (fx[:, None] * ny + fy).ravel().tolist()
             kx, ky = (len(set(f.tolist())) for f in (fx, fy))
             log.debug(
                 "dpi grid: %d x %d atoms -> %d x %d classes, "
                 "%d relabelling tests, %d class-pair dpi calls",
                 nx, ny, kx, ky, tests_x + tests_y, kx * ky,
             )
-        elif tx is None or ty is None or not all(np.array_equal(g, g.swapaxes(1, 2)) for g in sides):
-            orbit, path = range(nx * ny), "pairs, each scanned"
         else:
-            cells = (tx[:, None, :] * (int(ty.max()) + 1) + ty[None, :, :]).reshape(nx * ny, -1)
-            orbit, path = _sample_orbits(cells), "joint orbits"
-        starts, at = np.unique(orbit, return_inverse=True)
-        pairs = [(rows_x[s // ny], rows_y[s % ny]) for s in starts.tolist()]
-        if quotient:
-            values = [_dpi_exact(a, b).value for a, b in pairs]
-        else:
-            log.debug("dm grid: %d x %d atoms -> %d %s", nx, ny, len(starts), path)
-            values = [_aligned_scan(a, b, range(len(a)))[1] for a, b in pairs]
-        return np.array(values)[at].reshape(nx, ny)
+            if tx is None or ty is None or not all(np.array_equal(g, g.swapaxes(1, 2)) for g in sides):
+                orbit, path = range(nx * ny), "pairs, each scanned"
+            else:
+                cells = (tx[:, None, :] * (int(ty.max()) + 1) + ty[None, :, :]).reshape(nx * ny, -1)
+                orbit, path = _sample_orbits(cells), "joint orbits"
+            log.debug("dm grid: %d x %d atoms -> %d %s", nx, ny, len(set(orbit)), path)
+        values = []
+        for p, o in enumerate(orbit):
+            if o == p:
+                a, b = rows_x[p // ny], rows_y[p % ny]
+                values.append(_dpi_exact(a, b).value if quotient else _aligned_scan(a, b, range(len(a)))[1])
+            else:
+                values.append(values[o])
+        return np.array(values).reshape(nx, ny)
 
     return [grid(q) for q in quotients]

@@ -294,6 +294,64 @@ def dpi_heuristic_rescan(a, b):
     return PiWitness(cur.value, tuple(perm), cur, exact=False)
 
 
+# The threshold scan that ``matmetric._scan_pairs`` replaced, kept verbatim
+# as its reference: it scans every threshold from the top, guards against
+# thresholds at or above the incumbent and caches the cover budget.  It
+# shares the vertex cover and the budget rule with the library, whose first
+# minimum cover the witnesses must match, but none of the scan.
+def scan_pairs(pairs, denom):
+    """Minimise max(threshold, cover_size/denom) over gap thresholds.
+
+    ``pairs`` lists (t, k, gap) for t <= k, row by row as
+    :func:`_row_gaps` builds them, so the last pair has the largest k.
+    Thresholds run over the distinct positive gaps in decreasing order
+    plus 0; at threshold t the pairs with gap > t must be covered.
+    Returns the minimum and an optimal cover.
+    """
+    from mmsdist.matmetric import _share_budget, min_vertex_cover
+
+    if not pairs:
+        return 0.0, ()  # no points
+    nverts = pairs[-1][1] + 1
+    pos = [(g, i, j) for (i, j, g) in pairs if g > 0.0]
+    pos.sort(key=lambda t: -t[0])
+    thresholds = []
+    for g, _, _ in pos:
+        if not thresholds or g < thresholds[-1]:
+            thresholds.append(g)
+    thresholds.append(0.0)
+
+    inc = math.inf
+    ms, ms_inc = None, inc  # the largest cover size whose share is below ms_inc
+    best_cover: tuple = ()
+    edges: list = []
+    k = 0  # prefix of pos already in `edges`
+    low = 0  # the last cover's size: edges only grow, so it bounds the next
+    for t in thresholds:
+        while k < len(pos) and pos[k][0] > t:
+            edges.append((pos[k][1], pos[k][2]))
+            k += 1
+        if t >= inc:
+            continue
+        if not edges:
+            cover: tuple | None = ()
+        else:
+            if ms_inc != inc:  # computed only for a call that needs it
+                ms, ms_inc = _share_budget(inc, denom), inc
+            cover = min_vertex_cover(nverts, edges, max_size=ms, lower=low)
+            if cover is None:
+                break  # covers only grow as t shrinks
+            low = len(cover)
+        share = len(cover) / denom
+        val = max(t, share)
+        if val < inc:
+            inc = val
+            best_cover = cover
+        if share >= inc:
+            break
+    return inc, best_cover
+
+
 # The exact search that ``matmetric._dpi_exact`` replaced, kept as its
 # reference: the same lex-order tree, but every memo node holds its prefix's
 # full threshold scan instead of one decision against the incumbent.
@@ -310,7 +368,7 @@ def dpi_exact_scan(a, b):
     row of a class of twins of B.
     """
     from mmsdist import DmWitness, PiWitness
-    from mmsdist.matmetric import _row_gaps, _scan_pairs, _twin_prev, _witness
+    from mmsdist.matmetric import _row_gaps, _twin_prev, _witness
 
     a_list = np.asarray(a, float).tolist()
     b_list = np.asarray(b, float).tolist()
@@ -343,7 +401,7 @@ def dpi_exact_scan(a, b):
         key = tuple(g for _, _, g in chunk)
         node = levels[k].get(key)
         if node is None:
-            node = levels[k][key] = (*_scan_pairs(pairs, n), {})
+            node = levels[k][key] = (*scan_pairs(pairs, n), {})
         value, cover, sub = node
         if value < best_value:
             if k == n - 1:

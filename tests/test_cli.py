@@ -359,13 +359,19 @@ def test_cli_error_paths(files, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("size", ["-1", "2.5"])
-def test_dm_rejects_a_bad_size_line_naming_the_file(files, capsys, size):
-    # "-1" failed with numpy's "can only specify one unknown dimension" and
-    # "2.5" with "invalid literal for int()", neither naming the file
-    bad = _write(files["dir"] / "bad.mat", f"{size}\n0\n")
+@pytest.mark.parametrize(
+    "text, token",
+    [("-1\n0\n", "'-1'"), ("2.5\n0\n", "'2.5'"), ("2\n0 x\n1 0\n", "'x'")],
+    ids=["-1", "2.5", "entry x"],
+)
+def test_dm_rejects_a_bad_size_line_naming_the_file(files, capsys, text, token):
+    # a size line of "-1" failed with numpy's "can only specify one unknown
+    # dimension", "2.5" with "invalid literal for int()" and an entry "x"
+    # with "could not convert string to float: 'x'", none naming the file
+    bad = _write(files["dir"] / "bad.mat", text)
     assert main(["dm", files["a"], bad]) == 2
-    assert bad in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert bad in err and token in err
 
 
 def _outcomes(capsys, argvs):

@@ -38,6 +38,7 @@ from oracles import (
     dpi_heuristic_rescan,
     min_vertex_cover_recursive,
     mvc_bruteforce,
+    scan_pairs,
 )
 
 A_LINE = np.array([[0.0, 1, 3], [1, 0, 2], [3, 2, 0]])  # points {0, 1, 3}
@@ -414,14 +415,14 @@ def _dpi_exact_unpruned(a, b):
         key = tuple(g for _, _, g in pairs)
         val = memo.get(key)
         if val is None:
-            val = _scan_pairs(pairs, n)[0]
+            val = scan_pairs(pairs, n)[0]
             memo[key] = val
         return val
 
     def dfs(k: int) -> None:
         if k == n:
             pairs = [p for chunk in prefix for p in chunk]
-            val, cover = _scan_pairs(pairs, n)
+            val, cover = scan_pairs(pairs, n)
             resid = max((g for i, j, g in pairs if i not in cover and j not in cover), default=0.0)
             if val < best["value"]:
                 best["value"] = val
@@ -827,6 +828,30 @@ def test_share_budget_is_the_largest_share_below():
             for inc in (math.nextafter(share, -1.0), share, math.nextafter(share, 2.0), 1.5, 1e308):
                 want = max((k for k in range(denom + 1) if k / denom < inc), default=-1)
                 assert _share_budget(inc, denom) == want
+
+
+@st.composite
+def _gap_list(draw):
+    """The (t, k, gap) pairs of 0 <= n <= 9 points, t <= k, row by row as
+    ``_row_gaps`` builds them, diagonal self-loops included: gaps all zero,
+    tied on thirds and halves (some equal to shares m / n), arbitrary, or
+    zero off the diagonal."""
+    n = draw(st.integers(0, 9))
+    kind = draw(st.sampled_from(["zero", "ties", "floats", "diagonal"]))
+    gaps = st.floats(0.0, 2.0) if kind == "floats" else st.sampled_from([0.0, 1 / 3, 0.5, 2 / 3, 1.0])
+    pairs = []
+    for k in range(n):
+        for t in range(k + 1):
+            off = kind == "zero" or (kind == "diagonal" and t < k)
+            pairs.append((t, k, 0.0 if off else draw(gaps)))
+    return pairs, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gap_list())
+def test_scan_pairs_equals_the_reference_scan(case):
+    pairs, n = case
+    assert repr(_scan_pairs(pairs, n)) == repr(scan_pairs(pairs, n))
 
 
 def test_dm_one_ulp_above_a_share_matches_the_oracle():

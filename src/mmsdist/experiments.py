@@ -38,6 +38,7 @@ from .sampling import (
     ModelSpace,
     enumerate_matrix_ensemble,
     rng_stream,
+    sample_counts,
     sample_indices,
 )
 
@@ -367,7 +368,9 @@ def check_sampling_convergence(
     distance grid, which dominates the space distance of the empirical
     space from the model.  The grid and the model measure are prepared once
     (:class:`mmsdist.coupling._ProkhorovTo`, the path every Prokhorov
-    distance takes), and each trial runs only the breakpoint search."""
+    distance takes), and each trial counts its n draws per atom by one sort
+    (:func:`mmsdist.sampling.sample_counts`) and runs only the breakpoint
+    search."""
     if n < 1:
         raise ValueError("need at least one sample point")
     if trials < 1:
@@ -382,10 +385,7 @@ def check_sampling_convergence(
     exceed = 0
     dps = np.zeros(trials)
     for t in range(trials):
-        rng = rng_stream(seed, t)
-        idx = sample_indices(p, n, rng)
-        counts = np.bincount(idx, minlength=base.n)
-        dp = dp_to_model.solve(counts / n)[0]
+        dp = dp_to_model.solve(sample_counts(p, n, rng_stream(seed, t)) / n)[0]
         dps[t] = dp
         if dp > 3.0 * epsilon:
             exceed += 1

@@ -11,6 +11,7 @@ Euclidean space; distances computed as Euclidean).
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -26,25 +27,38 @@ __all__ = [
 ]
 
 
+@contextmanager
+def _naming(path):
+    """Every ValueError raised inside, a JSON syntax error included, names
+    ``path`` once, in front of its message, and keeps its type."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:  # its message ignores args
+        raise ValueError(f"{path}: {exc}") from None
+    except ValueError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def read_matrix(path) -> np.ndarray:
     """Read a plain matrix file: first line n, then n rows."""
-    with open(path) as fh:
+    with _naming(path), open(path) as fh:
         tokens = fh.read().split()
-    if not tokens:
-        raise ValueError(f"{path}: empty matrix file")
-    try:
-        n = int(tokens[0])
-    except ValueError:
-        n = -1
-    if n < 0:
-        raise ValueError(f"{path}: the size line must be a non-negative integer, got {tokens[0]!r}")
-    try:
-        vals = [float(t) for t in tokens[1:]]
-    except ValueError as exc:  # float's message names the token
-        raise ValueError(f"{path}: matrix entries must be numbers; {exc}") from None
-    if len(vals) != n * n:
-        raise ValueError(f"{path}: expected {n * n} entries, found {len(vals)}")
-    return np.array(vals).reshape(n, n)
+        if not tokens:
+            raise ValueError("empty matrix file")
+        try:
+            n = int(tokens[0])
+        except ValueError:
+            n = -1
+        if n < 0:
+            raise ValueError(f"the size line must be a non-negative integer, got {tokens[0]!r}")
+        try:
+            vals = [float(t) for t in tokens[1:]]
+        except ValueError as exc:  # float's message names the token
+            raise ValueError(f"matrix entries must be numbers; {exc}") from None
+        if len(vals) != n * n:
+            raise ValueError(f"expected {n * n} entries, found {len(vals)}")
+        return np.array(vals).reshape(n, n)
 
 
 def format_matrix(entries) -> str:
@@ -90,50 +104,50 @@ def _mms_from_dict(obj: dict, tol: float) -> FiniteMMS:
 
 
 def read_mms(path, tol: float = DEFAULT_TOL) -> FiniteMMS:
-    with open(path) as fh:
+    with _naming(path), open(path) as fh:
         obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    return _mms_from_dict(obj, tol)
+        if not isinstance(obj, dict):
+            raise ValueError("expected a JSON object")
+        return _mms_from_dict(obj, tol)
 
 
 def read_mass_vector(path) -> np.ndarray:
     """Read a mass vector: either a bare JSON array or {"mass": [...]}."""
-    with open(path) as fh:
+    with _naming(path), open(path) as fh:
         obj = json.load(fh)
-    if isinstance(obj, dict):
-        if "mass" not in obj:
-            raise ValueError(f"{path}: mass JSON object needs a 'mass' field")
-        obj = obj["mass"]
-    return _array(obj, "mass")
+        if isinstance(obj, dict):
+            if "mass" not in obj:
+                raise ValueError("mass JSON object needs a 'mass' field")
+            obj = obj["mass"]
+        return _array(obj, "mass")
 
 
 def read_model_space(path, tol: float = DEFAULT_TOL):
     """Read a model-space JSON file ({"kind": ...} plus kind-specific fields)."""
     from .sampling import ModelSpace
 
-    with open(path) as fh:
+    with _naming(path), open(path) as fh:
         obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    kind = obj.get("kind")
-    if kind == "finite":
-        return ModelSpace.finite(_mms_from_dict(obj, tol))
-    if kind == "circle":
-        c = obj.get("circumference", 1.0)
-        if isinstance(c, bool) or not isinstance(c, (int, float)):
-            raise ValueError(f"{path}: circle 'circumference' must be a number, got {c!r}")
-        try:
-            c = float(c)
-        except OverflowError:  # a JSON integer beyond the float range
-            raise ValueError(f"{path}: circle 'circumference' is too large for a float") from None
-        return ModelSpace.circle(c)
-    if kind == "interval":
-        return ModelSpace.interval()
-    if kind == "euclideanPoints":
-        if "coords" not in obj:
-            raise ValueError(f"{path}: euclideanPoints model space needs a 'coords' field")
-        mass = obj.get("mass")
-        mass = None if mass is None else _array(mass, "mass")
-        return ModelSpace.euclidean_points(_array(obj["coords"], "coords"), mass, tol)
-    raise ValueError(f"unknown model space kind: {kind!r}")
+        if not isinstance(obj, dict):
+            raise ValueError("expected a JSON object")
+        kind = obj.get("kind")
+        if kind == "finite":
+            return ModelSpace.finite(_mms_from_dict(obj, tol))
+        if kind == "circle":
+            c = obj.get("circumference", 1.0)
+            if isinstance(c, bool) or not isinstance(c, (int, float)):
+                raise ValueError(f"circle 'circumference' must be a number, got {c!r}")
+            try:
+                c = float(c)
+            except OverflowError:  # a JSON integer beyond the float range
+                raise ValueError("circle 'circumference' is too large for a float") from None
+            return ModelSpace.circle(c)
+        if kind == "interval":
+            return ModelSpace.interval()
+        if kind == "euclideanPoints":
+            if "coords" not in obj:
+                raise ValueError("euclideanPoints model space needs a 'coords' field")
+            mass = obj.get("mass")
+            mass = None if mass is None else _array(mass, "mass")
+            return ModelSpace.euclidean_points(_array(obj["coords"], "coords"), mass, tol)
+        raise ValueError(f"unknown model space kind: {kind!r}")

@@ -1,6 +1,11 @@
 """Model spaces, i.i.d. sampling of empirical spaces and exact enumeration
 of matrix ensembles.
 
+Atom draws from a mass vector come as indices (:func:`sample_indices`,
+one binary search per draw) or as per-atom counts (:func:`sample_counts`,
+one sort of the same uniforms); the counts are those of the indices bit
+for bit.
+
 Randomness contract: all draws come from the counter-based Philox
 generator, keyed as (seed, stream).  Identical (space, N, seed, stream)
 yields bit-identical output, and per-trial streams reproduce serial runs
@@ -31,6 +36,7 @@ __all__ = [
     "rng_stream",
     "empirical_space",
     "sample_indices",
+    "sample_counts",
     "enumerate_matrix_ensemble",
 ]
 
@@ -116,6 +122,26 @@ def sample_indices(mass, n: int, rng: np.random.Generator) -> np.ndarray:
     u = rng.random(n)
     idx = np.searchsorted(cum, u, side="right")
     return np.minimum(idx, cum.size - 1)
+
+
+def sample_counts(mass, n: int, rng: np.random.Generator) -> np.ndarray:
+    """How many of n draws from a discrete mass vector fall on each atom:
+    ``np.bincount(sample_indices(mass, n, rng), minlength=len(mass))`` bit
+    for bit, from the same n uniforms, leaving ``rng`` in the same state.
+
+    The draws are sorted once and the cut points between atoms (the
+    running maximum of the cumulative masses, so an entry within tol below
+    zero is an empty bin) are located among them by one binary search each;
+    the last atom takes every draw at or above the last cut, as
+    :func:`sample_indices` clamps to it.  That is O(n log n + k log n),
+    with no n-long index array.  ``mass`` is checked no more than by
+    :func:`sample_indices`."""
+    cum = np.cumsum(np.asarray(mass, dtype=float))
+    cuts = np.concatenate(([-np.inf], np.maximum.accumulate(cum[:-1]), [np.inf]))
+    u = rng.random(n)
+    u.sort()
+    below = np.searchsorted(u, cuts, side="left")  # the draws below each cut
+    return below[1:] - below[:-1]
 
 
 def empirical_space(space: ModelSpace, n: int, seed: int, stream: int = 0) -> FiniteMMS:

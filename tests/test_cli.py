@@ -99,15 +99,20 @@ def test_sample_rejects_weights_that_are_not_a_probability_vector(files, capsys)
         ("sample", "[1, 2]", "expected a JSON object"),
         ("prokhorov", '{"foo": 1}', "needs a 'mass' field"),
         ("prokhorov", '{"mass": {"a": 1}}', "'mass' must be an array"),
+        ("prokhorov", '{"mass": [0.5, "a"]}', "'mass' must be an array of numbers"),
+        ("sample", '{"coords": [[0, 0], [1, "x"]]}', "unknown model space kind: None"),
+        ("sample", '{"kind": "circle", "circumference": 2', "Expecting ',' delimiter"),
+        ("prokhorov", '{"mass": [0.5, 0.5]', "Expecting ',' delimiter"),
     ],
 )
 def test_malformed_json_is_a_typed_error(files, capsys, command, text, message):
-    # each of these ended in a KeyError, AttributeError or TypeError traceback
+    # each of these ended in a KeyError, AttributeError or TypeError
+    # traceback, or in a message that did not name the file
     bad = _write(files["dir"] / "bad.json", text)
     argv = ["sample", bad, "--n", "3"] if command == "sample" else ["prokhorov", bad, files["q"], files["d"]]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert err.startswith(f"error: {bad}: ") and message in err and err.count(bad) == 1
 
 
 @pytest.mark.parametrize(
@@ -122,15 +127,28 @@ def test_malformed_json_is_a_typed_error(files, capsys, command, text, message):
         ("ghp", '{"dist": [[0, 1], [1, 0]], "coords": 5}', "'coords' must be an array"),
         ("ghp", '{"dist": [[0, {"a": 1}], [1, 0]]}', "'dist' must be an array of numbers"),
         ("sample", '{"kind": "euclideanPoints", "coords": {"a": 1}}', "'coords' must be an array"),
+        ("ghp", '{"dist": [[0, 1], [1, 0]], "mass": [0.5, "a"]}', "'mass' must be an array of numbers"),
+        ("ghp", '{"labels": ["o", "x"], "dist": [[0, 0.5], [0.5, 0]], "mass": [0.9, 0.1]', "Expecting ',' delimiter"),
     ],
 )
 def test_malformed_json_fields_are_typed_errors(files, capsys, command, text, message):
-    # each of these ended in a TypeError or IndexError traceback
+    # each of these ended in a TypeError or IndexError traceback, or in a
+    # message that did not name the file
     bad = _write(files["dir"] / "bad.json", text)
     argv = ["sample", bad, "--n", "3"] if command == "sample" else ["ghp", bad, files["y"]]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert err.startswith(f"error: {bad}: ") and message in err and err.count(bad) == 1
+
+
+@pytest.mark.parametrize("command", ["ghp", "dm"])
+def test_undecodable_input_names_the_file(files, capsys, command):
+    bad = files["dir"] / "bad.bin"
+    bad.write_bytes(b"\xff\xfe{}")
+    argv = ["ghp", str(bad), files["y"]] if command == "ghp" else ["dm", str(bad), files["a"]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and "can't decode" in err
 
 
 def test_oversized_circumference_is_a_typed_error(files, capsys):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,19 @@ def test_space_json_without_points_is_a_typed_error(tmp_path):
     path.write_text('{"coords": []}')
     with pytest.raises(ValueError, match="no points"):
         read_mms(path)
+
+
+def test_space_json_errors_name_the_file_and_keep_their_type(tmp_path):
+    path = tmp_path / "asym.json"
+    path.write_text('{"dist": [[0, 1], [2, 0]]}')
+    with pytest.raises(ValidationError) as info:
+        read_mms(path)
+    assert str(info.value).startswith(f"{path}: 1 violation(s)")
+    assert [(v.kind, v.indices) for v in info.value.violations] == [("asymmetric", (0, 1))]
+    path.write_text('{"dist": [[0, 1], [1, 0]]')
+    with pytest.raises(json.JSONDecodeError) as info:
+        read_mms(path)
+    assert str(info.value).startswith(f"{path}: Expecting")
 
 
 def test_finite_mms_rejects_a_0d_mass():
@@ -154,7 +169,7 @@ def test_package_exports_each_submodule_all():
         "DPI_EXACT_LIMIT", "DmWitness", "PiWitness", "dm_distance", "dpi_distance",
         "min_vertex_cover",
         # sampling
-        "ModelSpace", "rng_stream", "empirical_space", "sample_indices",
+        "ModelSpace", "rng_stream", "empirical_space", "sample_indices", "sample_counts",
         "enumerate_matrix_ensemble",
     ]
     assert all(hasattr(mmsdist, name) for name in mmsdist.__all__)

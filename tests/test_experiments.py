@@ -176,6 +176,7 @@ def test_sampling_convergence_rejects_bad_settings_before_sampling(monkeypatch, 
         raise AssertionError("sampled before checking the settings")
 
     monkeypatch.setattr(experiments, "sample_indices", no_sampling)
+    monkeypatch.setattr(experiments, "sample_counts", no_sampling)
     with pytest.raises(ValueError, match=message):
         check_sampling_convergence(**kwargs)
 

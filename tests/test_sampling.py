@@ -4,7 +4,7 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmsdist import (
@@ -19,7 +19,8 @@ from mmsdist import (
 )
 from mmsdist import matmetric
 from mmsdist.experiments import two_point_space
-from mmsdist.sampling import rng_stream, sample_indices
+from mmsdist.core import DEFAULT_TOL
+from mmsdist.sampling import rng_stream, sample_counts, sample_indices
 from oracles import enumerate_matrix_ensemble_loop
 
 
@@ -85,6 +86,67 @@ def test_empirical_determinism_bitwise():
 def test_empirical_rejects_empty():
     with pytest.raises(ValueError):
         empirical_space(ModelSpace.interval(), 0, seed=0)
+
+
+class _Draws:
+    """A generator stand-in whose one ``random(n)`` call returns set draws."""
+
+    def __init__(self, u):
+        self.u = np.array(u, dtype=float)
+
+    def random(self, n):
+        assert n == self.u.size
+        return self.u.copy()
+
+
+@st.composite
+def _count_draws(draw):
+    """(mass, n, seed, hits): k = 1-8 integer weights, any of them zero
+    (leading, interior or trailing), scaled to sum to 1, 1 - tol or 1 + tol;
+    ``hits`` pairs a draw with a cumulative mass it is set to exactly."""
+    weights = draw(st.lists(st.integers(0, 5), min_size=1, max_size=8).filter(any))
+    mass = np.array(weights, dtype=float) / sum(weights)
+    mass *= 1.0 + draw(st.sampled_from([-1, 0, 1])) * DEFAULT_TOL
+    n = draw(st.integers(1, 2000))
+    hits = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, mass.size - 1)), max_size=20))
+    return mass, n, draw(st.integers(0, 2**64 - 1)), hits
+
+
+@settings(max_examples=300, deadline=None)
+@given(_count_draws())
+@example((np.array([1.0]), 1, 0, []))
+@example((np.array([1.0]), 2000, 0, []))
+@example((np.array([0.0, 0.5, 0.0, 0.5, 0.0]), 1, 3, [(0, 1)]))
+@example((np.array([0.0, 0.5, 0.0, 0.5, 0.0]) * (1.0 - DEFAULT_TOL), 2000, 3, [(0, 1), (1, 0)]))
+def test_sample_counts_equals_the_counted_indices(inst):
+    mass, n, seed, hits = inst
+    got_rng, want_rng = rng_stream(seed), rng_stream(seed)
+    got = sample_counts(mass, n, got_rng)
+    want = np.bincount(sample_indices(mass, n, want_rng), minlength=mass.size)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert got_rng.random() == want_rng.random()
+    # draws that fall exactly on a cut point go to the atom above it
+    u = rng_stream(seed).random(n)
+    cum = np.cumsum(mass)
+    for i, j in hits:
+        u[i] = min(cum[j], np.nextafter(1.0, 0.0))
+    want = np.bincount(sample_indices(mass, n, _Draws(u)), minlength=mass.size)
+    assert sample_counts(mass, n, _Draws(u)).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+@pytest.mark.parametrize("j", [0, 1, -1])
+def test_sample_counts_leave_a_slightly_negative_mass_empty(k, j):
+    mass = np.full(k, 1.0 / k)
+    mass[j] = -DEFAULT_TOL / 2
+    mass[j + 1 if j + 1 < k else 0] += 1.0 - mass.sum()
+    cum = np.cumsum(mass)
+    # one draw in each gap where the cumulative mass steps down
+    inside = [(a + b) / 2 for a, b in zip(cum[1:], cum[:-1]) if 0 <= a < b < 1]
+    for seed in range(20):
+        u = np.concatenate([inside, rng_stream(seed).random(500 - len(inside))])
+        counts = sample_counts(mass, 500, _Draws(u))
+        assert counts.min() >= 0 and counts.sum() == 500 and counts[j] == 0
 
 
 def test_ensemble_single_draw():

@@ -178,17 +178,15 @@ class DistanceMatrix:
 
     @staticmethod
     def from_points(coords) -> "DistanceMatrix":
-        """Euclidean distance matrix of a point cloud (rows = points)."""
+        """Euclidean distance matrix of a point cloud, read by
+        :func:`as_point_cloud` (rows = points)."""
         return DistanceMatrix(_euclidean_grid(coords, coords))
 
 
 def _euclidean_grid(p, q) -> np.ndarray:
-    """Euclidean distances between the rows of two point clouds; 1-D
-    coordinates are one column."""
-    p, q = (np.asarray(c, dtype=float) for c in (p, q))
-    if not (p.ndim and q.ndim):
-        raise ValueError("coordinates must be an array of points, got a scalar")
-    p, q = (c[:, None] if c.ndim == 1 else c for c in (p, q))
+    """Euclidean distances between the rows of two point clouds, each read
+    by :func:`as_point_cloud`."""
+    p, q = (as_point_cloud(c, "coords") for c in (p, q))
     if p.shape[1] != q.shape[1]:
         raise ValueError(f"coordinate dimensions differ: {p.shape[1]} vs {q.shape[1]}")
     diff = p[:, None, :] - q[None, :, :]

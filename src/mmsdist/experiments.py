@@ -269,18 +269,24 @@ def check_hoelder_small_n(
     )
 
 
-def sharp_window(c: float, alpha: float, epsilon: float):
-    """Integer sample sizes N with 1/2 < N*C*eps^alpha < 1."""
-    if not (c > 0.0 and 0.0 < epsilon < 1.0):
-        raise ValueError("need C > 0 and 0 < eps < 1")
+def sharp_window(c: float, alpha: float, epsilon: float, n: int | None = None):
+    """``(n, lo, hi)`` with lo < n < hi, the sharpness window: lo is
+    1/(2*C*eps^alpha) and hi is 1/(C*eps^alpha); n defaults to the least
+    integer above lo.  ValueError unless 1/2 < alpha < 1, 0 < C < inf,
+    0 < eps < 1, 1/(C*eps^alpha) is finite and n is in the window."""
+    if not (0.5 < alpha < 1.0 and 0.0 < c < math.inf and 0.0 < epsilon < 1.0):  # NaN fails this
+        raise ValueError("need alpha in (1/2, 1), C positive and finite and 0 < eps < 1")
     unit = c * epsilon**alpha
+    if not (unit > 0.0 and 1.0 / unit < math.inf):
+        raise ValueError(f"C*eps^alpha = {unit} has no finite reciprocal")
     lo, hi = 0.5 / unit, 1.0 / unit
-    n_min = math.floor(lo) + 1
-    if not lo < n_min < hi:
+    pick = math.floor(lo) + 1 if n is None else n
+    if not lo < pick < hi:
         raise ValueError(
-            f"no integer N in the window ({lo}, {hi}); choose a smaller epsilon"
+            f"no integer N in the window ({lo}, {hi}); choose a smaller epsilon" if n is None
+            else f"N={n} is outside the window ({lo}, {hi})"
         )
-    return n_min, lo, hi
+    return pick, lo, hi
 
 
 def check_sharp_exponent(
@@ -292,24 +298,18 @@ def check_sharp_exponent(
     tol: float = DEFAULT_TOL,
 ) -> ExperimentReport:
     """Sharpness of the square-root exponent: for the two-point pair with
-    diameters 2C/4C and the window sample size, the probability that the
-    first sampled matrix is nonzero already exceeds C*eps^alpha, which
-    certifies the same lower bound for the ensemble distance (below the
-    threshold no row may be excluded, forcing both matrices to vanish).
+    diameters 2C/4C and a sample size in the window (:func:`sharp_window`
+    picks or checks n), the probability that the first sampled matrix is
+    nonzero already exceeds C*eps^alpha, which certifies the same lower
+    bound for the ensemble distance (below the threshold no row may be
+    excluded, forcing both matrices to vanish).
     The exact ensemble distance is compared too when n is within the exact
     dpi limit and the 2^n sample tuples and the atoms_x x atoms_y dpi grid
     both fit the budget; else a note names the first of these that fails.
     The limit is checked before the ensembles are enumerated.
     """
     check_tol(tol)
-    if not 0.5 < alpha < 1.0:
-        raise ValueError("alpha must lie in (1/2, 1)")
-    n_default, lo, hi = sharp_window(c, alpha, epsilon)
-    if n is None:
-        n = n_default
-    unit = n * c * epsilon**alpha
-    if not 0.5 < unit < 1.0:
-        raise ValueError(f"N={n} violates the window: N*C*eps^alpha = {unit}")
+    n, lo, hi = sharp_window(c, alpha, epsilon, n)
     threshold = c * epsilon**alpha
     p_nonzero = 1.0 - (1.0 - epsilon) ** n - epsilon**n
     certified_lower = min(threshold, p_nonzero)

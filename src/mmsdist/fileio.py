@@ -89,15 +89,15 @@ def _array(value, field: str, numeric: bool = True):
 
 def _mms_from_dict(obj: dict, tol: float) -> FiniteMMS:
     coords = _array(obj["coords"], "coords") if "coords" in obj else None
-    if "dist" in obj:
+    if "dist" in obj:  # a JSON array is never 0 x 0, so this has points
         dist = validate_distance_matrix(_array(obj["dist"], "dist"), tol)
-    elif coords is not None:
-        dist = DistanceMatrix.from_points(coords)
-    else:
+    elif coords is None:
         raise ValueError("space JSON needs a 'dist' or 'coords' field")
-    n = dist.n
-    if not n:
+    elif not len(coords):
         raise ValueError("space JSON has no points")
+    else:
+        dist = DistanceMatrix.from_points(coords)
+    n = dist.n
     labels = _array(obj.get("labels", [f"p{i}" for i in range(n)]), "labels", numeric=False)
     mass = _array(obj.get("mass", [1.0 / n] * n), "mass")
     return FiniteMMS(labels=tuple(labels), dist=dist, mass=mass, coords=coords, tol=tol)

@@ -208,13 +208,8 @@ def _identify_bound(x: FiniteMMS, y: FiniteMMS, tol: float) -> GhpBound:
     pairs = [(ix[l], j) for j, l in enumerate(y.labels) if l in ix]
     if not pairs:
         raise StrategyError("identify strategy needs shared labels")
-    for a, (i, j) in enumerate(pairs):
-        for i2, j2 in pairs[a:]:
-            gap = abs(x.dist.entries[i, i2] - y.dist.entries[j, j2])
-            if gap > tol:
-                raise StrategyError(
-                    f"shared labels are not isometric: gap {gap} on a shared pair"
-                )
+    # a shared pair whose distances differ by g shrinks by g through its
+    # two zero-length bridges, so _glue rejects non-isometric labels
     glued = _glue(x, y, [(i, j, 0.0) for i, j in pairs], tol)
     res = prokhorov_distance(x.mass, y.mass, glued.cross, tol)
     return GhpBound(
@@ -282,14 +277,17 @@ def ghp_upper_bound(
       permutation alignment outside its exclusion set and couples matched
       pairs (also fills in the uniform lower bound when the alignment was
       exact).
-    * ``identify``: glues shared labels at length 0 (they must carry equal
-      distances) and solves the optimal coupling on the glued space.
+    * ``identify``: glues shared labels at length 0 and solves the
+      optimal coupling on the glued space; shared labels whose distances
+      differ by more than tol raise :class:`GluingError`, as the gluing
+      would shorten one side.
     * ``net``: scans matching thresholds over an ambient cross-distance
       grid (from ``cross`` or the spaces' coordinates), bridges the best
       matching and solves the optimal coupling.
 
-    Raises :class:`StrategyError` when the strategy does not apply, and
-    ValueError for a tol that is not finite and >= 0.
+    Raises :class:`StrategyError` when the strategy does not apply,
+    :class:`GluingError` when its gluing is not isometric, and ValueError
+    for a tol that is not finite and >= 0.
     """
     check_tol(tol)
     if strategy == "permutation":

@@ -167,6 +167,13 @@ def test_ghp_command(files, capsys):
     assert payload["upper"] == pytest.approx(0.1)
 
 
+def test_identify_on_non_isometric_shared_labels_is_a_gluing_error(files, capsys):
+    # both files label their points o and x, at distances 0.5 and 1.0
+    y = _write(files["dir"] / "Yox.json", '{"labels": ["o", "x"], "dist": [[0, 1.0], [1.0, 0]]}')
+    assert main(["ghp", files["x"], y, "--strategy", "identify"]) == 2
+    assert "not isometric: gluing shortens internal distances by 0.5" in capsys.readouterr().err
+
+
 def test_global_tol_reaches_space_file_masses(files, capsys):
     # X's masses sum to 1.000001: accepted at --tol 1e-3, as prokhorov accepts them
     x = _write(

@@ -92,7 +92,7 @@ def test_scalar_coordinates_are_rejected():
     one = DistanceMatrix(np.zeros((1, 1)))
     with pytest.raises(ValueError, match="coords row count"):
         FiniteMMS(labels=("a",), dist=one, mass=[1.0], coords=5.0)
-    with pytest.raises(ValueError, match="array of points"):
+    with pytest.raises(ValueError, match="coords needs points with finite coordinates"):
         DistanceMatrix.from_points(5.0)
 
 

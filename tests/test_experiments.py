@@ -77,6 +77,17 @@ def test_sharp_window_and_example():
     )
 
 
+def test_sharp_window_accepts_the_n_it_picks_at_a_rounding_edge():
+    # N*C*eps^alpha rounds to 0.5 at N = 10, just above lo = 9.999999999999998:
+    # a second window test by that product rejected the N the window picked
+    c, alpha, eps = 0.12704377430556815, 0.5120066003356747, 0.1618180734164729
+    n, lo, hi = sharp_window(c, alpha, eps)
+    assert (n, n * c * eps**alpha) == (10, 0.5) and lo < n < hi
+    r = check_sharp_exponent(c, alpha, eps)
+    assert r.observed["window_n"] == 10 and r.config["n"] == 10
+    assert r.all_passed()
+
+
 def test_sharp_exact_branch():
     r = check_sharp_exponent(1.0, 0.75, 0.05, n=5)
     assert r.all_passed()

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mmsdist import (
     DistanceMatrix,
@@ -303,6 +305,39 @@ def test_best_strategy_picks_minimum():
     best = best_ghp_upper_bound(x, y)
     assert best.method == "identify"
     assert best.upper == pytest.approx(0.1, abs=1e-12)
+
+
+@st.composite
+def _lattice_space(draw):
+    """Up to four points of the 3 x 3 lattice (repeats allowed), uniform
+    masses, distinct labels from "abcd"."""
+    k = draw(st.integers(1, 4))
+    points = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=k, max_size=k))
+    return _space(draw(st.permutations("abcd"))[:k], points)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=_lattice_space(), y=_lattice_space())
+def test_identify_rejects_exactly_the_non_isometric_shared_labels(x, y):
+    # the gluing's own shrink check is the only isometry test of identify
+    shared = [l for l in x.labels if l in y.labels]
+    assume(shared)
+    ix, iy = ([s.labels.index(l) for l in shared] for s in (x, y))
+    gap = float(np.abs(x.dist.entries[np.ix_(ix, ix)] - y.dist.entries[np.ix_(iy, iy)]).max())
+    if gap <= 1e-9:
+        assert ghp_upper_bound(x, y, "identify").method == "identify"
+        return
+    with pytest.raises(GluingError, match="not isometric"):
+        ghp_upper_bound(x, y, "identify")
+    others = []
+    for s in ("permutation", "net"):
+        try:
+            others.append(ghp_upper_bound(x, y, s))
+        except (StrategyError, GluingError):
+            pass
+    best = best_ghp_upper_bound(x, y)  # net always applies to lattice coordinates
+    assert best.method != "identify"
+    assert best.upper == min(b.upper for b in others)
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -0.1])

@@ -37,7 +37,7 @@ from mmsdist import (
     validate_distance_matrix,
 )
 from mmsdist.cli import main
-from mmsdist.experiments import check_hoelder_small_n, check_sharp_exponent
+from mmsdist.experiments import check_hoelder_small_n, check_sharp_exponent, sharp_window
 from mmsdist.sampling import rng_stream
 
 
@@ -339,6 +339,11 @@ CASES.update({
         lambda d, n: partial(ModelSpace.euclidean_points, np.zeros((n, 1, 1))),
         "point cloud needs points with finite coordinates",
     ),
+    # from_points gave a NaN or inf distance matrix
+    "from_points: NaN or inf in the coordinates": (
+        lambda d, n: partial(DistanceMatrix.from_points, _with(d, np.zeros((n, 2)), _bad(d))),
+        "coords needs points with finite coordinates",
+    ),
     "point cloud: weights not summing to 1": (
         lambda d, n: partial(ModelSpace.euclidean_points, np.zeros((n, 2)), _mass(d, n) / 2),
         "weights sums to",
@@ -376,6 +381,25 @@ CASES.update({
     "hoelder check: negative mc_trials": (
         lambda d, n: partial(check_hoelder_small_n, n=n, mc_trials=-d(st.integers(1, 5))),
         "mc_trials must be >= 0",
+    ),
+    # sharp_window read a NaN alpha as "cannot convert float NaN to
+    # integer" and an infinite C as the empty window (0.0, 0.0)
+    "sharp window: NaN or out-of-range alpha": (
+        lambda d, n: partial(sharp_window, 1.0, d(st.sampled_from([np.nan, 0.5, 1.0])), 0.01),
+        "need alpha in (1/2, 1)",
+    ),
+    "sharp window: NaN or inf C": (
+        lambda d, n: partial(sharp_window, _bad(d), 0.75, 0.01),
+        "C positive and finite",
+    ),
+    # a zero C*eps^alpha raised ZeroDivisionError, a subnormal one OverflowError
+    "sharp window: C*eps^alpha without a finite reciprocal": (
+        lambda d, n: partial(sharp_window, 1e-300, 0.75, d(st.sampled_from([1e-300, 1e-20]))),
+        "has no finite reciprocal",
+    ),
+    "sharp window: N outside it": (
+        lambda d, n: partial(check_sharp_exponent, 1.0, 0.75, 0.01, d(st.sampled_from([15, 32, np.nan]))),
+        "is outside the window (15.8",
     ),
     # gluings
     # named a bridge length before the cross grid was checked

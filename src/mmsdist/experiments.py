@@ -37,9 +37,9 @@ from .matmetric import (
 from .sampling import (
     ModelSpace,
     enumerate_matrix_ensemble,
-    rng_stream,
     sample_counts,
     sample_indices,
+    trial_streams,
 )
 
 __all__ = [
@@ -170,8 +170,7 @@ def check_finspc_sandwich(
     worst_upper_excess = -math.inf
     worst_sandwich_excess = -math.inf
     violations = 0
-    for t in range(trials):
-        rng = rng_stream(seed, t)
+    for rng in trial_streams(seed, trials):
         a = random_euclidean_dmatrix(rng, n)
         b = random_euclidean_dmatrix(rng, n)
         bounds = ghp_bounds_uniform(a, b, tol=tol, exact_limit=max(DPI_EXACT_LIMIT, n))
@@ -217,6 +216,7 @@ def check_hoelder_small_n(
         raise ValueError("epsilon must lie in (0, 1/4)")
     if mc_trials < 0:
         raise ValueError(f"mc_trials must be >= 0, got {mc_trials}")
+    streams = trial_streams(seed, mc_trials)  # checks the seed even at mc_trials = 0
     x, y = sharp_pair(0.25, epsilon)
     ens_x, ens_y, (grid,) = _ensemble_grids(ModelSpace.finite(x), ModelSpace.finite(y), n, (True,), budget, tol)
     ghp = ghp_upper_bound(x, y, "identify", tol=tol)
@@ -234,8 +234,7 @@ def check_hoelder_small_n(
         cols = cross.shape[1]
         mc_violations = 0
         worst_gap = -math.inf
-        for t in range(mc_trials):
-            rng = rng_stream(seed, t)
+        for rng in streams:
             cells = sample_indices(flat_mass, n, rng)
             xi = cells // cols
             yi = cells % cols
@@ -368,9 +367,10 @@ def check_sampling_convergence(
     distance grid, which dominates the space distance of the empirical
     space from the model.  The grid and the model measure are prepared once
     (:class:`mmsdist.coupling._ProkhorovTo`, the path every Prokhorov
-    distance takes), and each trial counts its n draws per atom by one sort
-    (:func:`mmsdist.sampling.sample_counts`) and runs only the breakpoint
-    search."""
+    distance takes).  Trial t draws from Philox stream (seed, t), walked on
+    one re-keyed generator (:func:`mmsdist.sampling.trial_streams`), counts
+    its n draws per atom by one sort (:func:`mmsdist.sampling.sample_counts`)
+    and runs only the breakpoint search."""
     if n < 1:
         raise ValueError("need at least one sample point")
     if trials < 1:
@@ -384,8 +384,8 @@ def check_sampling_convergence(
     dp_to_model = _ProkhorovTo(p, base.dist.entries, tol)
     exceed = 0
     dps = np.zeros(trials)
-    for t in range(trials):
-        dp = dp_to_model.solve(sample_counts(p, n, rng_stream(seed, t)) / n)[0]
+    for t, rng in enumerate(trial_streams(seed, trials)):
+        dp = dp_to_model.solve(sample_counts(p, n, rng) / n)[0]
         dps[t] = dp
         if dp > 3.0 * epsilon:
             exceed += 1

@@ -9,13 +9,17 @@ for bit.
 Randomness contract: all draws come from the counter-based Philox
 generator, keyed as (seed, stream).  Identical (space, N, seed, stream)
 yields bit-identical output, and per-trial streams reproduce serial runs
-when trials are distributed across workers.
+when trials are distributed across workers.  A check's trial t draws from
+stream t: :func:`trial_streams` walks those streams on one generator,
+re-keyed per trial, since a Philox stream's whole state is its key and a
+zero counter.
 """
 
 from __future__ import annotations
 
 import logging
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +38,7 @@ from .core import (
 __all__ = [
     "ModelSpace",
     "rng_stream",
+    "trial_streams",
     "empirical_space",
     "sample_indices",
     "sample_counts",
@@ -51,6 +56,26 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
             raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def trial_streams(seed: int, trials: int) -> Iterator[np.random.Generator]:
+    """The streams of ``trials`` trials: for each t in ``range(trials)``, a
+    generator in exactly the state ``rng_stream(seed, t)`` starts in.
+
+    The seed is checked here, not at the first trial.  The yielded
+    generator is the same object each time, re-keyed from a fresh state
+    (never from the used one, whose buffered draws would leak into the next
+    trial), and is valid only until the next one is taken."""
+    rng = rng_stream(seed)
+    fresh = rng.bit_generator.state
+
+    def walk():
+        for t in range(trials):
+            fresh["state"]["key"][1] = t
+            rng.bit_generator.state = fresh
+            yield rng
+
+    return walk()
 
 
 @dataclass(frozen=True, eq=False)

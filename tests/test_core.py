@@ -169,7 +169,7 @@ def test_package_exports_each_submodule_all():
         "DPI_EXACT_LIMIT", "DmWitness", "PiWitness", "dm_distance", "dpi_distance",
         "min_vertex_cover",
         # sampling
-        "ModelSpace", "rng_stream", "empirical_space", "sample_indices", "sample_counts",
-        "enumerate_matrix_ensemble",
+        "ModelSpace", "rng_stream", "trial_streams", "empirical_space", "sample_indices",
+        "sample_counts", "enumerate_matrix_ensemble",
     ]
     assert all(hasattr(mmsdist, name) for name in mmsdist.__all__)

@@ -48,6 +48,14 @@ def test_hoelder_report_fields():
     assert r.observed["mc_violations"] == 0
 
 
+@pytest.mark.parametrize("mc_trials", [0, 2])
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+def test_hoelder_rejects_a_bad_seed_at_any_mc_trials(seed, mc_trials):
+    # at mc_trials=0 no trial drew, and a seed of -1 was reported as given
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+        check_hoelder_small_n(0.1, 3, seed=seed, mc_trials=mc_trials)
+
+
 def test_hoelder_rejects_large_epsilon():
     with pytest.raises(ValueError):
         check_hoelder_small_n(0.3, 3)
@@ -160,6 +168,94 @@ def test_sampling_convergence_report_at_its_defaults():
 }"""
 
 
+@pytest.mark.parametrize(
+    "check, kwargs, want",
+    [
+        (check_finspc_sandwich, dict(n=4, trials=25, seed=2), """{
+  "bound": {
+    "tolerance": 1e-09
+  },
+  "config": {
+    "n": 4,
+    "seed": 2,
+    "tol": 1e-09,
+    "trials": 25
+  },
+  "name": "finspc_sandwich",
+  "notes": [],
+  "observed": {
+    "max_dpi_minus_2upper": -0.22759954113674097,
+    "max_upper_minus_dpi": 0.0,
+    "violations": 0
+  },
+  "passed": {
+    "dpi_le_2upper": true,
+    "upper_le_dpi": true
+  }
+}"""),
+        (check_hoelder_small_n, dict(epsilon=0.1, n=3, mc_trials=10, seed=1), """{
+  "bound": {
+    "sqrt_eps": 0.31622776601683794,
+    "sqrt_ghp_upper": 0.31622776601683794
+  },
+  "config": {
+    "budget": 1000000,
+    "epsilon": 0.1,
+    "mc_trials": 10,
+    "n": 3,
+    "seed": 1,
+    "tol": 1e-09
+  },
+  "name": "hoelder_small_n",
+  "notes": [
+    "per-sample bound checked on coupled draws"
+  ],
+  "observed": {
+    "atoms_x": 4,
+    "atoms_y": 4,
+    "dp_ensemble": 0.27,
+    "ghp_upper": 0.1,
+    "mc_trials": 10,
+    "mc_violations": 0,
+    "mc_worst_gap": 0.0
+  },
+  "passed": {
+    "dp_le_sqrt_eps": true,
+    "dp_le_sqrt_ghp_upper": true,
+    "per_sample_cases_bound": true
+  }
+}"""),
+        (check_sampling_convergence, dict(n=997, trials=300, seed=12345), """{
+  "bound": {
+    "binomial_95_slack": 0.03394819582834999,
+    "epsilon": 0.1
+  },
+  "config": {
+    "epsilon": 0.1,
+    "n": 997,
+    "seed": 12345,
+    "tol": 1e-09,
+    "trials": 300
+  },
+  "name": "sampling_convergence",
+  "notes": [],
+  "observed": {
+    "frequency_above_3eps": 0.0,
+    "max_dp": 0.04964894684052157,
+    "mean_dp": 0.022107154797726524
+  },
+  "passed": {
+    "frequency_below_eps": true
+  }
+}"""),
+    ],
+    ids=["finspc", "hoelder mc_trials", "sampconv"],
+)
+def test_multi_trial_reports_are_pinned(check, kwargs, want):
+    # recorded when every trial built its own generator by rng_stream(seed, t)
+    assert check(**kwargs).to_json() == want
+
+
 def test_sampling_convergence_at_tol_zero_takes_its_own_masses():
     # each trial's counts / n sums to 1 only within rounding, and a check of
     # it at tol 0 failed every run ("first marginal sums to 0.9999999999999999")
@@ -188,6 +284,7 @@ def test_sampling_convergence_rejects_bad_settings_before_sampling(monkeypatch, 
 
     monkeypatch.setattr(experiments, "sample_indices", no_sampling)
     monkeypatch.setattr(experiments, "sample_counts", no_sampling)
+    monkeypatch.setattr(experiments, "trial_streams", no_sampling)
     with pytest.raises(ValueError, match=message):
         check_sampling_convergence(**kwargs)
 

@@ -543,12 +543,14 @@ def test_rng_stream_keys_philox_by_seed_and_stream():
         (["check", "sampconv", "--seed", "-1"], "seed must be an integer in [0, 2**64)"),
         (["sample", "{space}", "--n", "2", "--seed", "-1"], "seed must be an integer in [0, 2**64)"),
         (["check", "hoelder", "--mc-trials", "-3"], "mc_trials must be >= 0"),
+        (["check", "hoelder", "--seed", "-1"], "seed must be an integer in [0, 2**64)"),
     ],
-    ids=["finspc seed", "sampconv seed", "sample seed", "hoelder mc_trials"],
+    ids=["finspc seed", "sampconv seed", "sample seed", "hoelder mc_trials", "hoelder seed"],
 )
 def test_cli_rejects_a_bad_seed_or_trial_count(tmp_path, capsys, argv, text):
     # a negative seed ended in an OverflowError traceback (exit 1), and
-    # check hoelder ran and reported "mc_trials": -3 (exit 0)
+    # check hoelder ran and reported "mc_trials": -3, or "seed": -1 when it
+    # drew no trial (exit 0)
     space = tmp_path / "space.json"
     space.write_text('{"kind": "interval"}')
     assert main([a.format(space=space) for a in argv]) == 2

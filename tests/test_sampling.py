@@ -20,7 +20,7 @@ from mmsdist import (
 from mmsdist import matmetric
 from mmsdist.experiments import two_point_space
 from mmsdist.core import DEFAULT_TOL
-from mmsdist.sampling import rng_stream, sample_counts, sample_indices
+from mmsdist.sampling import rng_stream, sample_counts, sample_indices, trial_streams
 from oracles import enumerate_matrix_ensemble_loop
 
 
@@ -86,6 +86,56 @@ def test_empirical_determinism_bitwise():
 def test_empirical_rejects_empty():
     with pytest.raises(ValueError):
         empirical_space(ModelSpace.interval(), 0, seed=0)
+
+
+def _state(rng):
+    """A generator's whole state, buffer included, as comparable values."""
+    s = rng.bit_generator.state
+    return (
+        s["state"]["counter"].tolist(), s["state"]["key"].tolist(),
+        s["buffer"].tolist(), s["buffer_pos"], s["has_uint32"], s["uinteger"],
+    )
+
+
+@st.composite
+def _walks(draw):
+    """(seed, trials, uses): a seed as an int, np.uint64 or np.int64, and per
+    trial how many doubles and uint32 values it draws (an odd count of
+    either leaves the Philox buffer part-used)."""
+    seed = draw(st.integers(0, 2**64 - 1))
+    seed = draw(st.sampled_from([int, np.uint64] + [np.int64] * (seed < 2**63)))(seed)
+    trials = draw(st.integers(0, 6))
+    uses = draw(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 3)), min_size=trials, max_size=trials))
+    return seed, trials, uses
+
+
+@settings(max_examples=200, deadline=None)
+@given(_walks())
+@example((0, 3, [(1, 1), (3, 0), (0, 1)]))
+@example((2**64 - 1, 3, [(5, 3), (0, 1), (2, 2)]))
+@example((np.uint64(2**64 - 1), 2, [(1, 0), (0, 0)]))
+@example((np.int64(7), 0, []))
+def test_trial_streams_start_each_trial_where_rng_stream_does(inst):
+    seed, trials, uses = inst
+    walked = []
+    for t, rng in enumerate(trial_streams(seed, trials)):
+        want = rng_stream(seed, t)
+        assert _state(rng) == _state(want)
+        doubles, words = uses[t]
+        assert rng.random(doubles).tolist() == want.random(doubles).tolist()
+        got = rng.integers(2**32, size=words, dtype=np.uint32)
+        assert got.tolist() == want.integers(2**32, size=words, dtype=np.uint32).tolist()
+        assert rng.random() == want.random()
+        walked.append(rng)
+    assert len(walked) == trials
+    assert all(rng is walked[0] for rng in walked)  # one generator, re-keyed
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "0", None])
+@pytest.mark.parametrize("trials", [0, 3])
+def test_trial_streams_check_the_seed_before_the_first_trial(seed, trials):
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+        trial_streams(seed, trials)
 
 
 class _Draws:

@@ -361,15 +361,18 @@ class MatrixEnsemble:
     """Finitely supported distribution over distance matrices of one size.
 
     An ensemble from :func:`sampling.enumerate_matrix_ensemble` also carries
-    one record, its atoms' first sample tuples: ``tuples[i]`` is atom i's
-    first tuple, as positions among the space's support points (a
-    read-only atoms x n int array), so atom i is the matrix of those
-    points.  A hand-built ensemble has ``tuples = None``.
+    two records.  ``tuples[i]`` is atom i's first sample tuple, as positions
+    among the space's support points (a read-only atoms x n int array), so
+    atom i is the matrix of those points.  ``classes`` is the first-member
+    map of the relabelling classes (a read-only int array): ``classes[i]``
+    is the lowest atom whose matrix relabels atom i's exactly, byte for
+    byte.  A hand-built ensemble has ``tuples = classes = None``.
     """
 
     atoms: tuple  # of (DistanceMatrix, probability)
     tol: InitVar[float] = DEFAULT_TOL  # of the probability check; not stored
     tuples: np.ndarray | None = field(default=None, init=False, repr=False)
+    classes: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self, tol):
         atoms = tuple((m, float(p)) for m, p in self.atoms)

@@ -26,13 +26,12 @@ below the incumbent, and answer it with one budgeted vertex cover
 (:func:`_below`); only a full alignment that passes (a leaf of the walk, an
 accepted swap) is scanned in full.  The walk tries one row per class of
 twins of B (rows whose swap leaves B unchanged, as repeated sample points
-do), which cuts the search without changing the value or the witness; the
-relabelling test of the dpi grids runs on the same walk.  The walk maps m
-rows of A into the rows of B, so :mod:`entropy` lists the isometric
-embeddings of a smaller space on it too, with no twin rule.
+do), which cuts the search without changing the value or the witness.
+The walk maps m rows of A into the rows of B, so :mod:`entropy` lists the
+isometric embeddings of a smaller space on it too, with no twin rule.
 The grids of dm or dpi between two ensembles' atoms are built here too,
 each in one pass over a first-member map of the atom pairs, whose orbits
-come from classes of grids equal up to relabelling (dpi) or from joint
+come from the enumeration's relabelling classes (dpi) or from joint
 sample orbits (dm, :func:`_sample_orbits`).
 """
 
@@ -409,26 +408,6 @@ def _alignments(m, prev, fits):
         j += 1
 
 
-def _is_relabelling(a_rows, a_sorted, b_rows, b_sorted, b_prev) -> bool:
-    """Whether B aligned by some permutation equals A entry for entry under
-    the gap rule (a_kt == the aligned B entry for t <= k), that is, whether
-    the exact dpi of A and B is 0.0.
-
-    The walk of :func:`_alignments` (``b_prev`` from :func:`_twin_prev`)
-    places the rows of A in order, row j of B on row k only when its sorted
-    row ``b_sorted[j]`` equals ``a_sorted[k]`` (necessary on symmetric
-    grids) and its entries match, so a failing test stays small.
-    """
-
-    def fits(perm, rows):
-        k = rows - 1
-        j = perm[k]
-        ar, bj = a_rows[k], b_rows[j]
-        return b_sorted[j] == a_sorted[k] and ar[k] == bj[j] and all(ar[t] == bj[perm[t]] for t in range(k))
-
-    return next(_alignments(len(a_rows), b_prev, fits), None) is not None
-
-
 def _check_exact_limit(n: int, limit: int = DPI_EXACT_LIMIT) -> None:
     """Raise :class:`SizeLimitError` when n exceeds the exact search's limit."""
     if n > limit:
@@ -567,56 +546,14 @@ def dpi_distance(
 
 
 def _sample_orbits(keys):
-    """For each row of an int array (sample tuples, or joint cells), the
-    first row whose sorted entries equal its own: sorting relabels draws.
-    This is a first-member map: ``first[i] <= i`` is the first row of i's
+    """For each row of an int array (the dm grid's joint cells), the first
+    row whose sorted entries equal its own: sorting relabels draws.  This
+    is a first-member map: ``first[i] <= i`` is the first row of i's
     orbit."""
     srt = np.sort(keys, axis=1)
     rows = srt.view(np.dtype((np.void, srt.shape[1] * srt.itemsize))).ravel().tolist()
     first: dict = {}
     return [first.setdefault(r, p) for p, r in enumerate(rows)]
-
-
-def _relabelling_classes(grids, orbit):
-    """Partition equal-size grids, given as nested lists, which the caller
-    has checked finite and symmetric within tol, into classes of grids
-    equal up to relabelling.
-
-    The grids are bucketed by an invariant of simultaneous row/column
-    permutation (the sorted multiset of sorted rows; cheap but not
-    complete), and a grid joins a class of its bucket only when
-    :func:`_is_relabelling` places its rows on the class's first grid's
-    with ``==`` alone, that is, when their exact dpi is 0.0.  The invariant
-    reads full rows, so on a grid asymmetric within tol it may only split a
-    class.
-
-    ``orbit`` is a first-member map of sample orbits (``range(len(grids))``,
-    or :func:`_sample_orbits` of a tuple record).  A grid whose orbit starts
-    at an earlier grid takes that grid's class untested: both relabel the
-    sorted tuple's matrix exactly, and an exact relabelling of the candidate
-    changes no test's verdict (the permutations compose).  Only the grids
-    that start their orbit are bucketed and tested.  Returns the
-    first-member map of the classes and the relabelling tests made.
-    """
-    buckets: dict = {}
-    first = np.empty(len(grids), dtype=int)
-    tests = 0
-    for i, rows in enumerate(grids):
-        if orbit[i] != i:
-            first[i] = first[orbit[i]]
-            continue
-        srt = [tuple(sorted(r)) for r in rows]
-        bucket = buckets.setdefault(tuple(sorted(srt)), [])
-        prev = _twin_prev(rows) if bucket else None
-        for k, k_rows, k_srt in bucket:
-            tests += 1
-            if _is_relabelling(k_rows, k_srt, rows, srt, prev):
-                first[i] = k
-                break
-        else:
-            first[i] = i
-            bucket.append((i, rows, srt))
-    return first, tests
 
 
 def _cross_grid(ens_x, ens_y, quotients, tol: float):
@@ -632,40 +569,34 @@ def _cross_grid(ens_x, ens_y, quotients, tol: float):
     :func:`_dpi_exact`.  Each grid is one pass over a first-member map of
     the atom pairs (pair (i, j) is ``i * ny + j``): the first pair of an
     orbit gets a distance, and every other pair copies it.  dpi is invariant
-    under relabelling either grid, so its map is ``fx[i] * ny + fy[j]`` of
-    the two sides' class maps (:func:`_relabelling_classes`).  dm is
-    invariant only under relabelling both grids by one permutation, and only
-    on exactly symmetric grids (the gap rule reads the lower triangle): pair
-    (i, j) draws the joint cells ``t_i * k_y + u_j`` of the two sample
+    under relabelling either grid, so its map is ``cx[i] * ny + cy[j]`` of
+    the two sides' relabelling classes (:attr:`core.MatrixEnsemble.classes`).
+    dm is invariant only under relabelling both grids by one permutation:
+    pair (i, j) draws the joint cells ``t_i * k_y + u_j`` of the two sample
     tuples (:attr:`core.MatrixEnsemble.tuples`; k_y above every entry of
     ``u``), and pairs whose sorted cells are equal (:func:`_sample_orbits`)
-    are one joint relabelling of each other.  Without both records, or when
-    some grid is not exactly symmetric, every pair is its own orbit.
+    are one joint relabelling of each other.  Both maps relabel full grids
+    exactly, and the gap rule reads the lower triangle, so without both
+    records, or when some grid is not exactly symmetric, every pair is its
+    own orbit.
     """
     sides = [as_symmetric_grid([m.entries for m in e.matrices()], tol, "ensemble atom") for e in (ens_x, ens_y)]
     (nx, rows_x), (ny, rows_y) = ((len(g), g.tolist()) for g in sides)
-    tx, ty = ens_x.tuples, ens_y.tuples
+    symmetric = all(np.array_equal(g, g.swapaxes(1, 2)) for g in sides)
 
     def grid(quotient):
-        if quotient:
-            (fx, tests_x), (fy, tests_y) = (
-                _relabelling_classes(rows, range(len(rows)) if t is None else _sample_orbits(t))
-                for rows, t in zip((rows_x, rows_y), (tx, ty))
-            )
-            orbit = (fx[:, None] * ny + fy).ravel().tolist()
-            kx, ky = (len(set(f.tolist())) for f in (fx, fy))
-            log.debug(
-                "dpi grid: %d x %d atoms -> %d x %d classes, "
-                "%d relabelling tests, %d class-pair dpi calls",
-                nx, ny, kx, ky, tests_x + tests_y, kx * ky,
-            )
+        rx, ry = ((e.classes if quotient else e.tuples) for e in (ens_x, ens_y))
+        if rx is None or ry is None or not symmetric:
+            orbit, path = range(nx * ny), f"{nx * ny} pairs, each {'solved' if quotient else 'scanned'}"
+        elif quotient:
+            orbit = (rx[:, None] * ny + ry).ravel().tolist()
+            kx, ky = (np.count_nonzero(r == np.arange(r.size)) for r in (rx, ry))
+            path = f"{kx} x {ky} classes, {kx * ky} class-pair dpi calls"
         else:
-            if tx is None or ty is None or not all(np.array_equal(g, g.swapaxes(1, 2)) for g in sides):
-                orbit, path = range(nx * ny), "pairs, each scanned"
-            else:
-                cells = (tx[:, None, :] * (int(ty.max()) + 1) + ty[None, :, :]).reshape(nx * ny, -1)
-                orbit, path = _sample_orbits(cells), "joint orbits"
-            log.debug("dm grid: %d x %d atoms -> %d %s", nx, ny, len(set(orbit)), path)
+            cells = (rx[:, None, :] * (int(ry.max()) + 1) + ry[None, :, :]).reshape(nx * ny, -1)
+            orbit = _sample_orbits(cells)
+            path = f"{len(set(orbit))} joint orbits"
+        log.debug("%s grid: %d x %d atoms -> %s", "dpi" if quotient else "dm", nx, ny, path)
         values = []
         for p, o in enumerate(orbit):
             if o == p:

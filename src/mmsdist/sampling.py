@@ -217,11 +217,14 @@ def enumerate_matrix_ensemble(
     tuple, and identical matrices merge with their probabilities summed in
     tuple order.  Atom order is first occurrence in tuple order.
 
-    The ensemble carries one record, its atoms' first tuples
-    (:attr:`MatrixEnsemble.tuples`), as positions among the k support
-    points (an atoms x n int array): atom i is the matrix of the support
-    points ``tuples[i]``.  Sorting a tuple relabels its matrix exactly, so
-    atoms whose tuples sort alike are relabellings of one another.
+    The ensemble carries two records.  :attr:`MatrixEnsemble.tuples` holds
+    the atoms' first tuples, as positions among the k support points (an
+    atoms x n int array): atom i is the matrix of the support points
+    ``tuples[i]``.  :attr:`MatrixEnsemble.classes` is the first-member map
+    of the relabelling classes.  Permuting a tuple relabels its matrix
+    exactly, and every relabelling of an atom is drawn by a permutation of
+    its tuple, so the classes are the connected components of "drawn by
+    tuples that sort alike" over all k^n tuples (:func:`_tuple_classes`).
     """
     if n < 1:
         raise ValueError("need at least one sample point")
@@ -247,10 +250,30 @@ def enumerate_matrix_ensemble(
     atom_of = np.argsort(order)[inverse]  # the atom of every tuple
     first = first[order]  # the first tuple of every atom
     tuples = digits[first]
-    tuples.setflags(write=False)
+    classes = _tuple_classes(atom_of, np.sort(digits, axis=1) @ place, first.size)
     mats = d[idx[first, :, None], idx[first, None, :]]
     atoms = tuple(zip(map(DistanceMatrix, mats), np.bincount(atom_of, weights=probs).tolist()))
     ens = MatrixEnsemble(atoms=atoms, tol=tol)
-    object.__setattr__(ens, "tuples", tuples)
+    for name, record in (("tuples", tuples), ("classes", classes)):
+        record.setflags(write=False)
+        object.__setattr__(ens, name, record)
     log.debug("ensemble: n = %d, %d tuples -> %d atoms", n, k**n, len(atoms))
     return ens
+
+
+def _tuple_classes(atom_of, sorted_key, size):
+    """The first-member map of the components of "drawn by tuples that sort
+    alike": tuple t draws atom ``atom_of[t]`` (of ``size``) and sorts to
+    the base-k integer ``sorted_key[t]``.  Each pass gives every sorted
+    tuple the lowest label of its atoms, then every atom the lowest label
+    of its sorted tuples, until no label falls; labels stay within a
+    component, so each ends at its lowest atom."""
+    first, low = np.arange(size), np.empty(len(atom_of), dtype=int)
+    while True:
+        low.fill(size)
+        np.minimum.at(low, sorted_key, first[atom_of])
+        nxt = first.copy()
+        np.minimum.at(nxt, atom_of, low[sorted_key])
+        if np.array_equal(nxt, first):
+            return first
+        first = nxt

@@ -16,7 +16,7 @@ from mmsdist import (
     dm_distance,
     dpi_distance,
 )
-from mmsdist import coupling, experiments, matmetric
+from mmsdist import coupling, experiments, matmetric, sampling
 from mmsdist.experiments import (
     check_finspc_sandwich,
     check_group_invariance,
@@ -386,7 +386,7 @@ def test_hoelder_above_dpi_limit_raises_before_classifying(monkeypatch):
         raise AssertionError("atoms classified although the dpi grid is over the limit")
 
     monkeypatch.setattr(matmetric, "_dpi_exact", refuse)
-    monkeypatch.setattr(matmetric, "_is_relabelling", refuse)
+    monkeypatch.setattr(sampling, "_tuple_classes", refuse)
     with pytest.raises(SizeLimitError, match=f"limited to n <= {DPI_EXACT_LIMIT}, got 9"):
         check_hoelder_small_n(0.1, 9)
 
@@ -400,12 +400,19 @@ def _three_point_model(d01, d02, d12, mass):
     return ModelSpace.finite(FiniteMMS(labels=("a", "b", "c"), dist=DistanceMatrix(d), mass=np.array(mass)))
 
 
+def _finite_model(dist):
+    return ModelSpace.finite(FiniteMMS(("a", "b", "c"), DistanceMatrix(np.array(dist, float)), np.full(3, 1 / 3)))
+
+
 @pytest.mark.parametrize(
     "x, y, n",
     [
         (*(ModelSpace.finite(s) for s in sharp_pair(0.25, 0.1)), 5),  # hoelder
         (_two_point_model(0.5, 0.1, "x"), _two_point_model(1.0, 0.1, "y"), 4),  # gpaction
         (_three_point_model(1.0, 1.5, 2.0, [0.5, 0.3, 0.2]), _three_point_model(1.0, 1.0, 2.0, [0.2, 0.2, 0.6]), 3),
+        # symmetric only within tol: relabelling classes would move 24 dpi cells by up to 4e-10
+        (_finite_model([[0, 0.5, 1.0], [0.5000000004, 0, 0.7], [1.0, 0.7, 0]]),
+         _finite_model([[0, 0.6, 1.0], [0.6, 0, 0.5], [1.0, 0.5000000004, 0]]), 3),
     ],
 )
 def test_class_grid_equals_per_atom_dpi(x, y, n):
@@ -445,8 +452,8 @@ def test_cross_grid_checks_every_atom_before_any_distance(monkeypatch, distance)
 def _small_spaces(draw):
     """A model space of 1-3 points with integer weights, zeros allowed:
     lattice points (ties and coincident points), random points, or random
-    points whose grid is asymmetric within tol (5e-10 added above the
-    diagonal)."""
+    points whose grid is asymmetric within tol (an independent offset in
+    (0, 5e-10] added to each entry above the diagonal)."""
     kind = draw(st.sampled_from(["lattice", "random", "asymmetric"]))
     k = draw(st.integers(1, 3))
     if kind == "lattice":
@@ -455,7 +462,8 @@ def _small_spaces(draw):
         pts = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=2 * k, max_size=2 * k)))
     d = DistanceMatrix.from_points(pts.reshape(k, 2)).entries.copy()
     if kind == "asymmetric":
-        d[np.triu_indices(k, 1)] += 5e-10
+        m = k * (k - 1) // 2
+        d[np.triu_indices(k, 1)] += draw(st.lists(st.floats(0.0, 5e-10, exclude_min=True), min_size=m, max_size=m))
     weights = np.array(draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)), float)
     if not weights.any():
         weights[draw(st.integers(0, k - 1))] = 1.0
@@ -472,9 +480,9 @@ def _small_space_pairs(draw):
     return x, y, draw(st.integers(1, max(n for n in range(1, 6) if k**n <= 32)))
 
 
-class _DmGridLog(logging.Handler):
-    """The ``dm grid`` lines logged, and the :func:`matmetric._aligned_scan`
-    calls made, while in use."""
+class _GridLog(logging.Handler):
+    """The ``dm grid`` and ``dpi grid`` lines logged, and the
+    :func:`matmetric._aligned_scan` calls made, while in use."""
 
     def __enter__(self):
         self.lines, self.scans = [], 0
@@ -498,7 +506,7 @@ class _DmGridLog(logging.Handler):
         self._patch.undo()
 
     def emit(self, record):
-        if record.getMessage().startswith("dm grid"):
+        if record.getMessage().startswith(("dm grid", "dpi grid")):
             self.lines.append(record.getMessage())
 
 
@@ -513,7 +521,7 @@ def test_dm_grid_equals_per_pair_dm(inst):
     # (exactly symmetric atoms) or every pair (asymmetric within tol, or an
     # ensemble built by hand, which has no tuple record)
     x, y, n = inst
-    with _DmGridLog() as log:
+    with _GridLog() as log:
         ens_x, ens_y, (grid,) = experiments._ensemble_grids(x, y, n, (False,), 10**6, 1e-9)
     per_pair = np.array([[dm_distance(a.entries, b.entries).value for b in ens_y.matrices()] for a in ens_x.matrices()])
     assert grid.shape == (ens_x.size, ens_y.size)
@@ -523,7 +531,7 @@ def test_dm_grid_equals_per_pair_dm(inst):
 
     hand_built = [MatrixEnsemble(atoms=e.atoms) for e in (ens_x, ens_y)]
     assert [e.tuples for e in hand_built] == [None, None]
-    with _DmGridLog() as log:
+    with _GridLog() as log:
         (plain,) = matmetric._cross_grid(*hand_built, (False,), 1e-9)
     assert plain.tobytes() == grid.tobytes()
     assert log.lines == [f"dm grid: {ens_x.size} x {ens_y.size} atoms -> {grid.size} pairs, each scanned"]
@@ -535,7 +543,7 @@ def test_dm_grid_scans_once_per_joint_orbit(inst):
     # cost law: Z scans for Z joint orbits, and Z is at most the number of
     # pairs and the number of multisets of n joint cells
     x, y, n = inst
-    with _DmGridLog() as log:
+    with _GridLog() as log:
         ens_x, ens_y, _ = experiments._ensemble_grids(x, y, n, (False,), 10**6, 1e-9)
     nx, ny = ens_x.size, ens_y.size
     if not _exactly_symmetric(ens_x, ens_y):
@@ -546,6 +554,20 @@ def test_dm_grid_scans_once_per_joint_orbit(inst):
     z = log.scans
     assert log.lines == [f"dm grid: {nx} x {ny} atoms -> {z} joint orbits"]
     assert z <= min(nx * ny, math.comb(n + c - 1, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_space_pairs())
+def test_dpi_grid_equals_per_pair_dpi(inst):
+    # bit for bit, whether the grid solves one pair per pair of relabelling
+    # classes (exactly symmetric atoms) or every pair (asymmetric within tol)
+    x, y, n = inst
+    with _GridLog() as log:
+        ens_x, ens_y, (grid,) = experiments._ensemble_grids(x, y, n, (True,), 10**6, 1e-9)
+    per_pair = np.array([[dpi_distance(a.entries, b.entries).value for b in ens_y.matrices()] for a in ens_x.matrices()])
+    assert grid.tobytes() == per_pair.tobytes()
+    path = "class-pair dpi calls" if _exactly_symmetric(ens_x, ens_y) else "pairs, each solved"
+    assert log.lines[0].endswith(path)
 
 
 def test_gpaction_dm_grid_logs_its_joint_orbits(caplog):
@@ -575,55 +597,24 @@ def test_group_invariance_checks_each_side_once(monkeypatch):
 def test_class_holds_atoms_of_different_multisets():
     # the tuples (a, a, b) and (a, b, b) draw different multisets with
     # different probabilities but give relabelled matrices
-    space = _three_point_model(1.0, 1.5, 2.0, [0.5, 0.3, 0.2]).space
-    d = space.dist.entries
-    mats = [d[np.ix_(t, t)] for t in ([0, 0, 1], [0, 1, 1], [0, 0, 2])]
-    first, calls = matmetric._relabelling_classes(np.array(mats).tolist(), range(3))
-    assert first.tolist() == [0, 0, 2]
-    assert len(set(first.tolist())) == 2 and calls == 1
-
-
-def test_invariant_collision_stays_split():
-    # the 6-cycle and two disjoint triangles (edge 1, non-edge 2) share every
-    # sorted row, yet no relabelling maps one onto the other
-    def graph_metric(edges):
-        m = np.full((6, 6), 2.0)
-        np.fill_diagonal(m, 0.0)
-        for i, j in edges:
-            m[i, j] = m[j, i] = 1.0
-        return m
-
-    cycle = graph_metric([(k, (k + 1) % 6) for k in range(6)])
-    triangles = graph_metric([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    perm = [3, 0, 5, 1, 4, 2]
-    relabelled = cycle[np.ix_(perm, perm)]
-    assert np.array_equal(np.sort(cycle, axis=1), np.sort(triangles, axis=1))
-    assert dpi_distance(cycle, triangles).value > 0.0
-    first, calls = matmetric._relabelling_classes(np.array([cycle, triangles, relabelled]).tolist(), range(3))
-    assert first.tolist() == [0, 1, 0]
-    assert len(set(first.tolist())) == 2 and calls == 2
+    ens = enumerate_matrix_ensemble(_three_point_model(1.0, 1.5, 2.0, [0.5, 0.3, 0.2]), 3)
+    aab, abb, aac = (ens.tuples.tolist().index(t) for t in ([0, 0, 1], [0, 1, 1], [0, 0, 2]))
+    assert ens.classes[abb] == ens.classes[aab] == aab
+    assert ens.classes[aac] == aac
 
 
 def test_class_grid_logs_its_work(monkeypatch, caplog):
-    tests, calls = [], []
-    matcher, search = matmetric._is_relabelling, matmetric._dpi_exact
-
-    def counting_test(*args, **kwargs):
-        tests.append(1)
-        return matcher(*args, **kwargs)
+    calls = []
+    search = matmetric._dpi_exact
 
     def counting_dpi(*args, **kwargs):
         calls.append(1)
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(matmetric, "_is_relabelling", counting_test)
     monkeypatch.setattr(matmetric, "_dpi_exact", counting_dpi)
     with caplog.at_level(logging.DEBUG, logger="mmsdist"):
         r = check_hoelder_small_n(0.1, 5)
     lines = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("dpi grid")]
     atoms = r.observed["atoms_x"], r.observed["atoms_y"]
-    assert lines == [
-        f"dpi grid: {atoms[0]} x {atoms[1]} atoms -> 3 x 3 classes, "
-        f"{len(tests)} relabelling tests, {len(calls)} class-pair dpi calls"
-    ]
-    assert len(tests) + len(calls) < atoms[0] * atoms[1]
+    assert lines == [f"dpi grid: {atoms[0]} x {atoms[1]} atoms -> 3 x 3 classes, 9 class-pair dpi calls"]
+    assert len(calls) == 9 < atoms[0] * atoms[1]

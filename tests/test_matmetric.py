@@ -23,8 +23,6 @@ from mmsdist import matmetric
 from mmsdist.matmetric import (
     PiWitness,
     _alignments,
-    _is_relabelling,
-    _relabelling_classes,
     _scan_pairs,
     _share_budget,
     _twin_prev,
@@ -546,24 +544,6 @@ def test_exact_search_scans_at_most_one_leaf_per_dm_value(kinds, n, seed):
     assert set(scanned) <= values and len(scanned) <= len(values)
 
 
-def _matches(a, b):
-    """The relabelling matcher on two grids, with its per-atom inputs."""
-    rows_a, rows_b = a.tolist(), b.tolist()
-    sorted_a = [tuple(sorted(r)) for r in rows_a]
-    sorted_b = [tuple(sorted(r)) for r in rows_b]
-    return _is_relabelling(rows_a, sorted_a, rows_b, sorted_b, _twin_prev(rows_b))
-
-
-def test_matcher_decides_relabelling():
-    rng = rng_stream(32)
-    for t in range(300):
-        n = int(rng.integers(0, 7))
-        a = _sampled(rng, ("lattice", "equilateral", "zero")[t % 3], n)
-        p = rng.permutation(n)
-        b = a[np.ix_(p, p)] if t % 2 else _sampled(rng, "lattice", n)
-        assert _matches(a, b) == (_dpi_exact_unpruned(a, b).value == 0.0)
-
-
 def _reference_labels(mats):
     """Class of each matrix: the first earlier class whose representative
     it matches at unpruned dpi 0.0."""
@@ -588,10 +568,44 @@ def _three_point_space(d01, d02, d12):
 
 @pytest.mark.parametrize("sides, n", [((1.0, 1.5, 2.0), 4), ((1.0, 1.0, 2.0), 4), ((1.0, 1.0, 1.0), 5)])
 def test_relabelling_classes_match_the_unpruned_search(sides, n):
-    mats = [m.entries for m in enumerate_matrix_ensemble(_three_point_space(*sides), n).matrices()]
-    first = _relabelling_classes(np.array(mats).tolist(), range(len(mats)))[0]
-    labels = _reference_labels(mats)
-    assert first.tolist() == [labels.index(k) for k in labels]
+    ens = enumerate_matrix_ensemble(_three_point_space(*sides), n)
+    labels = _reference_labels([m.entries for m in ens.matrices()])
+    assert ens.classes.tolist() == [labels.index(k) for k in labels]
+
+
+@st.composite
+def _class_spaces(draw):
+    """A space of 1-4 points and a sample size n = 1-5 with at most 81
+    tuples: lattice points (ties, coincident points), a regular polygon
+    (whose isometries merge atoms of different multisets) or random points,
+    with integer weights, zeros allowed."""
+    kind = draw(st.sampled_from(["lattice", "polygon", "random"]))
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, max(m for m in range(1, 6) if k**m <= 81)))
+    if kind == "lattice":
+        pts = np.array(draw(st.lists(st.integers(0, 2), min_size=2 * k, max_size=2 * k)), float).reshape(k, 2) / 2
+    elif kind == "polygon":
+        angles = 2 * np.pi * np.arange(k) / k
+        pts = np.c_[np.cos(angles), np.sin(angles)]
+    else:
+        pts = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=2 * k, max_size=2 * k))).reshape(k, 2)
+    weights = np.array(draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)), float)
+    if not weights.any():
+        weights[draw(st.integers(0, k - 1))] = 1.0
+    space = FiniteMMS(tuple(f"p{i}" for i in range(k)), DistanceMatrix.from_points(pts), weights / weights.sum())
+    return ModelSpace.finite(space), n
+
+
+@settings(max_examples=80, deadline=None)
+@given(_class_spaces())
+def test_enumerated_classes_are_the_unpruned_partition(inst):
+    # on exactly symmetric atoms, the classes read off the tuples are the
+    # classes of unpruned dpi 0, as a read-only first-member map
+    space, n = inst
+    ens = enumerate_matrix_ensemble(space, n)
+    labels = _reference_labels([m.entries for m in ens.matrices()])
+    assert ens.classes.tolist() == [labels.index(k) for k in labels]
+    assert not ens.classes.flags.writeable
 
 
 @st.composite
@@ -613,39 +627,21 @@ def _ensemble_pair(draw):
 @settings(max_examples=60, deadline=None)
 @given(_ensemble_pair())
 def test_dpi_grid_runs_one_dpi_per_pair_of_class_starts(ensembles):
-    # each side's classes are a first-member map of the unpruned partition,
-    # found by the tests counted, and the grid makes one exact dpi per pair
-    # of class starts
-    sides, tests, calls = [], [], []
-    split, matcher, search = matmetric._relabelling_classes, matmetric._is_relabelling, matmetric._dpi_exact
+    # cost law: one exact dpi per pair of class starts, and no other matrix
+    # comparison (the search is stubbed, so any comparison made is outside it)
+    calls, outside = [], []
 
-    def spy_classes(grids, orbit):
-        out = split(grids, orbit)
-        sides.append((grids, *out))
-        return out
-
-    def spy_test(*args):
-        tests.append(1)
-        return matcher(*args)
-
-    def spy_dpi(a, b):
+    def stub(a, b):
         calls.append(1)
-        return search(a, b)
+        return PiWitness(0.0, (), DmWitness(0.0, (), 0.0), exact=True)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(matmetric, "_relabelling_classes", spy_classes)
-        mp.setattr(matmetric, "_is_relabelling", spy_test)
-        mp.setattr(matmetric, "_dpi_exact", spy_dpi)
+        mp.setattr(matmetric, "_dpi_exact", stub)
+        for name in ("_aligned_scan", "_alignments", "_twin_prev", "_below", "min_vertex_cover"):
+            mp.setattr(matmetric, name, lambda *args, **kwargs: outside.append(1))
         matmetric._cross_grid(*ensembles, (True,), 1e-9)
-    starts = []
-    for grids, first, _ in sides:
-        first = first.tolist()
-        assert all(first[i] <= i and first[first[i]] == first[i] for i in range(len(first)))
-        labels = _reference_labels([np.array(g) for g in grids])
-        assert first == [labels.index(k) for k in labels]
-        starts.append(sum(first[i] == i for i in range(len(first))))
-    assert len(sides) == 2 and len(tests) == sum(made for _, _, made in sides)
-    assert len(calls) == starts[0] * starts[1]
+    starts = [np.count_nonzero(e.classes == np.arange(e.size)) for e in ensembles]
+    assert len(calls) == starts[0] * starts[1] and not outside
 
 
 @st.composite
@@ -678,16 +674,6 @@ def test_dpi_on_twin_rich_samples_ignores_relabelling(inst):
     value = dpi_distance(a, b).value
     assert dpi_distance(a[np.ix_(p, p)], b).value == value
     assert dpi_distance(a, b[np.ix_(q, q)]).value == value
-
-
-@settings(max_examples=60, deadline=None)
-@given(_twin_rich_pair())
-def test_matcher_on_twin_rich_relabellings(inst):
-    a, b, (p, q) = inst
-    assert _matches(a, a[np.ix_(p, p)]) and _matches(b[np.ix_(q, q)], b)
-    expected = _dpi_exact_unpruned(a, b).value == 0.0
-    assert _matches(a, b) == expected
-    assert _matches(a[np.ix_(p, p)], b[np.ix_(q, q)]) == expected
 
 
 def _twins(b):

@@ -3,27 +3,17 @@
 * the concentration functional of a coupling: the least r such that mass
   >= 1 - r sits on pairs within distance r (non-strict on both sides, per
   the definition it implements),
-* the Levy-Prokhorov distance between two discrete measures, computed
-  exactly by a galloping search over the distance levels with a max-flow
-  feasibility subproblem at each level probed (the Hall/Strassen coupling
-  value), solved by Edmonds-Karp on the bipartite network source -> rows
-  -> columns -> sink,
+* the Levy-Prokhorov distance between two discrete measures: the
+  Hall/Strassen optimal-coupling value over an explicit ground grid,
 * Birkhoff decomposition of doubly stochastic grids,
-* maximum bipartite matching under a distance cap (augmenting paths).
+* maximum bipartite matching under a distance cap.
 
-One greedy fill, each cell in turn taking all it can of both residual
-masses, runs over Edmonds-Karp's direct row -> column paths (row-major, as
-its BFS would fill them one path at a time, before it searches longer
-paths), over `ghp`'s matched pairs, and over the northwest-corner rows
-that spread leftover mass.  Both augmenting-path kernels skip work whose
-outcome is already fixed, and return what the plain searches return:
-Birkhoff peeling resumes Kuhn's matching at the first row whose support
-the last term changed, from the matching as it stood before that row.
-
-The Prokhorov flow, the concentration functional and the greedy net coupling
-of `ghp` run on Python ints (the masses over one power-of-two denominator),
-and one breakpoint search gives all three values, correctly rounded.  Every
-Prokhorov distance is solved by `_ProkhorovTo.solve`.
+The integer-mass rule: the Prokhorov flow, the concentration functional
+and the greedy net coupling of `ghp` run on Python ints, the masses over
+one power-of-two denominator (:func:`_dyadic`, :func:`_same_denominator`).
+One breakpoint search (:func:`_breakpoint`) gives all three values,
+correctly rounded, and one greedy fill (:func:`_fill`) places every
+coupling mass.  Every Prokhorov distance is solved by `_ProkhorovTo.solve`.
 """
 
 from __future__ import annotations
@@ -135,17 +125,13 @@ def _dyadic(x):
     return [a * (one // b) for a, b in ratios], one
 
 
-def _scaled_masses(p, q):
-    """Both mass vectors as exact Python ints over one power-of-two
-    denominator: (P, Q, denominator)."""
-    (P, a), (Q, b) = _dyadic(p), _dyadic(q)
-    return _rescaled(P, a, b), _rescaled(Q, b, a), max(a, b)
-
-
-def _rescaled(ints, one, other):
-    """ints over denominator ``one`` restated over max(one, other), both
-    powers of two."""
-    return [x * (other // one) for x in ints] if other > one else ints
+def _same_denominator(P, a, Q, b):
+    """Int masses P over denominator a and Q over b, both powers of two,
+    restated over max(a, b): (P, Q, max(a, b))."""
+    one = max(a, b)
+    P = [x * (one // a) for x in P] if a < one else P
+    Q = [x * (one // b) for x in Q] if b < one else Q
+    return P, Q, one
 
 
 def _max_mass_within(P, Q, D, level):
@@ -241,10 +227,10 @@ def _northwest(rres, cres):
 
 def _greedy_delta(p, q, pairs, dist):
     """delta_of_coupling over ``dist`` of the coupling of p and q that
-    :func:`_fill` builds on the integer masses of :func:`_scaled_masses`:
+    :func:`_fill` builds on their integer masses over one denominator:
     each listed (row, column) pair in turn as a one-column row, then the
     northwest-corner rows for the rest."""
-    rres, cres, _ = _scaled_masses(p, q)
+    rres, cres, _ = _same_denominator(*_dyadic(p), *_dyadic(q))
     mass = [[0] * len(cres) for _ in rres]
     _fill(((i, (j,)) for i, j in pairs), rres, cres, mass)
     _fill(_northwest(rres, cres), rres, cres, mass)
@@ -353,8 +339,7 @@ class _ProkhorovTo:
         indexes the breakpoint level, ``flows`` maps each probed level to
         its [flow, row residuals, column residuals]."""
         self._fit(pv.size)
-        P, one = _dyadic(pv)
-        P, Q = _rescaled(P, one, self.one), _rescaled(self.Q, self.one, one)
+        P, Q, one = _same_denominator(*_dyadic(pv), self.Q, self.one)
         total = max(sum(P), sum(Q))
         flows = {}
 
@@ -364,7 +349,7 @@ class _ProkhorovTo:
 
         pick, value = _breakpoint(self.levels, unplaced, total)
         self.flows += len(flows)
-        return value, pick, flows, max(one, self.one)
+        return value, pick, flows, one
 
 
 def prokhorov_distance(

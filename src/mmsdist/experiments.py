@@ -50,6 +50,7 @@ __all__ = [
     "two_point_space",
     "sharp_pair",
     "four_point_square",
+    "sharp_window",
     "check_finspc_sandwich",
     "check_hoelder_small_n",
     "check_sharp_exponent",
@@ -139,18 +140,24 @@ def four_point_square() -> FiniteMMS:
 
 
 def _ensemble_grids(space_x, space_y, n: int, quotients, budget: int, tol: float):
-    """Exact ensembles of n draws from ``space_x`` and ``space_y``, and one
+    """Exact ensembles of n draws from ``space_x`` and ``space_y``, one
     :func:`matmetric._cross_grid` of the two per entry of ``quotients``
-    (True: exact dpi, False: dm).  Each guard runs once, before the work it
-    protects: the exact limit when any grid is dpi, before enumerating; the
-    k^n tuple budget in :func:`enumerate_matrix_ensemble`; the grid budget
-    (:class:`BudgetError`) before any grid is built."""
+    (True: exact dpi, False: dm), and the ensemble distance over each grid,
+    ``prokhorov_distance(...).value``: (ens_x, ens_y, grids, values).
+
+    Each guard runs once, before the work it protects: the exact limit when
+    any grid is dpi, before enumerating; the k^n tuple budget in
+    :func:`enumerate_matrix_ensemble`; the grid budget (:class:`BudgetError`)
+    before any grid is built.  So when the limit and a budget both fail, the
+    error names the limit."""
     if any(quotients):
         _check_exact_limit(n)
     ens_x, ens_y = (enumerate_matrix_ensemble(s, n, budget, tol) for s in (space_x, space_y))
     if ens_x.size * ens_y.size > budget:
         raise BudgetError(f"{ens_x.size} x {ens_y.size} grid exceeds the budget of {budget}")
-    return ens_x, ens_y, _cross_grid(ens_x, ens_y, quotients, tol)
+    grids = _cross_grid(ens_x, ens_y, quotients, tol)
+    p, q = ens_x.probabilities(), ens_y.probabilities()
+    return ens_x, ens_y, grids, [prokhorov_distance(p, q, grid, tol=tol).value for grid in grids]
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +225,8 @@ def check_hoelder_small_n(
         raise ValueError(f"mc_trials must be >= 0, got {mc_trials}")
     streams = trial_streams(seed, mc_trials)  # checks the seed even at mc_trials = 0
     x, y = sharp_pair(0.25, epsilon)
-    ens_x, ens_y, (grid,) = _ensemble_grids(ModelSpace.finite(x), ModelSpace.finite(y), n, (True,), budget, tol)
+    ens_x, ens_y, _, (dp,) = _ensemble_grids(ModelSpace.finite(x), ModelSpace.finite(y), n, (True,), budget, tol)
     ghp = ghp_upper_bound(x, y, "identify", tol=tol)
-    dp = prokhorov_distance(ens_x.probabilities(), ens_y.probabilities(), grid, tol=tol).value
     observed = {"dp_ensemble": dp, "ghp_upper": ghp.upper, "atoms_x": ens_x.size, "atoms_y": ens_y.size}
     bound = {"sqrt_eps": math.sqrt(epsilon), "sqrt_ghp_upper": math.sqrt(ghp.upper)}
     passed = {
@@ -322,11 +328,10 @@ def check_sharp_exponent(
     notes = []
     try:
         x, y = sharp_pair(c, epsilon)
-        ens_x, ens_y, (grid,) = _ensemble_grids(ModelSpace.finite(x), ModelSpace.finite(y), n, (True,), budget, tol)
+        *_, (dp,) = _ensemble_grids(ModelSpace.finite(x), ModelSpace.finite(y), n, (True,), budget, tol)
     except (BudgetError, SizeLimitError) as exc:
         notes.append(f"{exc}; exact ensemble step skipped")
     else:
-        dp = prokhorov_distance(ens_x.probabilities(), ens_y.probabilities(), grid, tol=tol).value
         observed["dp_ensemble"] = dp
         if abs(dp - threshold) <= tol:
             passed["dp_exceeds_threshold"] = True
@@ -370,7 +375,9 @@ def check_sampling_convergence(
     distance takes).  Trial t draws from Philox stream (seed, t), walked on
     one re-keyed generator (:func:`mmsdist.sampling.trial_streams`), counts
     its n draws per atom by one sort (:func:`mmsdist.sampling.sample_counts`)
-    and runs only the breakpoint search."""
+    and runs only the breakpoint search.  Its ``counts / n`` is passed
+    unchecked, as it is a mass vector by construction, so the check runs at
+    tol = 0 too."""
     if n < 1:
         raise ValueError("need at least one sample point")
     if trials < 1:
@@ -425,14 +432,12 @@ def check_group_invariance(
         space1 = ModelSpace.finite(two_point_space(0.5, 0.1, "x"))
     if space2 is None:
         space2 = ModelSpace.finite(two_point_space(1.0, 0.1, "y"))
-    ens1, ens2, (grid_dm, grid_dpi) = _ensemble_grids(space1, space2, n, (False, True), budget, tol)
-    p1, p2 = ens1.probabilities(), ens2.probabilities()
-    dp_dm = prokhorov_distance(p1, p2, grid_dm, tol=tol).value
-    dp_dpi = prokhorov_distance(p1, p2, grid_dpi, tol=tol).value
+    ens1, ens2, (grid_dm, grid_dpi), (dp_dm, dp_dpi) = _ensemble_grids(space1, space2, n, (False, True), budget, tol)
     observed = {"dp_under_dm": dp_dm, "dp_under_dpi": dp_dpi, "gap": abs(dp_dm - dp_dpi)}
     notes = []
     if ens1.size > 1:
         # negative control: drop the lightest atom and renormalise
+        p1, p2 = ens1.probabilities(), ens2.probabilities()
         drop = int(np.argmin(p1))
         keep = [k for k in range(ens1.size) if k != drop]
         q1 = p1[keep] / p1[keep].sum()

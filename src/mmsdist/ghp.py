@@ -75,14 +75,7 @@ class GluedSpace:
     bridges: tuple
 
     def full_matrix(self) -> np.ndarray:
-        nl = self.left.n
-        nr = self.right.n
-        out = np.zeros((nl + nr, nl + nr))
-        out[:nl, :nl] = self.left.dist.entries
-        out[nl:, nl:] = self.right.dist.entries
-        out[:nl, nl:] = self.cross
-        out[nl:, :nl] = self.cross.T
-        return out
+        return _union(self.left.dist.entries, self.right.dist.entries, self.cross)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,6 +95,12 @@ class GhpBound:
 
 # ---------------------------------------------------------------------------
 # gluing
+
+
+def _union(dx: np.ndarray, dy: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    """The grid on the disjoint union: both sides on the diagonal, the
+    cross distances and their transpose off it."""
+    return np.block([[dx, cross], [cross.T, dy]])
 
 
 def _min_plus_closure(w: np.ndarray) -> np.ndarray:
@@ -128,12 +127,7 @@ def _glue(x: FiniteMMS, y: FiniteMMS, bridges, tol: float) -> GluedSpace:
         checked.append((i, j, t))
     if not checked:
         raise ValueError("gluing needs at least one bridge")
-    w = np.zeros((nl + nr, nl + nr))
-    w[:nl, :nl] = dx
-    w[nl:, nl:] = dy
-    w[:nl, nl:] = cross
-    w[nl:, :nl] = cross.T
-    closed = _min_plus_closure(w)
+    closed = _min_plus_closure(_union(dx, dy, cross))
     shrink = max(
         float((dx - closed[:nl, :nl]).max()),
         float((dy - closed[nl:, nl:]).max()),
@@ -201,6 +195,12 @@ def _permutation_bound(
     return GhpBound(upper=upper, lower=lower, glued=glued, coupling=witness, method="permutation")
 
 
+def _optimal_bound(x: FiniteMMS, y: FiniteMMS, glued: GluedSpace, tol: float, method: str) -> GhpBound:
+    """The bound of the optimal coupling of the two masses on a gluing."""
+    res = prokhorov_distance(x.mass, y.mass, glued.cross, tol)
+    return GhpBound(upper=res.value, lower=0.0, glued=glued, coupling=res.coupling, method=method)
+
+
 def _identify_bound(x: FiniteMMS, y: FiniteMMS, tol: float) -> GhpBound:
     ix = {}
     for i, l in enumerate(x.labels):
@@ -211,10 +211,7 @@ def _identify_bound(x: FiniteMMS, y: FiniteMMS, tol: float) -> GhpBound:
     # a shared pair whose distances differ by g shrinks by g through its
     # two zero-length bridges, so _glue rejects non-isometric labels
     glued = _glue(x, y, [(i, j, 0.0) for i, j in pairs], tol)
-    res = prokhorov_distance(x.mass, y.mass, glued.cross, tol)
-    return GhpBound(
-        upper=res.value, lower=0.0, glued=glued, coupling=res.coupling, method="identify"
-    )
+    return _optimal_bound(x, y, glued, tol, "identify")
 
 
 def _net_bound(x: FiniteMMS, y: FiniteMMS, tol: float, cross=None) -> GhpBound:
@@ -256,11 +253,7 @@ def _net_bound(x: FiniteMMS, y: FiniteMMS, tol: float, cross=None) -> GhpBound:
     log.debug("net: %d eps levels, %d distinct matchings glued", len(candidates), len(seen))
     if best is None:
         raise StrategyError("no epsilon level yields a nonempty matching")
-    _, glued = best
-    res = prokhorov_distance(x.mass, y.mass, glued.cross, tol)
-    return GhpBound(
-        upper=res.value, lower=0.0, glued=glued, coupling=res.coupling, method="net"
-    )
+    return _optimal_bound(x, y, best[1], tol, "net")
 
 
 def ghp_upper_bound(
@@ -274,16 +267,22 @@ def ghp_upper_bound(
     """Certified upper bound on the space distance via one strategy.
 
     * ``permutation``: equal sizes, uniform masses; bridges the best
-      permutation alignment outside its exclusion set and couples matched
-      pairs (also fills in the uniform lower bound when the alignment was
-      exact).
+      permutation alignment outside its exclusion set at the dpi value and
+      couples matched pairs (also fills in the uniform lower bound when the
+      alignment was exact).
     * ``identify``: glues shared labels at length 0 and solves the
       optimal coupling on the glued space; shared labels whose distances
       differ by more than tol raise :class:`GluingError`, as the gluing
       would shorten one side.
     * ``net``: scans matching thresholds over an ambient cross-distance
-      grid (from ``cross`` or the spaces' coordinates), bridges the best
-      matching and solves the optimal coupling.
+      grid (from ``cross`` or the spaces' coordinates), glues each distinct
+      matching once, scores it by the greedy coupling of
+      :func:`coupling._greedy_delta`, and solves the optimal coupling on
+      the best gluing.  When no positive level admits a pair, one level
+      admitting every pair is used.
+
+    Every value is exact and correctly rounded, and identical spaces give
+    exactly 0 under every strategy.
 
     Raises :class:`StrategyError` when the strategy does not apply,
     :class:`GluingError` when its gluing is not isometric, and ValueError

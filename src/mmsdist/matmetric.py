@@ -12,27 +12,19 @@ problem per candidate gap threshold.  The value returned is the infimum
 itself; the feasibility certificate (lambda, residual) holds for every rho
 strictly above it.
 
-dm, the exact search and the heuristic read every gap by one rule: the
-pair {t, k} with t <= k has gap |a_kt - b_kt| (the lower triangle, the
-diagonal included).  On grids symmetric only within tol, this choice moves
-dm by at most tol.
+The gap rule: dm, both dpi searches and the ensemble grids read every
+gap the same way.  The pair {t, k} with t <= k has gap |a_kt - b_kt| (the
+lower triangle, the diagonal included).  On grids symmetric only within
+tol, this choice moves dm by at most tol.
 
-The permutation quotient minimises over simultaneous row/column
-permutations of B, exactly (a lex-order walk over alignments with prefix
-pruning, :func:`_alignments`) up to a configurable size limit, or
-heuristically (greedy profile assignment plus 2-swap local search) above
-it.  Both searches ask one question of an alignment, whether its dm is
-below the incumbent, and answer it with one budgeted vertex cover
-(:func:`_below`); only a full alignment that passes (a leaf of the walk, an
-accepted swap) is scanned in full.  The walk tries one row per class of
-twins of B (rows whose swap leaves B unchanged, as repeated sample points
-do), which cuts the search without changing the value or the witness.
-The walk maps m rows of A into the rows of B, so :mod:`entropy` lists the
-isometric embeddings of a smaller space on it too, with no twin rule.
-The grids of dm or dpi between two ensembles' atoms are built here too,
-each in one pass over a first-member map of the atom pairs, whose orbits
-come from the enumeration's relabelling classes (dpi) or from joint
-sample orbits (dm, :func:`_sample_orbits`).
+The permutation quotient dpi minimises dm over simultaneous row/column
+permutations of B: exactly up to a size limit (:func:`_dpi_exact`), or
+heuristically above it (:func:`_dpi_heuristic`, flagged ``exact=False``).
+Both ask of an alignment only whether its dm is below the incumbent
+(:func:`_below`), and scan in full only an alignment that is, so in either
+mode the value and witness are those of dm_distance(A, B[perm][:, perm]).
+The dm and dpi grids between two ensembles' atoms are built here too
+(:func:`_cross_grid`).
 """
 
 from __future__ import annotations
@@ -268,8 +260,11 @@ def _scan_pairs(pairs, denom):
     :func:`_row_gaps` builds them, so the last pair has the largest k.
     Thresholds run over the distinct positive gaps in decreasing order
     plus 0; at threshold t the pairs with gap > t must be covered.  The
-    largest gap, which needs no cover, seeds the incumbent.  Returns the
-    minimum and an optimal cover.
+    largest gap, which needs no cover, seeds the incumbent.  Edges only
+    grow as the threshold falls, so each cover starts from the last one's
+    size as a proven lower bound, and is budgeted at the largest cover
+    whose share is below the incumbent (:func:`_share_budget`).  Returns
+    the minimum and an optimal cover.
     """
     if not pairs:
         return 0.0, ()  # no points
@@ -383,6 +378,7 @@ def _alignments(m, prev, fits):
     holds, ``perm[:k + 1]`` being the prefix; a full map is yielded as the
     walk's own list, which the walk goes on changing.  ``fits`` is asked
     afresh at each prefix, so what it answers may change between yields.
+    The walk is iterative, so m is not bounded by the recursion limit.
     """
     n = len(prev)
     perm = [-1] * m
@@ -478,6 +474,11 @@ def _below(a_list, b_list, perm, rows, value, budget) -> bool:
 
 
 def _dpi_heuristic(a, b):
+    """Upper bound on dpi: rows paired by sorted row sums, then 2-swap
+    local search until a pass accepts no swap.  A swap is accepted when
+    :func:`_below` finds its dm below the current one (no decision call is
+    made once the value is 0), and only an accepted swap is scanned in full.
+    Logs one debug line with the passes, swaps and decision calls."""
     n = a.shape[0]
     a_list = a.tolist()
     b_list = b.tolist()

@@ -1,18 +1,11 @@
 """Model spaces, i.i.d. sampling of empirical spaces and exact enumeration
 of matrix ensembles.
 
-Atom draws from a mass vector come as indices (:func:`sample_indices`,
-one binary search per draw) or as per-atom counts (:func:`sample_counts`,
-one sort of the same uniforms); the counts are those of the indices bit
-for bit.
-
 Randomness contract: all draws come from the counter-based Philox
-generator, keyed as (seed, stream).  Identical (space, N, seed, stream)
-yields bit-identical output, and per-trial streams reproduce serial runs
-when trials are distributed across workers.  A check's trial t draws from
-stream t: :func:`trial_streams` walks those streams on one generator,
-re-keyed per trial, since a Philox stream's whole state is its key and a
-zero counter.
+generator, keyed as (seed, stream), each an integer in [0, 2**64).
+Identical (space, N, seed, stream) yields bit-identical output, and
+per-trial streams reproduce serial runs when trials are distributed across
+workers.  A check's trial t draws from stream t (:func:`trial_streams`).
 """
 
 from __future__ import annotations
@@ -65,7 +58,11 @@ def trial_streams(seed: int, trials: int) -> Iterator[np.random.Generator]:
     The seed is checked here, not at the first trial.  The yielded
     generator is the same object each time, re-keyed from a fresh state
     (never from the used one, whose buffered draws would leak into the next
-    trial), and is valid only until the next one is taken."""
+    trial), and is valid only until the next one is taken.  A Philox
+    stream's whole state is its key and a zero counter, so re-keying
+    reaches each stream's start; building a generator per trial would cost
+    more, as numpy's constructor also gathers OS entropy for a seed
+    sequence that the key overrides."""
     rng = rng_stream(seed)
     fresh = rng.bit_generator.state
 

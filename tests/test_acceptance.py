@@ -1,5 +1,13 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
+The criteria cross-check every algorithm against independent brute-force
+oracles (exhaustive exclusion subsets, all permutations, LP feasibility
+bisection) and verify the headline inequalities: the sandwich
+upper <= dpi <= 2*upper on random instances, the square-root bound for
+sampled-matrix ensembles, its sharpness window, concentration of
+empirical measures, and invariance of the ensemble distance under the two
+ground metrics.
+
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines; any
 assertion failure fails the corresponding criterion.
 """

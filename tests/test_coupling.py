@@ -593,7 +593,7 @@ def test_bipartite_flow_equals_the_dense_network(monkeypatch):
     results = []
     for p, q, d in _flow_instances():
         r = prokhorov_distance(p, q, d)
-        P, Q, _ = coupling_mod._scaled_masses(p, q)
+        P, Q, _ = coupling_mod._same_denominator(*coupling_mod._dyadic(p), *coupling_mod._dyadic(q))
         for level in sorted(set(d.ravel())):
             placed, mass, rres, cres = coupling_mod._max_mass_within(P, Q, d.tolist(), level)
             want = _dense_max_mass_within(P, Q, d.tolist(), level)
@@ -615,7 +615,7 @@ def test_bipartite_flow_equals_the_dense_network(monkeypatch):
 def _prokhorov_scan(p, q, d):
     """One max-flow per sorted level until a level reaches the best value
     so far, in exact rationals: (value, breakpoint, coupling mass)."""
-    P, Q, one = coupling_mod._scaled_masses(p, q)
+    P, Q, one = coupling_mod._same_denominator(*coupling_mod._dyadic(p), *coupling_mod._dyadic(q))
     D = np.asarray(d, dtype=float).tolist()
     total = max(sum(P), sum(Q))
     levels = sorted({x for row in D for x in row})
@@ -789,7 +789,7 @@ def test_fill_over_northwest_rows_equals_the_two_pointer_walk(inst):
 def test_flow_sweep_equals_the_bfs_at_every_level(inst):
     # masses with zeros, 5e-324 and -2^-40 (a negative int once scaled)
     p, q, d = inst
-    P, Q, _ = coupling_mod._scaled_masses(p, q)
+    P, Q, _ = coupling_mod._same_denominator(*coupling_mod._dyadic(p), *coupling_mod._dyadic(q))
     D = d.tolist()
     for level in sorted({x for row in D for x in row} | {-0.0}):
         assert coupling_mod._max_mass_within(P, Q, D, level) == max_mass_within_bfs(P, Q, D, level)

@@ -15,6 +15,7 @@ from mmsdist import (
     SizeLimitError,
     dm_distance,
     dpi_distance,
+    prokhorov_distance,
 )
 from mmsdist import coupling, experiments, matmetric, sampling
 from mmsdist.experiments import (
@@ -416,13 +417,15 @@ def _finite_model(dist):
     ],
 )
 def test_class_grid_equals_per_atom_dpi(x, y, n):
-    ens_x, ens_y, grids = experiments._ensemble_grids(x, y, n, (True, False), 10**6, 1e-9)
-    for grid, distance in zip(grids, (dpi_distance, dm_distance)):
+    ens_x, ens_y, grids, values = experiments._ensemble_grids(x, y, n, (True, False), 10**6, 1e-9)
+    p, q = ens_x.probabilities(), ens_y.probabilities()
+    for grid, value, distance in zip(grids, values, (dpi_distance, dm_distance)):
         per_atom = np.array(
             [[distance(a.entries, b.entries).value for b in ens_y.matrices()] for a in ens_x.matrices()]
         )
         assert grid.shape == (ens_x.size, ens_y.size)
         assert grid.tobytes() == per_atom.tobytes()
+        assert repr(value) == repr(prokhorov_distance(p, q, grid, tol=1e-9).value)
 
 
 @pytest.mark.parametrize("distance", [dm_distance, dpi_distance])
@@ -522,7 +525,7 @@ def test_dm_grid_equals_per_pair_dm(inst):
     # ensemble built by hand, which has no tuple record)
     x, y, n = inst
     with _GridLog() as log:
-        ens_x, ens_y, (grid,) = experiments._ensemble_grids(x, y, n, (False,), 10**6, 1e-9)
+        ens_x, ens_y, (grid,), _ = experiments._ensemble_grids(x, y, n, (False,), 10**6, 1e-9)
     per_pair = np.array([[dm_distance(a.entries, b.entries).value for b in ens_y.matrices()] for a in ens_x.matrices()])
     assert grid.shape == (ens_x.size, ens_y.size)
     assert grid.tobytes() == per_pair.tobytes()
@@ -544,7 +547,7 @@ def test_dm_grid_scans_once_per_joint_orbit(inst):
     # pairs and the number of multisets of n joint cells
     x, y, n = inst
     with _GridLog() as log:
-        ens_x, ens_y, _ = experiments._ensemble_grids(x, y, n, (False,), 10**6, 1e-9)
+        ens_x, ens_y, *_ = experiments._ensemble_grids(x, y, n, (False,), 10**6, 1e-9)
     nx, ny = ens_x.size, ens_y.size
     if not _exactly_symmetric(ens_x, ens_y):
         assert log.lines == [f"dm grid: {nx} x {ny} atoms -> {nx * ny} pairs, each scanned"]
@@ -563,7 +566,7 @@ def test_dpi_grid_equals_per_pair_dpi(inst):
     # classes (exactly symmetric atoms) or every pair (asymmetric within tol)
     x, y, n = inst
     with _GridLog() as log:
-        ens_x, ens_y, (grid,) = experiments._ensemble_grids(x, y, n, (True,), 10**6, 1e-9)
+        ens_x, ens_y, (grid,), _ = experiments._ensemble_grids(x, y, n, (True,), 10**6, 1e-9)
     per_pair = np.array([[dpi_distance(a.entries, b.entries).value for b in ens_y.matrices()] for a in ens_x.matrices()])
     assert grid.tobytes() == per_pair.tobytes()
     path = "class-pair dpi calls" if _exactly_symmetric(ens_x, ens_y) else "pairs, each solved"

@@ -12,16 +12,19 @@ problem per candidate gap threshold.  The value returned is the infimum
 itself; the feasibility certificate (lambda, residual) holds for every rho
 strictly above it.
 
-The gap rule: dm, both dpi searches and the ensemble grids read every
-gap the same way.  The pair {t, k} with t <= k has gap |a_kt - b_kt| (the
-lower triangle, the diagonal included).  On grids symmetric only within
-tol, this choice moves dm by at most tol.
+The gap rule: one helper, :func:`_gaps`, reads every gap, for dm, both
+dpi searches and the ensemble grids alike.  The pair {t, k} with t <= k
+has gap |a_kt - b_kt| (the lower triangle, the diagonal included).  On
+grids symmetric only within tol, this choice moves dm by at most tol.
+Every cover is searched on a bitmask graph of gap pairs (:class:`_Graph`),
+which each caller builds or updates in place of an edge list.
 
 The permutation quotient dpi minimises dm over simultaneous row/column
 permutations of B: exactly up to a size limit (:func:`_dpi_exact`), or
 heuristically above it (:func:`_dpi_heuristic`, flagged ``exact=False``).
-Both ask of an alignment only whether its dm is below the incumbent
-(:func:`_below`), and scan in full only an alignment that is, so in either
+Both ask of an alignment only whether its dm is below the incumbent, by
+one budgeted cover (:func:`_below`; the heuristic updates its graph for
+each trial swap), and scan in full only an alignment that is, so in either
 mode the value and witness are those of dm_distance(A, B[perm][:, perm]).
 The dm and dpi grids between two ensembles' atoms are built here too
 (:func:`_cross_grid`).
@@ -31,7 +34,10 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import compress
 
 import numpy as np
 
@@ -86,12 +92,71 @@ class PiWitness:
 # exact minimum vertex cover
 
 
+class _Graph:
+    """A graph on the vertices 0..n-1 held as the bitmasks that
+    :func:`min_vertex_cover` searches: ``adj[v]`` has bit u for each edge
+    {u, v}, u != v, and ``forced`` has bit v for each self-loop (v, v).
+
+    It iterates as its pairs (i, j), i <= j, so it is also an edge list;
+    :func:`min_vertex_cover` reads its masks without a rebuild.
+    """
+
+    __slots__ = ("adj", "forced")
+
+    def __init__(self, n: int):
+        self.adj = [0] * n
+        self.forced = 0
+
+    def __iter__(self):
+        for i, nb in enumerate(self.adj):
+            if self.forced >> i & 1:
+                yield i, i
+            for j in range(i + 1, len(self.adj)):
+                if nb >> j & 1:
+                    yield i, j
+
+    def add(self, edges) -> None:
+        """Add each edge (i, j) of ``edges``, a self-loop when i == j."""
+        adj, forced = self.adj, self.forced
+        for i, j in edges:
+            if i == j:
+                forced |= 1 << i
+            else:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+        self.forced = forced
+
+    def set_row(self, k: int, gaps, value) -> None:
+        """Make the edges at vertex k exactly the pairs {t, k} whose gap
+        ``gaps[t]`` is at least ``value``; ``gaps`` covers every vertex."""
+        row, bit = 0, 1 << k
+        for t, g in enumerate(gaps):
+            if g >= value:
+                row |= 1 << t
+        self.forced = (self.forced & ~bit) | (row & bit)
+        row &= ~bit
+        flip = row ^ self.adj[k]
+        self.adj[k] = row
+        while flip:
+            x = flip & -flip
+            flip ^= x
+            self.adj[x.bit_length() - 1] ^= bit
+
+
+@lru_cache(maxsize=16)
+def _bits(n):
+    """The masks 1 << v of the vertices v < n."""
+    return tuple(1 << v for v in range(n))
+
+
 def min_vertex_cover(n: int, edges, max_size: int | None = None, *, lower: int = 0):
     """Exact minimum vertex cover by branch and bound.
 
     Args:
-        n: number of vertices (0..n-1).
-        edges: iterable of (i, j); a self-loop (i, i) forces i into the cover.
+        n: number of vertices (0..n-1), a non-negative integer.
+        edges: iterable of (i, j); a self-loop (i, i) forces i into the
+            cover.  The library passes its own bitmask graph
+            (:class:`_Graph`), whose masks the search reads directly.
         max_size: optional budget; branches proving the optimum exceeds it
             are abandoned and None is returned.
         lower: a proven lower bound on the minimum cover size.  The search
@@ -103,40 +168,42 @@ def min_vertex_cover(n: int, edges, max_size: int | None = None, *, lower: int =
         than ``max_size``.
 
     Raises:
-        ValueError: an edge names a vertex outside 0..n-1.
+        ValueError: ``n`` is not a non-negative integer, or an edge names a
+            vertex outside 0..n-1.
 
-    A node first peels degree-1 vertices, the lowest index first, putting
-    each one's neighbour in the cover; the degree-1 set is kept as a bitmask
-    updated from the removed vertex's neighbours, so a peel costs that
-    vertex's degree.  With none left it branches on a maximum-degree vertex
-    v (lowest index on ties), exploring "v in cover" before "all neighbours
-    of v in cover"; a greedy maximal matching provides the lower bound.
-    The result is the first minimum cover in this depth-first order, the
-    same with any budget and any valid ``lower``.
+    The search runs on per-vertex neighbour bitmasks and a mask of the
+    self-loops.  A node first peels degree-1 vertices, the lowest index
+    first, putting each one's neighbour in the cover; the degree-1 set is
+    kept as a bitmask updated from the removed vertex's neighbours, so a
+    peel costs that vertex's degree.  With none left it branches on a
+    maximum-degree vertex v (lowest index on ties), exploring "v in cover"
+    before "all neighbours of v in cover"; a greedy maximal matching
+    provides the lower bound.  The result is the first minimum cover in
+    this depth-first order, the same with any budget, any valid ``lower``
+    and either form of ``edges``.
     """
-    adj = [0] * n
-    forced = 0
     try:
-        for i, j in edges:
-            if i == j:
-                forced |= 1 << i
-            else:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-        if forced >> n:  # a self-loop on a vertex >= n
-            raise IndexError
-    except (IndexError, TypeError, ValueError):  # a vertex >= n, < 0 or not an int
-        raise ValueError(f"edges must be pairs of vertices in 0..{n - 1}") from None
+        if operator.index(n) < 0:
+            raise TypeError
+    except TypeError:
+        raise ValueError(f"n must be a non-negative integer number of vertices, got {n!r}") from None
+    if isinstance(edges, _Graph):
+        graph = edges
+    else:
+        graph = _Graph(n)
+        try:
+            graph.add(edges)
+        except (IndexError, TypeError, ValueError):  # a vertex >= n, < 0 or not an int
+            raise ValueError(f"edges must be pairs of vertices in 0..{n - 1}") from None
+    adj, forced = graph.adj, graph.forced
+    if len(adj) != n or forced >> n:  # a self-loop on a vertex >= n
+        raise ValueError(f"edges must be pairs of vertices in 0..{n - 1}")
     base = forced.bit_count()
     if max_size is not None and base > max_size:
         return None
     # forced vertices never enter ``alive``, and every degree is read
     # within ``alive``, so their bits in ``adj`` are never seen
-    alive = 0
-    for v, nb in enumerate(adj):
-        if nb:
-            alive |= 1 << v
-    alive &= ~forced
+    alive = sum(compress(_bits(n), adj)) & ~forced  # the vertices with an edge
 
     # exclusive upper bound on the non-forced part of the cover, and the
     # size at which a found cover is proven minimum
@@ -238,54 +305,96 @@ def _check_symmetric_pair(a, b, tol):
     return a, b
 
 
-def _row_gaps(ar, b_list, perm, k):
-    """Row k of A against the rows t <= k before it, aligned by ``perm``:
-    the pairs (t, k, |a_kt - b_perm[k]perm[t]|).  This is the one gap rule;
-    on a grid asymmetric within tol it reads the lower triangle."""
-    bk = b_list[perm[k]]
-    return [(t, k, abs(ar[t] - bk[perm[t]])) for t in range(k + 1)]
+def _gaps(a_list, b_list, perm, pairs, at_least=None):
+    """The gap of each pair (t, k), t <= k, in ``pairs``, of A against B
+    aligned by ``perm``; given ``at_least``, the bitmask graph
+    (:class:`_Graph`) on all ``len(a_list)`` points of the pairs whose gap
+    is at least it.
+
+    This is the one gap rule: the pair {t, k} with t <= k has gap
+    |a_kt - b_perm[k]perm[t]|, read in the lower triangle, the diagonal
+    included, so the upper triangle of a grid asymmetric within tol is
+    never read.  The graph form, which a decision needs, reads each gap
+    once and keeps none.
+    """
+    if at_least is None:
+        return [abs(a_list[k][t] - b_list[perm[k]][perm[t]]) for t, k in pairs]
+    graph = _Graph(len(a_list))
+    adj = graph.adj
+    for t, k in pairs:
+        if abs(a_list[k][t] - b_list[perm[k]][perm[t]]) >= at_least:
+            if t == k:
+                graph.forced |= 1 << t
+            else:
+                adj[t] |= 1 << k
+                adj[k] |= 1 << t
+    return graph
+
+
+def _lower(n):
+    """The pairs (t, k), t <= k < n, row by row."""
+    return [(t, k) for k in range(n) for t in range(k + 1)]
+
+
+@lru_cache(maxsize=32)
+def _prefix(rows):
+    """:func:`_lower` of ``rows``, kept for the exact walk, which asks a
+    decision at every prefix of at most its size limit."""
+    return tuple(_lower(rows))
+
+
+def _aligned_pairs(a_list, b_list, perm):
+    """Every gap pair (t, k, gap) of A against B aligned by ``perm``, t <= k,
+    row by row, the gaps by :func:`_gaps`."""
+    pairs = _lower(len(a_list))
+    return [(t, k, g) for (t, k), g in zip(pairs, _gaps(a_list, b_list, perm, pairs))]
 
 
 def _aligned_scan(a_list, b_list, perm):
-    """Every gap pair of A against B aligned by ``perm``, row by row, with
-    the value and cover :func:`_scan_pairs` finds for them."""
-    pairs = [p for k, ar in enumerate(a_list) for p in _row_gaps(ar, b_list, perm, k)]
+    """:func:`_aligned_pairs`, with the value and cover :func:`_scan_pairs`
+    finds for them."""
+    pairs = _aligned_pairs(a_list, b_list, perm)
     return (pairs, *_scan_pairs(pairs, len(a_list)))
 
 
-def _scan_pairs(pairs, denom):
+def _scan_pairs(pairs, denom, tally=None):
     """Minimise max(threshold, cover_size/denom) over gap thresholds.
 
     ``pairs`` lists (t, k, gap) for t <= k, row by row as
-    :func:`_row_gaps` builds them, so the last pair has the largest k.
+    :func:`_aligned_pairs` builds them, so the last pair has the largest k.
     Thresholds run over the distinct positive gaps in decreasing order
     plus 0; at threshold t the pairs with gap > t must be covered.  The
-    largest gap, which needs no cover, seeds the incumbent.  Edges only
-    grow as the threshold falls, so each cover starts from the last one's
-    size as a proven lower bound, and is budgeted at the largest cover
-    whose share is below the incumbent (:func:`_share_budget`).  Returns
-    the minimum and an optimal cover.
+    largest gap, which needs no cover, seeds the incumbent.  Pairs come in
+    decreasing gap order, so one bitmask graph (:class:`_Graph`) grows by
+    each threshold's new pairs and every cover reads it as it stands.
+    Since edges only grow, each cover starts from the last one's size as a
+    proven lower bound, and is budgeted at the largest cover whose share
+    is below the incumbent (:func:`_share_budget`).  Returns the minimum
+    and an optimal cover; a ``tally`` list is set to [thresholds, cover
+    calls].
     """
-    if not pairs:
-        return 0.0, ()  # no points
-    nverts = pairs[-1][1] + 1
-    pos = [(g, i, j) for (i, j, g) in pairs if g > 0.0]
-    pos.sort(key=lambda t: -t[0])
-    thresholds = []
-    for g, _, _ in pos:
-        if not thresholds or g < thresholds[-1]:
-            thresholds.append(g)
+    nverts = pairs[-1][1] + 1 if pairs else 0
+    pos = [p for p in pairs if p[2] > 0.0]
+    pos.sort(key=operator.itemgetter(2), reverse=True)  # stable: ties stay in row order
+    thresholds = sorted({p[2] for p in pos}, reverse=True)
     thresholds.append(0.0)
 
     inc, best_cover = thresholds[0], ()
-    edges: list = []
-    k = 0  # prefix of pos already in `edges`
-    low = 0  # the last cover's size: edges only grow, so it bounds the next
+    graph = _Graph(nverts)
+    adj = graph.adj
+    k = 0  # prefix of pos already in ``graph``
+    low = calls = 0  # low: the last cover's size, which bounds the next
     for t in thresholds[1:]:
-        while k < len(pos) and pos[k][0] > t:
-            edges.append((pos[k][1], pos[k][2]))
+        while k < len(pos) and pos[k][2] > t:  # as _Graph.add, inlined for tiny scans
+            i, j, _ = pos[k]
+            if i == j:
+                graph.forced |= 1 << i
+            else:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
             k += 1
-        cover = min_vertex_cover(nverts, edges, max_size=_share_budget(inc, denom), lower=low)
+        calls += 1
+        cover = min_vertex_cover(nverts, graph, max_size=_share_budget(inc, denom), lower=low)
         if cover is None:
             break  # covers only grow as t shrinks
         low = len(cover)
@@ -296,6 +405,8 @@ def _scan_pairs(pairs, denom):
             best_cover = cover
         if share >= inc:
             break
+    if tally is not None:
+        tally[:] = len(thresholds), calls
     return inc, best_cover
 
 
@@ -334,7 +445,12 @@ def dm_distance(a, b, tol: float = DEFAULT_TOL) -> DmWitness:
     symmetric grids of equal size is accepted.
     """
     a, b = _check_symmetric_pair(a, b, tol)
-    return _witness(*_aligned_scan(a.tolist(), b.tolist(), range(a.shape[0])))
+    n = a.shape[0]
+    pairs = _aligned_pairs(a.tolist(), b.tolist(), range(n))
+    tally = [0, 0]
+    value, cover = _scan_pairs(pairs, n, tally)
+    log.debug("dm scan: n = %d, %d thresholds, %d cover calls", n, *tally)
+    return _witness(pairs, value, cover)
 
 
 # ---------------------------------------------------------------------------
@@ -460,25 +576,27 @@ def _below(a_list, b_list, perm, rows, value, budget) -> bool:
     The scan's value is min over thresholds t of max(t, cover share), and
     covers shrink as t grows, so it is below ``value`` exactly when the
     pairs at or above ``value`` (those above the largest threshold below
-    it) have a cover of at most ``budget`` vertices: one budgeted cover,
-    with the gaps read by :func:`_row_gaps`'s rule.
+    it) have a cover of at most ``budget`` vertices: one budgeted cover of
+    their bitmask graph, built by :func:`_gaps`.
     """
-    edges = []
-    for k in range(rows):
-        ar = a_list[k]
-        bk = b_list[perm[k]]
-        for t in range(k + 1):
-            if abs(ar[t] - bk[perm[t]]) >= value:
-                edges.append((t, k))
-    return min_vertex_cover(len(a_list), edges, max_size=budget) is not None
+    graph = _gaps(a_list, b_list, perm, _prefix(rows), value)
+    return min_vertex_cover(len(a_list), graph, max_size=budget) is not None
 
 
 def _dpi_heuristic(a, b):
     """Upper bound on dpi: rows paired by sorted row sums, then 2-swap
-    local search until a pass accepts no swap.  A swap is accepted when
-    :func:`_below` finds its dm below the current one (no decision call is
-    made once the value is 0), and only an accepted swap is scanned in full.
-    Logs one debug line with the passes, swaps and decision calls."""
+    local search until a pass accepts no swap.
+
+    A swap is accepted when its dm is below the current value, decided by
+    one budgeted cover as in :func:`_below` (no decision call is made once
+    the value is 0), and only an accepted swap is scanned in full.  The
+    bitmask graph of the pairs at or above the current value is kept for
+    the current alignment: a trial swap of rows i and j changes only the
+    pairs that touch i or j, so it resets those two rows and columns from
+    :func:`_gaps` and restores the graph on reject.  An accepted swap moves
+    the value, so the graph is rebuilt.  Logs one debug line with the
+    passes, swaps and decision calls.
+    """
     n = a.shape[0]
     a_list = a.tolist()
     b_list = b.tolist()
@@ -490,6 +608,9 @@ def _dpi_heuristic(a, b):
 
     cur = _aligned_scan(a_list, b_list, perm)
     budget = _share_budget(cur[1], n) if n else -1
+    lower = _lower(n)
+    graph = _gaps(a_list, b_list, perm, lower, cur[1])
+    touching = [[(min(t, k), max(t, k)) for t in range(n)] for k in range(n)]  # the pairs {t, k}
     passes = tested = accepted = decisions = 0
     improved = True
     while improved:
@@ -497,19 +618,23 @@ def _dpi_heuristic(a, b):
         passes += 1
         for i in range(n):
             for j in range(i + 1, n):
-                perm[i], perm[j] = perm[j], perm[i]
                 tested += 1
-                better = False
-                if budget >= 0:  # else cur is 0, and no value is below it
-                    decisions += 1
-                    better = _below(a_list, b_list, perm, n, cur[1], budget)
-                if better:
+                if budget < 0:  # cur is 0, and no value is below it
+                    continue
+                perm[i], perm[j] = perm[j], perm[i]
+                kept, forced = graph.adj[:], graph.forced
+                for k in (i, j):
+                    graph.set_row(k, _gaps(a_list, b_list, perm, touching[k]), cur[1])
+                decisions += 1
+                if min_vertex_cover(n, graph, max_size=budget) is not None:
                     cur = _aligned_scan(a_list, b_list, perm)
                     budget = _share_budget(cur[1], n)
+                    graph = _gaps(a_list, b_list, perm, lower, cur[1])
                     accepted += 1
                     improved = True
                 else:
                     perm[i], perm[j] = perm[j], perm[i]
+                    graph.adj, graph.forced = kept, forced
     log.debug(
         "dpi heuristic: n = %d, %d passes, %d swaps tested, %d accepted, %d decision calls",
         n, passes, tested, accepted, decisions,

@@ -303,7 +303,7 @@ def scan_pairs(pairs, denom):
     """Minimise max(threshold, cover_size/denom) over gap thresholds.
 
     ``pairs`` lists (t, k, gap) for t <= k, row by row as
-    :func:`_row_gaps` builds them, so the last pair has the largest k.
+    :func:`_aligned_pairs` builds them, so the last pair has the largest k.
     Thresholds run over the distinct positive gaps in decreasing order
     plus 0; at threshold t the pairs with gap > t must be covered.
     Returns the minimum and an optimal cover.
@@ -368,7 +368,7 @@ def dpi_exact_scan(a, b):
     row of a class of twins of B.
     """
     from mmsdist import DmWitness, PiWitness
-    from mmsdist.matmetric import _row_gaps, _twin_prev, _witness
+    from mmsdist.matmetric import _gaps, _twin_prev, _witness
 
     a_list = np.asarray(a, float).tolist()
     b_list = np.asarray(b, float).tolist()
@@ -396,7 +396,8 @@ def dpi_exact_scan(a, b):
             j += 1
             continue
         perm[k] = j
-        chunk = _row_gaps(a_list[k], b_list, perm, k)
+        row = [(t, k) for t in range(k + 1)]
+        chunk = [(t, k, g) for (t, k), g in zip(row, _gaps(a_list, b_list, perm, row))]
         pairs.extend(chunk)
         key = tuple(g for _, _, g in chunk)
         node = levels[k].get(key)

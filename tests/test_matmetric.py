@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmsdist import (
@@ -228,6 +228,12 @@ def test_min_vertex_cover_rejects_vertices_outside_the_graph(edges):
         min_vertex_cover(2, edges)
 
 
+@pytest.mark.parametrize("n", [-1, 2.5, "3"])
+def test_min_vertex_cover_rejects_a_bad_vertex_count(n):
+    with pytest.raises(ValueError, match=rf"^n must be a non-negative integer .*, got {re.escape(repr(n))}$"):
+        min_vertex_cover(n, [])
+
+
 @st.composite
 def _graph(draw):
     """A graph on 0 <= n <= 9 vertices; edges may repeat, run either way
@@ -243,13 +249,18 @@ def _graph(draw):
 @given(_graph())
 def test_min_vertex_cover_matches_the_recursive_kernel(graph):
     # same tree, same order: every budget and every valid lower bound gives
-    # the cover (or None) the recursive kernel returns
+    # the cover (or None) the recursive kernel returns, from the edge list
+    # and from the library's bitmask graph of it, which iterates as its edges
     n, edges = graph
+    masks = matmetric._Graph(n)
+    masks.add(edges)
+    assert sorted(masks) == sorted({(min(i, j), max(i, j)) for i, j in edges})
     opt = len(min_vertex_cover_recursive(n, edges))
     for max_size in [None, *range(-1, n + 1)]:
         want = min_vertex_cover_recursive(n, edges, max_size)
         for lower in range(opt + 1):
-            assert min_vertex_cover(n, edges, max_size, lower=lower) == want
+            for form in (edges, masks):
+                assert min_vertex_cover(n, form, max_size, lower=lower) == want
 
 
 def _integer_grid(rng, n):
@@ -819,9 +830,9 @@ def test_share_budget_is_the_largest_share_below():
 @st.composite
 def _gap_list(draw):
     """The (t, k, gap) pairs of 0 <= n <= 9 points, t <= k, row by row as
-    ``_row_gaps`` builds them, diagonal self-loops included: gaps all zero,
-    tied on thirds and halves (some equal to shares m / n), arbitrary, or
-    zero off the diagonal."""
+    ``_aligned_pairs`` builds them, diagonal self-loops included: gaps all
+    zero, tied on thirds and halves (some equal to shares m / n),
+    arbitrary, or zero off the diagonal."""
     n = draw(st.integers(0, 9))
     kind = draw(st.sampled_from(["zero", "ties", "floats", "diagonal"]))
     gaps = st.floats(0.0, 2.0) if kind == "floats" else st.sampled_from([0.0, 1 / 3, 0.5, 2 / 3, 1.0])
@@ -863,10 +874,12 @@ def test_dm_with_gaps_near_the_float_limit():
 
 @st.composite
 def _tie_rich_pair(draw):
-    """Two symmetric grids of 0 <= n <= 7 points, diagonal included, whose
-    entries are thirds and halves (gaps tie with each other and with the
-    shares m / n), arbitrary floats or all zero."""
-    n = draw(st.integers(0, 7))
+    """Two grids of 0 <= n <= 10 points, diagonal included, whose entries
+    are thirds and halves (gaps tie with each other and with the shares
+    m / n), arbitrary floats or all zero.  A is symmetric; B is symmetric,
+    or its upper triangle is moved by tol / 2 (symmetric only within tol),
+    so a gap read from the upper triangle differs from the rule's."""
+    n = draw(st.integers(0, 10))
     entries = draw(
         st.sampled_from(
             [st.sampled_from([0.0, 1 / 3, 0.5, 2 / 3, 1.0]), st.floats(0.0, 2.0), st.just(0.0)]
@@ -876,14 +889,75 @@ def _tie_rich_pair(draw):
     for _ in range(2):
         m = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
         mats.append(np.triu(m) + np.triu(m, 1).T)
+    mats[1][np.triu_indices(n, 1)] += draw(st.sampled_from([0.0, 5e-10, -5e-10]))
     return mats
+
+
+# tied gaps, B's upper triangle moved by -tol / 2: a heuristic whose swap
+# update read a gap from the upper triangle would take other swaps here
+_SKEWED_TIES = [
+    np.array([[1, 1 / 3, 1 / 3, 2 / 3], [1 / 3, 1 / 3, 1 / 3, 0], [1 / 3, 1 / 3, 0, 0.5], [2 / 3, 0, 0.5, 0.5]]),
+    np.array([[1 / 3, 1, 1 / 3, 1], [1, 2 / 3, 0.5, 0], [1 / 3, 0.5, 0, 1 / 3], [1, 0, 1 / 3, 1 / 3]])
+    - 5e-10 * np.triu(np.ones((4, 4)), 1),
+]
 
 
 @settings(max_examples=150, deadline=None)
 @given(_tie_rich_pair())
+@example(_SKEWED_TIES)
 def test_heuristic_equals_the_full_rescan(pair):
     a, b = pair
     assert repr(dpi_distance(a, b, mode="heuristic")) == repr(dpi_heuristic_rescan(a, b))
+
+
+def test_dm_logs_its_scan(caplog):
+    with caplog.at_level(logging.DEBUG, logger="mmsdist"):
+        dm_distance(np.zeros((0, 0)), np.zeros((0, 0)))
+        dm_distance(np.zeros((3, 3)), np.zeros((3, 3)))
+        dm_distance(A_LINE, B_LINE)
+    # with no positive gap the scan makes no cover; the line pair's one
+    # positive gap, 1, seeds the incumbent and threshold 0 takes one cover
+    assert [r.getMessage() for r in caplog.records if r.getMessage().startswith("dm scan")] == [
+        "dm scan: n = 0, 1 thresholds, 0 cover calls",
+        "dm scan: n = 3, 1 thresholds, 0 cover calls",
+        "dm scan: n = 3, 2 thresholds, 1 cover calls",
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tie_rich_pair())
+def test_dm_scan_cost_law(pair):
+    # T is the number of distinct positive gaps plus 0, the largest gap
+    # takes no cover, and every cover the scan makes is counted
+    a, b = pair
+    n = len(a)
+    gaps = {abs(a[k, t] - b[k, t]) for k in range(n) for t in range(k + 1)}
+    calls, lines = [], []
+    cover = matmetric.min_vertex_cover
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return cover(*args, **kwargs)
+
+    class Lines(logging.Handler):
+        def emit(self, record):
+            lines.append(record.getMessage())
+
+    logger, handler = logging.getLogger("mmsdist"), Lines()
+    level = logger.level
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matmetric, "min_vertex_cover", spy)
+        logger.setLevel(logging.DEBUG)
+        logger.addHandler(handler)
+        try:
+            dm_distance(a, b)
+        finally:
+            logger.removeHandler(handler)
+            logger.setLevel(level)
+    (line,) = [x for x in lines if x.startswith("dm scan")]
+    got_n, thresholds, covers = map(int, re.findall(r"\d+", line))
+    assert got_n == n and thresholds == len(gaps - {0.0}) + 1
+    assert covers == len(calls) <= max(thresholds - 1, 0)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])

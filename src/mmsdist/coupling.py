@@ -402,59 +402,97 @@ def prokhorov_distance(
 # bipartite matching and Birkhoff decomposition
 
 
+def _row_masks(allowed):
+    """Each row of a 2-d bool array as a bitmask, bit v set for column v."""
+    packed = np.packbits(allowed, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def _max_matching(rows, n_r, before=None, first_row=0):
     """Maximum bipartite matching (Kuhn's augmenting paths) of the rows'
-    allowed columns (``rows[u][v]`` true when row u may take column v):
-    (number matched, column of each row or -1).
+    allowed columns, each row a bitmask with bit v set when it may take
+    column v: (number matched, column of each row or -1).
 
-    Scans rows in index order, preferring free columns before augmenting
-    through occupied ones, so identical supports match along the diagonal.
-    The augmenting search keeps its own stack, so path length is not
-    bounded by the interpreter's recursion limit.
+    Scans rows in index order, preferring the lowest free column before
+    augmenting through occupied ones, so identical supports match along the
+    diagonal.  The augmenting search keeps its own stack, so path length is
+    not bounded by the interpreter's recursion limit.
 
     Row u's search reaches only rows matched before it, so the matching as
     it stood before row u depends on rows 0..u-1 alone.  A list ``before``
-    of one slot per row records it; a later call with the same list and
-    ``first_row`` = s resumes from the matching before row s, and returns
-    what a cold call returns as long as rows 0..s-1 have not changed since.
+    of one slot per row records it, as (mask of matched columns, row of
+    each column); a later call with the same list and ``first_row`` = s
+    resumes from the matching before row s, and returns what a cold call
+    returns as long as rows 0..s-1 have not changed since.
     """
-    n_l = len(rows)
-    match_r = list(before[first_row]) if first_row else [-1] * n_r  # right -> left
-
-    def augment(root):
-        seen = [False] * n_r
+    taken, match_r = before[first_row] if first_row else (0, [-1] * n_r)
+    match_r = list(match_r)  # right -> left
+    for root in range(first_row, len(rows)):
+        if before is not None:
+            before[root] = taken, list(match_r)
+        seen = 0
         # frames: [left vertex, column that reached it, next column to try]
         stack = [[root, -1, 0]]
         while stack:
             frame = stack[-1]
             u, _, start = frame
-            row = rows[u]
-            if start == 0:  # first visit: take a free column if there is one
-                for v in range(n_r):
-                    if row[v] and match_r[v] == -1 and not seen[v]:
-                        seen[v] = True
-                        match_r[v] = u
-                        for k in range(len(stack) - 1, 0, -1):
-                            match_r[stack[k][1]] = stack[k - 1][0]
-                        return
-            for v in range(start, n_r):
-                if row[v] and not seen[v]:
-                    seen[v] = True
-                    frame[2] = v + 1
-                    stack.append([match_r[v], v, 0])
+            cand = rows[u] & ~seen
+            if not start:  # first visit: take a free column if there is one
+                free = cand & ~taken
+                if free:
+                    bit = free & -free
+                    taken |= bit
+                    match_r[bit.bit_length() - 1] = u
+                    for k in range(len(stack) - 1, 0, -1):
+                        match_r[stack[k][1]] = stack[k - 1][0]
                     break
+            cand = cand >> start << start
+            if cand:
+                bit = cand & -cand
+                v = bit.bit_length() - 1
+                seen |= bit
+                frame[2] = v + 1
+                stack.append([match_r[v], v, 0])
             else:
                 stack.pop()
-
-    for u in range(first_row, n_l):
-        if before is not None:
-            before[u] = list(match_r)
-        augment(u)
-    match_l = [-1] * n_l
+    match_l = [-1] * len(rows)
     for v, u in enumerate(match_r):
         if u != -1:
             match_l[u] = v
     return n_r - match_r.count(-1), match_l
+
+
+def _level_matchings(cross, levels):
+    """For each of the increasing ``levels`` in turn, Kuhn's matching among
+    the pairs of a checked grid strictly closer than it: (pairs, rows), the
+    pairs as (left, right) tuples sorted by left index and ``rows`` the rows
+    the search ran.
+
+    The grid is sorted once, and each level ORs the pairs it newly admits
+    into the row masks.  Rows only gain columns, so the search resumes at
+    the lowest row that gained one (:func:`_max_matching`'s ``before``):
+    every level's matching is the one a cold search gives.  A level that
+    admits no pair repeats the previous matching without a search.
+    """
+    n_l, n_r = cross.shape
+    flat = cross.ravel()
+    order = np.argsort(flat, kind="stable")
+    ends = np.searchsorted(flat[order], levels).tolist()  # entries < each level
+    left, right = (k.tolist() for k in np.unravel_index(order, cross.shape))
+    masks = [0] * n_l
+    before = [(0, [-1] * n_r)] * n_l  # read by copy, so one shared empty matching
+    pairs, done = (), 0
+    for end in ends:
+        if end == done:
+            yield pairs, 0
+            continue
+        for k in range(done, end):
+            masks[left[k]] |= 1 << right[k]
+        first = min(left[done:end])
+        _, match_l = _max_matching(masks, n_r, before, first)
+        pairs = tuple((i, j) for i, j in enumerate(match_l) if j != -1)
+        done = end
+        yield pairs, n_l - first
 
 
 def epsilon_matching(dist_grid, epsilon: float, tol: float = DEFAULT_TOL) -> EpsMatching:
@@ -462,9 +500,7 @@ def epsilon_matching(dist_grid, epsilon: float, tol: float = DEFAULT_TOL) -> Eps
     grid is checked as a ground grid at ``tol``."""
     if not epsilon > 0:  # NaN fails this too
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    d = as_ground_grid(dist_grid, tol)
-    _, match_l = _max_matching((d < epsilon).tolist(), d.shape[1])
-    pairs = tuple((i, j) for i, j in enumerate(match_l) if j != -1)
+    [(pairs, _)] = _level_matchings(as_ground_grid(dist_grid, tol), [epsilon])
     return EpsMatching(pairs=pairs, epsilon=float(epsilon))
 
 
@@ -496,7 +532,7 @@ def birkhoff_decompose(s, tol: float = DEFAULT_TOL) -> BirkhoffDecomposition:
 
     terms = []
     idx = np.arange(n)
-    support = (a > _SUPPORT_EPS).tolist()
+    support = _row_masks(a > _SUPPORT_EPS)
     before, first_row, matched = [None] * n, 0, 0
     while n and float(a.max()) > 1e-12:
         count, sigma = _max_matching(support, n, before, first_row)
@@ -511,7 +547,7 @@ def birkhoff_decompose(s, tol: float = DEFAULT_TOL) -> BirkhoffDecomposition:
         # the minimum cell is now exactly 0, so some row always loses a cell
         lost = np.flatnonzero(a[idx, sigma] <= _SUPPORT_EPS).tolist()
         for i in lost:
-            support[i][sigma[i]] = False
+            support[i] &= ~(1 << sigma[i])
         first_row = lost[0]
     if not terms:  # the zero-residual corner case, with the empty permutation at n = 0
         terms.append((1.0, tuple(range(n))))

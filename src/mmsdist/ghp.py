@@ -34,8 +34,8 @@ from .core import (
 )
 from .coupling import (
     _greedy_delta,
+    _level_matchings,
     delta_of_coupling,
-    epsilon_matching,
     prokhorov_distance,
 )
 from .matmetric import DPI_EXACT_LIMIT, PiWitness, dpi_distance
@@ -240,17 +240,21 @@ def _net_bound(x: FiniteMMS, y: FiniteMMS, tol: float, cross=None) -> GhpBound:
     # equal pairs give equal bridges, gluing and value, and the strict <
     # keeps the first, so each distinct matching is glued once
     seen = set()
-    for eps in candidates:
-        matching = epsilon_matching(cross, eps, tol)
-        if not matching.pairs or matching.pairs in seen:
+    searched = 0  # rows Kuhn's search ran, over all levels
+    for pairs, rows in _level_matchings(cross, candidates):
+        searched += rows
+        if not pairs or pairs in seen:
             continue
-        seen.add(matching.pairs)
-        bridges = [(i, j, float(cross[i, j])) for i, j in matching.pairs]
+        seen.add(pairs)
+        bridges = [(i, j, float(cross[i, j])) for i, j in pairs]
         glued = _glue(x, y, bridges, tol)
-        val = _greedy_delta(x.mass, y.mass, matching.pairs, glued.cross)
+        val = _greedy_delta(x.mass, y.mass, pairs, glued.cross)
         if best is None or val < best[0]:
             best = (val, glued)
-    log.debug("net: %d eps levels, %d distinct matchings glued", len(candidates), len(seen))
+    log.debug(
+        "net: %d eps levels, %d distinct matchings glued, %d rows matched",
+        len(candidates), len(seen), searched,
+    )
     if best is None:
         raise StrategyError("no epsilon level yields a nonempty matching")
     return _optimal_bound(x, y, best[1], tol, "net")

@@ -463,22 +463,21 @@ def _twin_prev(b_list):
 
     Fixing B is an equivalence (a conjugate of a fixing transposition fixes
     B too), so twins form classes and ``prev`` chains each class upwards.
+    The transposition of i and j fixes B when row i with entries i and j
+    swapped equals row j, and column i with them swapped equals column j.
     """
     n = len(b_list)
+    cols = [list(c) for c in zip(*b_list)]
+
+    def swapped(v, i, j):
+        v = list(v)
+        v[i], v[j] = v[j], v[i]
+        return v
+
     prev = [-1] * n
     for j in range(n):
-        bj = b_list[j]
         for i in range(j - 1, -1, -1):
-            bi = b_list[i]
-            if (
-                bi[i] == bj[j]
-                and bi[j] == bj[i]
-                and all(
-                    bi[x] == bj[x] and b_list[x][i] == b_list[x][j]
-                    for x in range(n)
-                    if x != i and x != j
-                )
-            ):
+            if swapped(b_list[i], i, j) == b_list[j] and swapped(cols[i], i, j) == cols[j]:
                 prev[j] = i
                 break
     return prev

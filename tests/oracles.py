@@ -567,6 +567,57 @@ def birkhoff_cold(s):
     return tuple(terms)
 
 
+def net_bound_cold(x, y, tol: float = 1e-9):
+    """The net strategy's bound with one cold matching per eps level, over
+    the spaces' coordinates: the GhpBound."""
+    from mmsdist.core import _euclidean_grid
+    from mmsdist.coupling import _greedy_delta
+    from mmsdist.ghp import _glue, _optimal_bound
+
+    cross = _euclidean_grid(x.coords, y.coords)
+    cross = np.where(cross < 0.0, 0.0, cross)
+    values = set(cross.ravel().tolist())
+    levels = sorted(v for v in values if v > 0)
+    if not levels or min(values) == levels[-1]:
+        levels = [math.inf]
+    best, seen = None, set()
+    for eps in levels:
+        _, match_l = max_matching_cold(cross < eps)
+        pairs = tuple((i, j) for i, j in enumerate(match_l) if j != -1)
+        if not pairs or pairs in seen:
+            continue
+        seen.add(pairs)
+        glued = _glue(x, y, [(i, j, float(cross[i, j])) for i, j in pairs], tol)
+        val = _greedy_delta(x.mass, y.mass, pairs, glued.cross)
+        if best is None or val < best[0]:
+            best = (val, glued)
+    return _optimal_bound(x, y, best[1], tol, "net")
+
+
+def twin_prev_all(b_list):
+    """The twin chains of the exact dpi search, each transposition (i, j)
+    tested entry by entry: the diagonal and the (i, j) cell, then rows and
+    columns i and j at every other index."""
+    n = len(b_list)
+    prev = [-1] * n
+    for j in range(n):
+        bj = b_list[j]
+        for i in range(j - 1, -1, -1):
+            bi = b_list[i]
+            if (
+                bi[i] == bj[j]
+                and bi[j] == bj[i]
+                and all(
+                    bi[x] == bj[x] and b_list[x][i] == b_list[x][j]
+                    for x in range(n)
+                    if x != i and x != j
+                )
+            ):
+                prev[j] = i
+                break
+    return prev
+
+
 def enumerate_matrix_ensemble_loop(space, n: int, budget: int = 10**6, tol: float = 1e-9):
     """The per-tuple enumeration that the vectorised pass replaced: one
     index array, gather and product per tuple, merged in a dict by matrix

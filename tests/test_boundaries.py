@@ -13,7 +13,7 @@ ALLOWED = {
     ("experiments", "coupling"): {"_ProkhorovTo"},
     ("experiments", "matmetric"): {"_check_exact_limit", "_cross_grid"},
     ("ghp", "core"): {"_euclidean_grid"},
-    ("ghp", "coupling"): {"_greedy_delta"},
+    ("ghp", "coupling"): {"_greedy_delta", "_level_matchings"},
 }
 
 

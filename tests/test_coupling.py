@@ -25,6 +25,7 @@ from oracles import (
     delta_fraction_oracle,
     matching_bruteforce,
     max_mass_within_bfs,
+    max_matching_cold,
     northwest_fill,
     prokhorov_lp_oracle,
 )
@@ -880,3 +881,33 @@ def test_birkhoff_logs_its_terms_and_matched_rows(caplog):
     # the first term matches every row, each later one at least the row it resumes at
     assert 30 + dec.size - 1 <= rows < 30 * dec.size
     assert lines[1:] == ["birkhoff: n = 3, 1 terms, 3 rows matched", "birkhoff: n = 0, 1 terms, 0 rows matched"]
+
+
+def test_bitmask_matching_equals_the_cold_matching():
+    # rectangular grids of every density, with the empty and full corners
+    rng = rng_stream(48)
+    grids = [np.zeros((0, 4), bool), np.zeros((4, 0), bool), np.zeros((0, 0), bool)]
+    grids += [np.full((3, 5), True), np.full((5, 3), True), np.full((4, 4), False)]
+    for _ in range(1500):
+        r, c = (int(k) for k in rng.integers(0, 13, size=2))
+        grids.append(rng.random((r, c)) < rng.random())
+    for g in grids:
+        got = coupling_mod._max_matching(coupling_mod._row_masks(g), g.shape[1])
+        assert got == max_matching_cold(g)
+
+
+def test_level_matchings_equal_cold_matchings_at_every_level():
+    # 1-decimal entries tie, so most levels admit several pairs at once or none
+    rng = rng_stream(49)
+    for _ in range(300):
+        r, c = (int(k) for k in rng.integers(0, 10, size=2))
+        cross = np.round(rng.random((r, c)), 1)
+        levels = sorted(set(cross.ravel().tolist()) | {0.05, 0.55, math.inf})
+        got = list(coupling_mod._level_matchings(cross, levels))
+        last = ()
+        for eps, (pairs, rows) in zip(levels, got):
+            _, match_l = max_matching_cold(cross < eps)
+            assert pairs == tuple((i, j) for i, j in enumerate(match_l) if j != -1)
+            # no search when a level admits no pair, else from some row on
+            assert (rows == 0 and pairs == last) or 0 < rows <= r
+            last = pairs

@@ -1,4 +1,5 @@
 import logging
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +32,7 @@ from mmsdist.ghp import _glue, _net_bound
 from mmsdist.matmetric import DPI_EXACT_LIMIT
 from mmsdist.sampling import rng_stream
 
-from oracles import delta_fraction_oracle
+from oracles import delta_fraction_oracle, net_bound_cold
 
 A_LINE = validate_distance_matrix([[0.0, 1, 3], [1, 0, 2], [3, 2, 0]])
 B_LINE = validate_distance_matrix([[0.0, 2, 3], [2, 0, 1], [3, 1, 0]])
@@ -195,7 +196,9 @@ def test_net_bound_equals_gluing_every_level(caplog):
         cross = _coords_cross(x, y)
         levels = np.unique(cross[cross > 0])
         distinct = {epsilon_matching(cross, float(e)).pairs for e in levels} - {()}
-        assert line == f"net: {levels.size} eps levels, {len(distinct)} distinct matchings glued"
+        head = f"net: {levels.size} eps levels, {len(distinct)} distinct matchings glued"
+        rows = int(re.fullmatch(rf"{head}, (\d+) rows matched", line).group(1))
+        assert rows <= levels.size * x.n
 
 
 def test_net_bound_when_every_cross_entry_is_one_value():
@@ -210,6 +213,48 @@ def test_net_bound_when_every_cross_entry_is_one_value():
     assert (repr(b.upper), b.lower) == (repr(gap), 0.0)
     ref = prokhorov_distance(x.mass, y.mass, b.glued.cross)
     assert b.coupling.mass.tobytes() == ref.coupling.mass.tobytes()
+
+
+def _same_bound(got, want):
+    assert repr(got) == repr(want)
+    assert got.glued.bridges == want.glued.bridges
+    assert got.glued.cross.tobytes() == want.glued.cross.tobytes()
+    assert got.coupling.mass.tobytes() == want.coupling.mass.tobytes()
+
+
+def test_net_bound_equals_one_cold_matching_per_level():
+    # 1-decimal coordinates tie cross distances, so levels admit several
+    # pairs at once; the resumed level scan must glue the same matchings
+    rng = rng_stream(50)
+    for t in range(120):
+        nx, ny = (int(k) for k in rng.integers(2, 21, size=2))
+        pts = [rng.random((k, 2)) for k in (nx, ny)]
+        if t % 2:
+            pts = [np.round(q, 1) for q in pts]
+        x, y = (_space(range(len(q)), q, rng.dirichlet(np.ones(len(q))) if t % 3 else None) for q in pts)
+        _same_bound(ghp_upper_bound(x, y, "net"), net_bound_cold(x, y))
+
+
+def test_net_bound_equals_the_cold_loop_when_no_positive_level_admits_a_pair():
+    # every positive cross entry is one value (or every entry is 0), so the
+    # one level glued is the one that admits every pair
+    square = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+    for xs, ys in (([[0.0, 1.0], [1.0, 1.0]], [[0.5, 1.5]]), (square, [[0.0, 0.0]]), ([[2.0, 2.0]], [[2.0, 2.0]])):
+        x, y = _space(range(len(xs)), xs), _space(range(len(ys)), ys)
+        _same_bound(ghp_upper_bound(x, y, "net"), net_bound_cold(x, y))
+
+
+def test_net_level_scan_runs_fewer_rows_than_cold_levels(caplog):
+    # K eps levels searched cold would run K * n_x rows
+    rng = rng_stream(51)
+    x, y = (_space(range(20), np.round(rng.random((20, 2)), 1)) for _ in "xy")
+    with caplog.at_level(logging.DEBUG, logger="mmsdist"):
+        ghp_upper_bound(x, y, "net")
+    [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("net")]
+    levels, glued, rows = map(int, re.fullmatch(
+        r"net: (\d+) eps levels, (\d+) distinct matchings glued, (\d+) rows matched", line
+    ).groups())
+    assert 0 < glued <= levels and 0 < rows < levels * x.n
 
 
 def test_bounds_uniform_identical():

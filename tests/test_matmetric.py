@@ -37,6 +37,7 @@ from oracles import (
     min_vertex_cover_recursive,
     mvc_bruteforce,
     scan_pairs,
+    twin_prev_all,
 )
 
 A_LINE = np.array([[0.0, 1, 3], [1, 0, 2], [3, 2, 0]])  # points {0, 1, 3}
@@ -505,6 +506,23 @@ def test_twin_pruning_on_grids_asymmetric_within_tol():
         i, j = rng.integers(0, n, size=2)
         b[i, j] += 1e-12 * (t % 3 - 1)
         assert repr(dpi_distance(a, b)) == repr(_dpi_exact_unpruned(a, b))
+
+
+def test_twin_chains_equal_the_entry_by_entry_test():
+    # sampled grids repeat rows (twins); a shift below tol in one cell, or
+    # in a cell and its mirror, splits a pair or keeps it
+    rng = rng_stream(47)
+    kinds = ["random", "lattice", "equilateral", "zero"]
+    for t in range(600):
+        n = t % 8 if t < 80 else int(rng.integers(2, 8))
+        b = _sampled(rng, kinds[t % 4], n)
+        if n and t % 3:
+            i, j = rng.integers(0, n, size=2)
+            b[i, j] += 4e-10
+            if t % 3 == 2:
+                b[j, i] += 4e-10
+        b_list = b.tolist()
+        assert _twin_prev(b_list) == twin_prev_all(b_list)
 
 
 def test_exact_search_scans_each_prefix_once(monkeypatch):

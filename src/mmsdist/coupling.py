@@ -134,14 +134,21 @@ def _same_denominator(P, a, Q, b):
     return P, Q, one
 
 
-def _max_mass_within(P, Q, D, level):
-    """Maximum coupling mass placeable on pairs with distance <= level.
+def _near(D, level):
+    """Each row's near columns: those with distance <= level, in index
+    order."""
+    return [[j for j, x in enumerate(row) if x <= level] for row in D]
+
+
+def _max_mass_within(P, Q, near):
+    """Maximum coupling mass placeable on the near pairs of a level, given
+    as each row's near columns (:func:`_near`), which it only reads.
 
     Edmonds-Karp on source -> rows -> columns -> sink: capacity P[i] into
-    row i, Q[j] out of column j, pairs within ``level`` unbounded, all
-    Python ints.  The BFS takes rows, near columns and flow-carrying rows
-    in index order, a column's rows before the sink.  Returns the placed
-    mass, the r x c flow and the residuals P - flow and Q - flow.
+    row i, Q[j] out of column j, near pairs unbounded, all Python ints.
+    The BFS takes rows, near columns and flow-carrying rows in index order,
+    a column's rows before the sink.  Returns the placed mass, the r x c
+    flow and the residuals P - flow and Q - flow.
 
     While a direct path row -> column is left, the BFS augments along the
     first row with residual and its first near column with residual, so
@@ -151,7 +158,6 @@ def _max_mass_within(P, Q, D, level):
     plain BFS loop.
     """
     r, c = len(P), len(Q)
-    near = [[j for j, x in enumerate(row) if x <= level] for row in D]
     flow = [[0] * c for _ in range(r)]
     rres, cres = list(P), list(Q)
     placed = _fill(enumerate(near), rres, cres, flow)
@@ -312,10 +318,11 @@ def _breakpoint(levels, unplaced, total):
 class _ProkhorovTo:
     """Prokhorov distances of many first marginals to one second marginal
     q over one grid: q's checks and integer masses, the grid's checks and
-    its sorted distinct levels (with 0) are prepared once.  ``solve``, the
-    one entry, gives ``prokhorov_distance(p, q, dist, tol).value`` bit for
-    bit as its first item; ``flows`` counts the max-flows solved, one per
-    level probed."""
+    its sorted distinct levels (with 0) are prepared once, and each probed
+    level's near lists (:func:`_near`) once for every ``solve``.  ``solve``,
+    the one entry, gives ``prokhorov_distance(p, q, dist, tol).value`` bit
+    for bit as its first item; ``flows`` counts the max-flows solved, one
+    per level probed."""
 
     def __init__(self, q, dist, tol: float = DEFAULT_TOL):
         self.Q, self.one = _dyadic(as_prob_vector(q, tol, "second marginal"))
@@ -325,6 +332,7 @@ class _ProkhorovTo:
         self.levels = sorted({x for row in self.D for x in row})
         if not self.levels or self.levels[0] > 0.0:
             self.levels.insert(0, 0.0)
+        self.near = {}  # level index -> its near lists
         self.flows = 0
 
     def _fit(self, rows):  # the grid must be rows x (the size of q)
@@ -344,7 +352,9 @@ class _ProkhorovTo:
         flows = {}
 
         def unplaced(k):
-            placed, *flows[k] = _max_mass_within(P, Q, self.D, self.levels[k])
+            if k not in self.near:
+                self.near[k] = _near(self.D, self.levels[k])
+            placed, *flows[k] = _max_mass_within(P, Q, self.near[k])
             return total - placed
 
         pick, value = _breakpoint(self.levels, unplaced, total)

@@ -13,6 +13,7 @@ import csv
 import json
 import logging
 import math
+import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -36,8 +37,8 @@ from .matmetric import (
 )
 from .sampling import (
     ModelSpace,
+    _count_blocks,
     enumerate_matrix_ensemble,
-    sample_counts,
     sample_indices,
     trial_streams,
 )
@@ -164,12 +165,22 @@ def _ensemble_grids(space_x, space_y, n: int, quotients, budget: int, tol: float
 # checks
 
 
+def _integer(name: str, value) -> int:
+    """A count argument of a check as a Python int (``operator.index``, so
+    numpy integers pass and floats do not): ValueError naming it else."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_finspc_sandwich(
     n: int = 5, trials: int = 200, seed: int = 0, tol: float = DEFAULT_TOL
 ) -> ExperimentReport:
     """Sandwich between the quotient matrix distance and the space distance
     on random Euclidean distance matrices: upper <= d_pi and d_pi <= 2*upper
     must hold on every trial."""
+    n, trials = _integer("n", n), _integer("trials", trials)
     if n < 1:
         raise ValueError("need at least one point per matrix")
     if trials < 1:
@@ -188,7 +199,7 @@ def check_finspc_sandwich(
             violations += 1
     return ExperimentReport(
         name="finspc_sandwich",
-        config={"n": n, "trials": trials, "seed": seed, "tol": tol},
+        config={"n": n, "trials": trials, "seed": int(seed), "tol": tol},
         observed={
             "max_upper_minus_dpi": worst_upper_excess,
             "max_dpi_minus_2upper": worst_sandwich_excess,
@@ -221,6 +232,7 @@ def check_hoelder_small_n(
     """
     if not 0.0 < epsilon < 0.25:
         raise ValueError("epsilon must lie in (0, 1/4)")
+    n, mc_trials = _integer("n", n), _integer("mc_trials", mc_trials)
     if mc_trials < 0:
         raise ValueError(f"mc_trials must be >= 0, got {mc_trials}")
     streams = trial_streams(seed, mc_trials)  # checks the seed even at mc_trials = 0
@@ -262,7 +274,7 @@ def check_hoelder_small_n(
         config={
             "epsilon": epsilon,
             "n": n,
-            "seed": seed,
+            "seed": int(seed),
             "mc_trials": mc_trials,
             "budget": budget,
             "tol": tol,
@@ -373,11 +385,15 @@ def check_sampling_convergence(
     space from the model.  The grid and the model measure are prepared once
     (:class:`mmsdist.coupling._ProkhorovTo`, the path every Prokhorov
     distance takes).  Trial t draws from Philox stream (seed, t), walked on
-    one re-keyed generator (:func:`mmsdist.sampling.trial_streams`), counts
-    its n draws per atom by one sort (:func:`mmsdist.sampling.sample_counts`)
-    and runs only the breakpoint search.  Its ``counts / n`` is passed
+    one re-keyed generator (:func:`mmsdist.sampling.trial_streams`).  The
+    trials are drawn and counted in blocks of as many trials as fit in
+    1 MiB of draws (at least one), each sorted in one call and counted per atom at cut points taken once
+    (:func:`mmsdist.sampling._count_blocks`, whose rows are
+    :func:`mmsdist.sampling.sample_counts` bit for bit); each trial then
+    runs only the breakpoint search.  Its ``counts / n`` is passed
     unchecked, as it is a mass vector by construction, so the check runs at
     tol = 0 too."""
+    n, trials = _integer("n", n), _integer("trials", trials)
     if n < 1:
         raise ValueError("need at least one sample point")
     if trials < 1:
@@ -389,13 +405,9 @@ def check_sampling_convergence(
     base = space.atom_space(tol)
     p = base.mass
     dp_to_model = _ProkhorovTo(p, base.dist.entries, tol)
-    exceed = 0
-    dps = np.zeros(trials)
-    for t, rng in enumerate(trial_streams(seed, trials)):
-        dp = dp_to_model.solve(sample_counts(p, n, rng) / n)[0]
-        dps[t] = dp
-        if dp > 3.0 * epsilon:
-            exceed += 1
+    blocks = _count_blocks(p, n, seed, trials)
+    dps = np.array([dp_to_model.solve(pv)[0] for block in blocks for pv in block / n])
+    exceed = int((dps > 3.0 * epsilon).sum())
     log.debug(
         "sampconv: %d trials on %d x %d atoms, %d levels, %d max-flows solved, one per level probed",
         trials, base.n, base.n, len(dp_to_model.levels), dp_to_model.flows,
@@ -404,7 +416,7 @@ def check_sampling_convergence(
     slack = 1.96 * math.sqrt(epsilon * (1.0 - epsilon) / trials)
     return ExperimentReport(
         name="sampling_convergence",
-        config={"epsilon": epsilon, "n": n, "trials": trials, "seed": seed, "tol": tol},
+        config={"epsilon": epsilon, "n": n, "trials": trials, "seed": int(seed), "tol": tol},
         observed={
             "frequency_above_3eps": freq,
             "mean_dp": float(dps.mean()),

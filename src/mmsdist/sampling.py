@@ -151,19 +151,61 @@ def sample_counts(mass, n: int, rng: np.random.Generator) -> np.ndarray:
     ``np.bincount(sample_indices(mass, n, rng), minlength=len(mass))`` bit
     for bit, from the same n uniforms, leaving ``rng`` in the same state.
 
-    The draws are sorted once and the cut points between atoms (the
-    running maximum of the cumulative masses, so an entry within tol below
-    zero is an empty bin) are located among them by one binary search each;
-    the last atom takes every draw at or above the last cut, as
-    :func:`sample_indices` clamps to it.  That is O(n log n + k log n),
-    with no n-long index array.  ``mass`` is checked no more than by
-    :func:`sample_indices`."""
-    cum = np.cumsum(np.asarray(mass, dtype=float))
-    cuts = np.concatenate(([-np.inf], np.maximum.accumulate(cum[:-1]), [np.inf]))
+    The draws are sorted and counted at the cut points of
+    :func:`_cut_points` by :func:`_count_sorted`, the one counting rule
+    :func:`_count_blocks` applies to many trials at once.  That is
+    O(n log n + k log n), with no n-long index array.  ``mass`` is checked
+    no more than by :func:`sample_indices`."""
     u = rng.random(n)
     u.sort()
-    below = np.searchsorted(u, cuts, side="left")  # the draws below each cut
-    return below[1:] - below[:-1]
+    return _count_sorted(u[None], _cut_points(mass))[0]  # the one-row block
+
+
+# draws per block of _count_blocks: 1 MiB of doubles
+_BLOCK_DRAWS = 1 << 17
+
+
+def _cut_points(mass) -> np.ndarray:
+    """The k + 1 cut points between the atoms of a k-atom mass vector: -inf,
+    the running maximum of the cumulative masses but the last (so an entry
+    within tol below zero is an empty bin), then inf, as the last atom
+    takes every draw at or above the last cut (:func:`sample_indices`
+    clamps to it)."""
+    cum = np.cumsum(np.asarray(mass, dtype=float))
+    return np.concatenate(([-np.inf], np.maximum.accumulate(cum[:-1]), [np.inf]))
+
+
+def _count_sorted(block, cuts) -> np.ndarray:
+    """The per-atom counts of a block of draws, each row sorted, at
+    ``cuts``: a rows x k array.  Each cut is located among a row's draws by
+    one binary search, and an atom counts the draws from its lower cut up
+    to (not including) its upper one."""
+    below = np.empty((len(block), cuts.size), dtype=np.intp)
+    for row, at in zip(block, below):
+        at[:] = np.searchsorted(row, cuts, side="left")
+    return below[:, 1:] - below[:, :-1]
+
+
+def _count_blocks(mass, n: int, seed: int, trials: int) -> Iterator[np.ndarray]:
+    """The counts of ``trials`` trials of n draws, as blocks of rows: row t
+    overall is ``sample_counts(mass, n, g)`` for the t-th generator ``g``
+    of ``trial_streams(seed, trials)``, bit for bit.
+
+    A block holds as many trials as fit in :data:`_BLOCK_DRAWS` draws, or
+    one when n is larger: each row is filled from its stream in place, the
+    block is sorted along its rows in one call and each row is counted at
+    cut points taken once (:func:`_count_sorted`).  So the draws take one
+    block of memory, never trials x n."""
+    cuts = _cut_points(mass)
+    streams = trial_streams(seed, trials)
+    rows = max(1, min(trials, _BLOCK_DRAWS // n))
+    draws = np.empty((rows, n))
+    for start in range(0, trials, rows):
+        block = draws[: min(rows, trials - start)]
+        for row, rng in zip(block, streams):  # block first: zip takes no extra stream
+            rng.random(out=row)
+        block.sort(axis=1)
+        yield _count_sorted(block, cuts)
 
 
 def empirical_space(space: ModelSpace, n: int, seed: int, stream: int = 0) -> FiniteMMS:

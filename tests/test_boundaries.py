@@ -12,6 +12,7 @@ ALLOWED = {
     ("entropy", "matmetric"): {"_alignments"},
     ("experiments", "coupling"): {"_ProkhorovTo"},
     ("experiments", "matmetric"): {"_check_exact_limit", "_cross_grid"},
+    ("experiments", "sampling"): {"_count_blocks"},
     ("ghp", "core"): {"_euclidean_grid"},
     ("ghp", "coupling"): {"_greedy_delta", "_level_matchings"},
 }

@@ -459,7 +459,7 @@ def test_prepared_grid_on_the_smallest_grids():
     # no measure is empty, so only the search reaches the 0 x 0 grid: one
     # level, 0, at which the empty flow leaves nothing unplaced
     levels = [0.0]
-    unplaced = lambda k: -coupling_mod._max_mass_within([], [], [], levels[k])[0]
+    unplaced = lambda k: -coupling_mod._max_mass_within([], [], coupling_mod._near([], levels[k]))[0]
     pick, value = coupling_mod._breakpoint(levels, unplaced, 0)
     assert (repr(value), pick, levels) == ("0.0", 0, [0.0])
     with pytest.raises(ValueError, match="first marginal sums to 0.0"):
@@ -485,10 +485,10 @@ def test_prokhorov_logs_its_flows(monkeypatch, caplog, exact):
     calls = []
     types = set()
 
-    def counting_flow(P, Q, D, level):
+    def counting_flow(P, Q, near):
         calls.append(1)
         types.update(type(x) for x in P + Q)
-        return flow(P, Q, D, level)
+        return flow(P, Q, near)
 
     flow = coupling_mod._max_mass_within
     monkeypatch.setattr(coupling_mod, "_max_mass_within", counting_flow)
@@ -535,7 +535,7 @@ def _augment_max_flow(cap, flow, m):
         added += bottleneck
 
 
-def _dense_max_mass_within(P, Q, D, level):
+def _dense_max_mass_within(P, Q, near):
     """The same max-flow on nodes source, rows, columns, sink, with pair
     capacity twice the larger mass total; returns what `_max_mass_within`
     returns."""
@@ -547,9 +547,8 @@ def _dense_max_mass_within(P, Q, D, level):
     for j in range(c):
         cap[1 + r + j][m - 1] = Q[j]
     for i in range(r):
-        for j in range(c):
-            if D[i][j] <= level:
-                cap[1 + i][1 + r + j] = big
+        for j in near[i]:
+            cap[1 + i][1 + r + j] = big
     flow = [[0] * m for _ in range(m)]
     placed = _augment_max_flow(cap, flow, m)
     mass = [flow[1 + i][1 + r : 1 + r + c] for i in range(r)]
@@ -596,8 +595,9 @@ def test_bipartite_flow_equals_the_dense_network(monkeypatch):
         r = prokhorov_distance(p, q, d)
         P, Q, _ = coupling_mod._same_denominator(*coupling_mod._dyadic(p), *coupling_mod._dyadic(q))
         for level in sorted(set(d.ravel())):
-            placed, mass, rres, cres = coupling_mod._max_mass_within(P, Q, d.tolist(), level)
-            want = _dense_max_mass_within(P, Q, d.tolist(), level)
+            near = coupling_mod._near(d.tolist(), level)
+            placed, mass, rres, cres = coupling_mod._max_mass_within(P, Q, near)
+            want = _dense_max_mass_within(P, Q, near)
             assert (placed, mass) == want[:2]
             assert [max(x, 0) for x in rres] == want[2]
             assert [max(x, 0) for x in cres] == want[3]
@@ -627,7 +627,7 @@ def _prokhorov_scan(p, q, d):
         v = Fraction(level)
         if best is not None and v >= best[0]:
             break
-        placed, *witness = coupling_mod._max_mass_within(P, Q, D, level)
+        placed, *witness = coupling_mod._max_mass_within(P, Q, coupling_mod._near(D, level))
         val = max(v, Fraction(total - placed, total))
         if best is None or val < best[0]:
             best = val, v, witness
@@ -793,7 +793,7 @@ def test_flow_sweep_equals_the_bfs_at_every_level(inst):
     P, Q, _ = coupling_mod._same_denominator(*coupling_mod._dyadic(p), *coupling_mod._dyadic(q))
     D = d.tolist()
     for level in sorted({x for row in D for x in row} | {-0.0}):
-        assert coupling_mod._max_mass_within(P, Q, D, level) == max_mass_within_bfs(P, Q, D, level)
+        assert coupling_mod._max_mass_within(P, Q, coupling_mod._near(D, level)) == max_mass_within_bfs(P, Q, D, level)
 
 
 @settings(max_examples=150, deadline=None)
@@ -803,9 +803,9 @@ def test_prepared_grid_solves_one_flow_per_level_probed(inst):
     calls = []
     flow = coupling_mod._max_mass_within
 
-    def counting_flow(*args):
-        calls.append(args[3])
-        return flow(*args)
+    def counting_flow(P, Q, near):  # records the level whose near lists it gets
+        calls.append(next(to_q.levels[k] for k, lists in to_q.near.items() if lists is near))
+        return flow(P, Q, near)
 
     to_q = coupling_mod._ProkhorovTo(q, d)
     with pytest.MonkeyPatch.context() as mp:

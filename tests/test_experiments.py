@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,10 +285,64 @@ def test_sampling_convergence_rejects_bad_settings_before_sampling(monkeypatch, 
         raise AssertionError("sampled before checking the settings")
 
     monkeypatch.setattr(experiments, "sample_indices", no_sampling)
-    monkeypatch.setattr(experiments, "sample_counts", no_sampling)
+    monkeypatch.setattr(experiments, "_count_blocks", no_sampling)
     monkeypatch.setattr(experiments, "trial_streams", no_sampling)
     with pytest.raises(ValueError, match=message):
         check_sampling_convergence(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "check, kwargs",
+    [
+        (check_sampling_convergence, dict(n=50, trials=3, seed=7)),
+        (check_finspc_sandwich, dict(n=4, trials=2, seed=7)),
+        (check_hoelder_small_n, dict(n=3, mc_trials=2, seed=7)),
+    ],
+)
+def test_trial_checks_take_numpy_integers(check, kwargs):
+    # numpy counts and seeds reached the config, which json could not write
+    want = check(**kwargs)
+    got = check(**{key: np.int64(v) if key != "seed" else np.uint64(v) for key, v in kwargs.items()})
+    assert got.to_json() == want.to_json()
+    assert all(type(got.config[key]) is int for key in kwargs)
+
+
+@pytest.mark.parametrize(
+    "check, kwargs, name",
+    [
+        (check_sampling_convergence, dict(trials=2.5), "trials"),
+        (check_sampling_convergence, dict(n=2.5), "n"),
+        (check_sampling_convergence, dict(n=1000.0), "n"),
+        (check_sampling_convergence, dict(trials="3"), "trials"),
+        (check_finspc_sandwich, dict(trials=2.5), "trials"),
+        (check_finspc_sandwich, dict(n=4.0), "n"),
+        (check_hoelder_small_n, dict(mc_trials=2.5), "mc_trials"),
+        (check_hoelder_small_n, dict(n=3.0), "n"),
+    ],
+)
+def test_trial_checks_reject_a_count_that_is_not_an_integer(monkeypatch, check, kwargs, name):
+    # these ended in bare numpy or range TypeErrors, some after sampling
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking the settings")
+
+    for sampler in ("sample_indices", "_count_blocks", "trial_streams"):
+        monkeypatch.setattr(experiments, sampler, no_sampling)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {kwargs[name]!r}$"):
+        check(**kwargs)
+
+
+def test_sampling_convergence_draws_no_trials_x_n_array():
+    # at n = 10**6 a block holds one trial's n draws (8 MB): the traced
+    # peak stays below two rows' worth, where a trials x n array alone
+    # would take three; the lower end shows the draws are traced at all
+    n = 10**6
+    tracemalloc.start()
+    try:
+        check_sampling_convergence(n=n, trials=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 8 * n <= peak < 2 * 8 * n
 
 
 def test_sampling_convergence_logs_its_flows(monkeypatch, caplog):

@@ -17,7 +17,7 @@ from mmsdist import (
     empirical_space,
     enumerate_matrix_ensemble,
 )
-from mmsdist import matmetric
+from mmsdist import matmetric, sampling
 from mmsdist.experiments import two_point_space
 from mmsdist.core import DEFAULT_TOL
 from mmsdist.sampling import rng_stream, sample_counts, sample_indices, trial_streams
@@ -197,6 +197,45 @@ def test_sample_counts_leave_a_slightly_negative_mass_empty(k, j):
         u = np.concatenate([inside, rng_stream(seed).random(500 - len(inside))])
         counts = sample_counts(mass, 500, _Draws(u))
         assert counts.min() >= 0 and counts.sum() == 500 and counts[j] == 0
+
+
+@st.composite
+def _block_runs(draw):
+    """(mass, n, seed, trials, budget): k = 1-6 integer weights, any of
+    them zero, scaled to sum to 1, at times with one entry set within tol
+    below 0; a block budget of draws, small or the real one; n from 1 to
+    past the budget, so that a block holds many rows, a few or one; and a
+    trial count that the rows per block need not divide."""
+    weights = draw(st.lists(st.integers(0, 4), min_size=1, max_size=6).filter(any))
+    mass = np.array(weights, dtype=float) / sum(weights)
+    if mass.size > 1 and draw(st.booleans()):
+        j = draw(st.integers(0, mass.size - 1))
+        mass[j] = -DEFAULT_TOL / 2
+        mass[j - 1] += 1.0 - mass.sum()
+    budget = draw(st.sampled_from([1, 5, 64, sampling._BLOCK_DRAWS]))
+    n = draw(st.integers(1, budget + budget // 2 + 1))
+    return mass, n, draw(st.integers(0, 2**64 - 1)), draw(st.integers(1, 9)), budget
+
+
+@settings(max_examples=120, deadline=None)
+@given(_block_runs())
+@example((np.array([0.25] * 4), 997, 12345, 300, sampling._BLOCK_DRAWS))  # 131 + 131 + 38 rows
+@example((np.array([0.0, 0.5, 0.0, 0.5, 0.0]), sampling._BLOCK_DRAWS + 1, 3, 2, sampling._BLOCK_DRAWS))
+@example((np.array([0.5, -DEFAULT_TOL / 2, 0.5 + DEFAULT_TOL / 2]), 1, 0, 7, 3))
+def test_count_blocks_equal_the_per_trial_counts(inst):
+    mass, n, seed, trials, budget = inst
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampling, "_BLOCK_DRAWS", budget)
+        blocks = list(sampling._count_blocks(mass, n, seed, trials))
+    want = [sample_counts(mass, n, rng).tolist() for rng in trial_streams(seed, trials)]
+    assert np.concatenate(blocks).tolist() == want
+    assert all(block.dtype == np.intp for block in blocks)
+    # every block but the last is full, and none holds more than the
+    # budget of draws unless it is one row
+    rows = len(blocks[0])
+    assert rows * n <= budget or rows == 1
+    assert [len(block) for block in blocks[:-1]] == [rows] * (len(blocks) - 1)
+    assert 1 <= len(blocks[-1]) <= rows
 
 
 def test_ensemble_single_draw():
